@@ -257,11 +257,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ConfigError(f"--loss-step must be > 0, got {args.loss_step}")
     if args.loss_to < args.loss_from:
         raise ConfigError("--loss-to must be >= --loss-from")
+    # integer steps: adding the step repeatedly would accumulate rounding
     grid = []
-    loss = args.loss_from
+    loss = round(args.loss_from, 12)
     while loss <= args.loss_to + 1e-9:
-        grid.append(round(loss, 12))
-        loss += args.loss_step
+        grid.append(loss)
+        loss = round(args.loss_from + len(grid) * args.loss_step, 12)
     if not grid:
         raise ConfigError("empty loss grid")
 

@@ -7,15 +7,18 @@ Ties the source, channel, estimator and key-rate pieces together:
   reproducible independently of evaluation order);
 * the full analysis pipeline from observation to secure bits, with all
   intermediate quantities echoed for audit;
-* loss sweeps comparing source/estimator schemes on a common channel;
-* golden-section optimization of the coherent-state signal intensity in
-  the infinite-decoy limit.
+* loss sweeps comparing source/estimator schemes on a common channel,
+  building each scheme's photon-number distributions once per sweep;
+* optimization of the coherent-state signal intensity in the
+  infinite-decoy limit: a coarse grid in one numpy pass, then
+  golden-section refinement.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,12 +35,13 @@ from .decoy import (
     infinite_decoy_exact,
     no_decoy_bounds,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UndefinedStatisticError
 from .keyrate import KeyRateResult, ProtocolParams, binary_entropy, key_rate
 from .sources import (
     HspsParams,
     HspsSource,
     N_MAX_DEFAULT,
+    PhotonNumberDistribution,
     SourceModel,
     ideal_sps_distribution,
     wcs_distribution,
@@ -166,6 +170,20 @@ class PipelineResult:
     e1_true: float
 
 
+# signal, decoy and vacuum photon-number distributions of one session
+SessionDistributions = tuple[
+    PhotonNumberDistribution, PhotonNumberDistribution, PhotonNumberDistribution
+]
+
+
+def _build_distributions(cfg: ExperimentConfig) -> SessionDistributions:
+    return (
+        cfg.source_signal.distribution(cfg.n_max),
+        cfg.source_decoy.distribution(cfg.n_max),
+        wcs_distribution(cfg.vacuum_mu, cfg.n_max),
+    )
+
+
 def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     """Analytic (Q, E) at the signal, decoy and vacuum settings.
 
@@ -173,10 +191,15 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     ``vacuum_mu`` through the same channel; at zero gain its error
     ratio defaults to the background value.
     """
-    ch = cfg.channel
-    sig = qber(cfg.source_signal.distribution(cfg.n_max), ch)
-    dec = qber(cfg.source_decoy.distribution(cfg.n_max), ch)
-    vac_dist = wcs_distribution(cfg.vacuum_mu, cfg.n_max)
+    return _expected_statistics(cfg.channel, _build_distributions(cfg))
+
+
+def _expected_statistics(
+    ch: ChannelParams, dists: SessionDistributions
+) -> IntensityStatistics:
+    dist_signal, dist_decoy, vac_dist = dists
+    sig = qber(dist_signal, ch)
+    dec = qber(dist_decoy, ch)
     q_vac = gain(vac_dist, ch)
     e_vac = qber(vac_dist, ch).qber if q_vac > 0.0 else ch.e0
     return IntensityStatistics(
@@ -257,7 +280,16 @@ def run_pipeline(
     result rather than aborting: a degenerate bound simply yields zero
     key.
     """
-    expected = expected_statistics(cfg)
+    return _analyse(cfg, _build_distributions(cfg), counts)
+
+
+def _analyse(
+    cfg: ExperimentConfig,
+    dists: SessionDistributions,
+    counts: SimulatedCounts | None = None,
+) -> PipelineResult:
+    """:func:`run_pipeline` on distributions already built from ``cfg``."""
+    expected = _expected_statistics(cfg.channel, dists)
     if counts is None:
         obs = observation_from_expected(cfg, expected)
         mode = "analytic"
@@ -265,8 +297,7 @@ def run_pipeline(
         obs = observation_from_counts(counts)
         mode = "sampled"
 
-    dist_signal = cfg.source_signal.distribution(cfg.n_max)
-    dist_decoy = cfg.source_decoy.distribution(cfg.n_max)
+    dist_signal, dist_decoy, _ = dists
     condition_ok = check_condition(dist_signal, dist_decoy)
     bounds = estimate_bounds(
         obs, dist_signal, dist_decoy, cfg.fluctuation, e0=cfg.channel.e0
@@ -409,39 +440,52 @@ def _no_decoy_rate(
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
-def _scheme_rate(
-    scheme: Scheme, cfg: ExperimentConfig, ch: ChannelParams
-) -> float:
+def _scheme_rate_at(
+    scheme: Scheme, cfg: ExperimentConfig
+) -> Callable[[ChannelParams], float]:
+    """Set up ``scheme`` for one scan and return its rate at one channel.
+
+    Everything that does not depend on the channel, the photon-number
+    distributions above all, is built here once per scan.
+    """
     protocol = cfg.protocol
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
-        point = qber(dist, ch)
-        bounds = infinite_decoy_exact(ch, dist)
-        return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
+
+        def ideal_rate(ch: ChannelParams) -> float:
+            point = qber(dist, ch)
+            bounds = infinite_decoy_exact(ch, dist)
+            return key_rate(
+                point.q_gain, point.qber, bounds, protocol
+            ).rate_per_pulse
+
+        return ideal_rate
 
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return optimize_mu(ch, protocol).rate
+        return lambda ch: optimize_mu(ch, protocol).rate
 
     if scheme.kind is SchemeKind.WCS_NO_DECOY:
         mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
         dist = wcs_distribution(mu, cfg.n_max)
-        return _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
+        return lambda ch: _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
 
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
         signal_params, _ = _hsps_template_params(cfg)
         dist = HspsSource(signal_params).distribution(cfg.n_max)
-        return _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
+        return lambda ch: _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
 
     # HSPS_DECOY: three-intensity estimation at the template intensities
     signal_params, decoy_params = _hsps_template_params(cfg)
-    point_cfg = replace(
+    scan_cfg = replace(
         cfg,
         source_signal=HspsSource(replace(signal_params, p_cor=scheme.p_cor)),
         source_decoy=HspsSource(replace(decoy_params, p_cor=scheme.p_cor)),
-        channel=ch,
         fluctuation=FluctuationPolicy(0.0),
     )
-    return run_pipeline(point_cfg).key.rate_per_pulse
+    dists = _build_distributions(scan_cfg)
+    return lambda ch: _analyse(
+        replace(scan_cfg, channel=ch), dists
+    ).key.rate_per_pulse
 
 
 def scan_loss(
@@ -458,16 +502,22 @@ def scan_loss(
     real session); set it to zero for a pure-theory comparison. The
     no-decoy and infinite-decoy schemes use the channel background
     directly.
+
+    Each scheme's photon-number distributions are built once per scan,
+    not once per point. ``wcs-decoy-opt`` runs :func:`optimize_mu` at
+    every point: a coarse intensity grid in one numpy pass, then
+    golden-section refinement.
     """
     grid = [float(l) for l in loss_grid_db]
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
-    rates = []
-    for loss in grid:
-        ch = replace(cfg_template.channel, eta=loss_db_to_eta(loss))
-        rates.append(_scheme_rate(scheme, cfg_template, ch))
+    rate_at = _scheme_rate_at(scheme, cfg_template)
+    rates = [
+        rate_at(replace(cfg_template.channel, eta=loss_db_to_eta(loss)))
+        for loss in grid
+    ]
     return LossCurve(
         scheme_label=scheme.label, loss_db=tuple(grid), rate=tuple(rates)
     )
@@ -494,16 +544,36 @@ def wcs_infinite_decoy_rate(
     """
     if not mu > 0.0:
         raise InvalidParameterError(f"mu={mu!r} must be > 0")
-    signal = 1.0 - math.exp(-ch.eta * mu)
-    q = min(ch.y0 + signal, 1.0)
+    return _wcs_rate(mu, ch, protocol, math.exp, min, binary_entropy)
+
+
+def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise H2, with the domain check and the H2(0) = H2(1) = 0
+    convention of :func:`binary_entropy`."""
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise InvalidParameterError("H2 argument outside [0, 1]")
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)  # keeps log2 away from 0 at the endpoints
+    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+
+
+def _wcs_rate(
+    mu, ch: ChannelParams, protocol: ProtocolParams, exp, minimum, h2
+):
+    """The rate expression of :func:`wcs_infinite_decoy_rate`, written
+    once for a scalar ``mu`` (``math.exp``, ``min``, ``binary_entropy``)
+    and for an array of them (``np.exp``, ``np.minimum``,
+    ``_binary_entropy_array``)."""
+    signal = 1.0 - exp(-ch.eta * mu)
+    q = minimum(ch.y0 + signal, 1.0)
     e = (ch.e0 * ch.y0 + ch.e_det * signal) / q
     y1 = yield_n(ch, 1)
     e1 = error_n(ch, 1)
-    p0 = math.exp(-mu)
+    p0 = exp(-mu)
     g0 = ch.y0 * p0
     g1 = y1 * mu * p0
     return protocol.q_sift * (
-        -q * protocol.f_ec * binary_entropy(min(e, 1.0))
+        -q * protocol.f_ec * h2(minimum(e, 1.0))
         + g0
         + g1 * (1.0 - binary_entropy(min(e1, 1.0)))
     )
@@ -522,8 +592,14 @@ def optimize_mu(
     """Maximize the infinite-decoy coherent-state rate over the signal
     intensity.
 
-    A coarse grid brackets the maximum, then golden-section refinement
-    narrows it to ``mu_tol``. When the rate is non-positive everywhere
+    A coarse grid of ``coarse_points`` intensities, evaluated in one
+    numpy pass, brackets the maximum; golden-section refinement with the
+    scalar :func:`wcs_infinite_decoy_rate` then narrows it to
+    ``mu_tol``. The scalar rate also picks the best grid point among the
+    array maximum and its two neighbours, and decides between that point
+    and the refined one, so the result equals that of a grid evaluated
+    one scalar at a time unless the rate is flat to within rounding over
+    more than two grid points. When the rate is non-positive everywhere
     the result is flagged infeasible (rate 0 at the least-bad
     intensity).
     """
@@ -532,13 +608,32 @@ def optimize_mu(
         raise InvalidParameterError(
             f"search_range={search_range!r} must satisfy 0 < lo < hi <= 1"
         )
+    if coarse_points < 3:
+        raise InvalidParameterError(
+            f"coarse_points={coarse_points!r} must be >= 3"
+        )
+    if not mu_tol > 0.0:
+        raise InvalidParameterError(f"mu_tol={mu_tol!r} must be > 0")
+    # the gain y0 + 1 - exp(-eta mu) rounds to zero at the low end of the
+    # range only without background; the QBER is then undefined
+    if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
+        raise UndefinedStatisticError(
+            f"QBER undefined: zero gain at mu={lo!r} (eta={channel.eta!r}, y0=0)"
+        )
 
     def rate(mu: float) -> float:
         return wcs_infinite_decoy_rate(mu, channel, protocol)
 
     grid = np.linspace(lo, hi, coarse_points)
-    values = [rate(mu) for mu in grid]
+    values = _wcs_rate(
+        grid, channel, protocol, np.exp, np.minimum, _binary_entropy_array
+    )
+    # numpy's exp and log2 may round differently from math's in the last
+    # bit, which can swap two near-equal neighbours
     best = int(np.argmax(values))
+    near = range(max(best - 1, 0), min(best + 2, coarse_points))
+    scalar = {k: rate(grid[k]) for k in near}
+    best = max(near, key=scalar.__getitem__)
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, coarse_points - 1)]
@@ -557,8 +652,8 @@ def optimize_mu(
             fd = rate(d)
     mu_opt = (a + b) / 2.0
     r_opt = rate(mu_opt)
-    if r_opt < values[best]:
-        mu_opt, r_opt = float(grid[best]), values[best]
+    if r_opt < scalar[best]:
+        mu_opt, r_opt = float(grid[best]), scalar[best]
     if r_opt <= 0.0:
         return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
     return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)

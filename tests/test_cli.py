@@ -206,6 +206,17 @@ class TestCurveCommand:
                 if lo > 0.0 and hi > 0.0:
                     assert lo < hi
 
+    def test_decimal_step_grid_hits_endpoint(self, tmp_path):
+        cfg = write_doc(tmp_path / "c.json", SESSION_DOC)
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--config", cfg, "--schemes", "ideal-sps", "--out", str(out)]
+        argv += ["--loss-from", "0", "--loss-to", "1", "--loss-step", "0.1"]
+        assert main(argv) == 0
+        rows = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+        losses = [row.split(",")[0] for row in rows]
+        assert losses == [format_float(k / 10) for k in range(11)]
+        assert losses[-1] == format_float(1.0)
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         cfg = write_doc(tmp_path / "c.json", SESSION_DOC)
         code = main(

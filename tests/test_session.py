@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decoyqkd.session as session_mod
+import decoyqkd.sources as sources_mod
 from decoyqkd import (
     ChannelParams,
     ExperimentConfig,
@@ -11,16 +15,26 @@ from decoyqkd import (
     HspsSource,
     IdealSpsSource,
     InvalidParameterError,
+    MuOptimum,
     ProtocolParams,
     Scheme,
     SchemeKind,
+    ThreeIntensityObservation,
+    UndefinedStatisticError,
     WcsSource,
     binary_entropy,
     expected_statistics,
+    ideal_sps_distribution,
+    infinite_decoy_exact,
+    key_rate,
+    loss_db_to_eta,
+    no_decoy_bounds,
     optimize_mu,
+    qber,
     run_pipeline,
     sample_counts,
     scan_loss,
+    wcs_distribution,
     wcs_infinite_decoy_rate,
 )
 from dataclasses import replace
@@ -202,6 +216,144 @@ class TestScanLoss:
         with pytest.raises(InvalidParameterError):
             scan_loss(cfg, Scheme(SchemeKind.HSPS_DECOY, p_cor=0.4), [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "wcs-no-decoy",
+            "wcs-no-decoy:0.3",
+            "hsps-no-decoy",
+            "wcs-decoy-opt",
+            "hsps-decoy:0.40",
+            "hsps-decoy:0.70",
+            "ideal-sps",
+        ],
+    )
+    @pytest.mark.parametrize("vacuum_mu", [0.0, BENCH_MU_VACUUM])
+    def test_matches_per_point_evaluation(self, token, vacuum_mu):
+        cfg = bench_config(vacuum_mu=vacuum_mu)
+        scheme = Scheme.parse(token)
+        grid = [0.5 * k for k in range(0, 121, 3)]
+        curve = scan_loss(cfg, scheme, grid)
+        expected = tuple(
+            per_point_rate(
+                scheme, cfg, replace(cfg.channel, eta=loss_db_to_eta(loss))
+            )
+            for loss in grid
+        )
+        assert curve.rate == expected
+
+    def test_hsps_decoy_builds_distributions_once_per_scan(self, monkeypatch):
+        builds = count_calls(
+            monkeypatch,
+            (sources_mod, session_mod),
+            ("wcs_distribution", "hsps_distribution", "ideal_sps_distribution"),
+        )
+        grid = [0.5 * k for k in range(121)]
+        scan_loss(bench_config(), Scheme(SchemeKind.HSPS_DECOY, p_cor=0.4), grid)
+        assert 0 < builds[0] <= 3
+
+
+def count_calls(monkeypatch, modules, names) -> list[int]:
+    """Wrap ``names`` in every module of ``modules`` that binds them;
+    the returned one-element list holds the running call count."""
+    count = [0]
+    for mod in modules:
+        for name in names:
+            if hasattr(mod, name):
+                fn = getattr(mod, name)
+
+                def counted(*args, _fn=fn, **kwargs):
+                    count[0] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+    return count
+
+
+def no_decoy_rate(dist, ch, protocol):
+    point = qber(dist, ch)
+    obs = ThreeIntensityObservation(
+        q_signal=point.q_gain,
+        q_decoy=point.q_gain,
+        e_signal=point.qber,
+        y0_obs=ch.y0,
+        n_signal=1,
+        n_decoy=1,
+        n_vacuum=1,
+    )
+    bounds = no_decoy_bounds(obs, dist, e0=ch.e0)
+    return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
+
+
+def per_point_rate(scheme, cfg, ch):
+    """One scheme's rate at one channel, every distribution built anew
+    and the intensity optimized by the scalar reference search."""
+    protocol = cfg.protocol
+    if scheme.kind is SchemeKind.IDEAL_SPS:
+        dist = ideal_sps_distribution()
+        point = qber(dist, ch)
+        bounds = infinite_decoy_exact(ch, dist)
+        return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
+    if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
+        return scalar_optimize_mu(ch, protocol).rate
+    if scheme.kind is SchemeKind.WCS_NO_DECOY:
+        mu = scheme.wcs_mu if scheme.wcs_mu is not None else 0.1
+        return no_decoy_rate(wcs_distribution(mu, cfg.n_max), ch, protocol)
+    if scheme.kind is SchemeKind.HSPS_NO_DECOY:
+        return no_decoy_rate(cfg.source_signal.distribution(cfg.n_max), ch, protocol)
+    point_cfg = replace(
+        cfg,
+        source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=scheme.p_cor)),
+        source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=scheme.p_cor)),
+        channel=ch,
+        fluctuation=FluctuationPolicy(0.0),
+    )
+    return run_pipeline(point_cfg).key.rate_per_pulse
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_optimize_mu(
+    channel,
+    protocol=ProtocolParams(),
+    search_range=(1e-4, 1.0),
+    coarse_points=512,
+    mu_tol=1e-7,
+):
+    """Reference: the coarse grid evaluated one scalar rate at a time,
+    then the same golden-section refinement as :func:`optimize_mu`."""
+
+    def rate(mu):
+        return wcs_infinite_decoy_rate(mu, channel, protocol)
+
+    lo, hi = search_range
+    grid = np.linspace(lo, hi, coarse_points)
+    values = [rate(mu) for mu in grid]
+    best = int(np.argmax(values))
+
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, coarse_points - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = rate(c), rate(d)
+    while b - a > mu_tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = rate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = rate(d)
+    mu_opt = (a + b) / 2.0
+    r_opt = rate(mu_opt)
+    if r_opt < values[best]:
+        mu_opt, r_opt = float(grid[best]), values[best]
+    if r_opt <= 0.0:
+        return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
+    return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)
+
 
 class TestOptimizeMu:
     def test_interior_optimum_with_positive_rate(self):
@@ -240,6 +392,62 @@ class TestOptimizeMu:
     def test_search_range_validation(self):
         with pytest.raises(InvalidParameterError):
             optimize_mu(bench_channel(), search_range=(0.5, 0.1))
+
+    @pytest.mark.parametrize("mu_tol", [0.0, -1e-7, math.nan])
+    def test_rejects_non_positive_tolerance(self, mu_tol, monkeypatch):
+        evals = count_calls(monkeypatch, (session_mod,), ("wcs_infinite_decoy_rate",))
+        with pytest.raises(InvalidParameterError):
+            optimize_mu(bench_channel(), mu_tol=mu_tol)
+        assert evals[0] == 0
+
+    @pytest.mark.parametrize("coarse_points", [-1, 0, 1, 2])
+    def test_rejects_too_few_grid_points(self, coarse_points):
+        with pytest.raises(InvalidParameterError):
+            optimize_mu(bench_channel(), coarse_points=coarse_points)
+
+    @given(
+        eta=st.floats(min_value=1e-7, max_value=1.0),
+        y0=st.floats(min_value=0.0, max_value=1e-3),
+        e_det=st.floats(min_value=0.0, max_value=0.1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_reference(self, eta, y0, e_det):
+        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det)
+        assert optimize_mu(ch) == scalar_optimize_mu(ch)
+
+    # zero-background channels whose two best grid points differ by less
+    # than numpy's exp and log2 rounding (on an x86-64 AVX2 build)
+    @pytest.mark.parametrize(
+        "eta, e_det", [(1.74e-9, 0.065), (1.17e-9, 0.03), (3.01e-10, 0.053)]
+    )
+    def test_equals_scalar_reference_on_near_tied_grid(self, eta, e_det):
+        ch = ChannelParams(eta=eta, y0=0.0, e_det=e_det)
+        assert optimize_mu(ch) == scalar_optimize_mu(ch)
+
+    def test_zero_gain_is_undefined(self):
+        with pytest.raises(UndefinedStatisticError):
+            optimize_mu(ChannelParams(eta=1e-14, y0=0.0, e_det=0.025))
+
+    def test_reference_covers_infeasible_region(self):
+        ch = ChannelParams(eta=1e-7, y0=1e-3, e_det=0.1)
+        result = optimize_mu(ch)
+        assert not result.feasible
+        assert result == scalar_optimize_mu(ch)
+
+    def test_array_entropy_matches_scalar_form(self):
+        x = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 1001)))
+        h2 = session_mod._binary_entropy_array(x)
+        # numpy's log2 may differ from math.log2 in the last bits
+        assert h2.tolist() == pytest.approx([binary_entropy(v) for v in x], rel=1e-14)
+        endpoints = session_mod._binary_entropy_array(np.array([0.0, 1.0]))
+        assert endpoints.tolist() == [0.0, 0.0]
+        with pytest.raises(InvalidParameterError):
+            session_mod._binary_entropy_array(np.array([0.5, math.nan]))
+
+    def test_scalar_rate_evaluations_bounded(self, monkeypatch):
+        evals = count_calls(monkeypatch, (session_mod,), ("wcs_infinite_decoy_rate",))
+        optimize_mu(bench_channel())
+        assert 0 < evals[0] <= 40
 
 
 class TestScheme:
