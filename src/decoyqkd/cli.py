@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from . import config as cfgmod
 from .decoy import FluctuationPolicy
 from .errors import (
@@ -32,8 +33,10 @@ from .errors import (
 )
 from .session import Scheme, run_pipeline, sample_counts, scan_loss
 from .sources import (
+    DI_DEFAULT,
     HspsParams,
     HspsSource,
+    N_MAX_DEFAULT,
     g2_zero,
     hsps_distribution,
     infer_accidental_rate,
@@ -44,31 +47,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCONSISTENT = 3
 
+# most loss points one curve may evaluate
+CURVE_POINTS_MAX = 10_000
 
-def _write_output(text: str, out: str | None, extra_outputs: list[str]) -> None:
-    if out is None:
+
+def _emit(
+    text: str, args: argparse.Namespace, doc: dict, seed: int | None = None
+) -> int:
+    """Write ``text`` to stdout, or to ``--out`` plus its manifest."""
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-        extra_outputs.append(out)
-
-
-def _write_manifest(
-    out: str | None, doc: dict, seed: int | None, outputs: list[str]
-) -> None:
-    if out is None:
-        return
+        return EXIT_OK
+    Path(args.out).write_text(text, encoding="utf-8", newline="")
     manifest = {
-        "tool_version": cfgmod.TOOL_VERSION,
+        "tool_version": __version__,
         "config_sha256": cfgmod.config_sha256(doc),
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": [args.out],
     }
-    path = f"{out}.manifest.json"
-    Path(path).write_text(
+    Path(f"{args.out}.manifest.json").write_text(
         cfgmod.dump_json(manifest) + "\n", encoding="utf-8", newline=""
     )
+    return EXIT_OK
 
 
 def _distribution_report(dist) -> dict:
@@ -101,7 +102,7 @@ def _infer_block(rates, d_i: float) -> dict:
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     doc = cfgmod.load_config(args.config)
-    report: dict = {"report": "distribution", "tool_version": cfgmod.TOOL_VERSION}
+    report: dict = {"report": "distribution", "tool_version": __version__}
 
     source_block = cfgmod.section(doc, "source", required=False)
     rates_block = cfgmod.section(doc, "rates", required=False)
@@ -111,14 +112,16 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "distribution needs a 'source' model or a 'rates' block"
         )
 
-    n_max = cfgmod.integer_field(source_block, "n_max", "source", default=16)
+    n_max = cfgmod.integer_field(
+        source_block, "n_max", "source", default=N_MAX_DEFAULT
+    )
     if have_source:
         model = cfgmod.source_from_dict(source_block, "source")
         report["source"] = cfgmod.source_to_dict(model)
         report["distribution"] = _distribution_report(model.distribution(n_max))
     if rates_block:
         rates = cfgmod.rates_from_dict(rates_block)
-        d_i = cfgmod.number_field(rates_block, "d_i", "rates", default=1e-3)
+        d_i = cfgmod.number_field(rates_block, "d_i", "rates", default=DI_DEFAULT)
         inference = _infer_block(rates, d_i)
         report["inference"] = inference
         if not have_source:
@@ -130,42 +133,20 @@ def cmd_distribution(args: argparse.Namespace) -> int:
                 hsps_distribution(params, n_max)
             )
 
-    outputs: list[str] = []
-    _write_output(cfgmod.dump_json(report) + "\n", args.out, outputs)
-    _write_manifest(args.out, doc, None, outputs)
-    return EXIT_OK
+    return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     doc = cfgmod.load_config(args.config)
     rates_block = cfgmod.section(doc, "rates")
     rates = cfgmod.rates_from_dict(rates_block)
+    d_i = cfgmod.number_field(rates_block, "d_i", "rates", default=DI_DEFAULT)
     report = {
         "report": "infer",
-        "tool_version": cfgmod.TOOL_VERSION,
-        **_infer_block(
-            rates, cfgmod.number_field(rates_block, "d_i", "rates", default=1e-3)
-        ),
+        "tool_version": __version__,
+        **_infer_block(rates, d_i),
     }
-    outputs: list[str] = []
-    _write_output(cfgmod.dump_json(report) + "\n", args.out, outputs)
-    _write_manifest(args.out, doc, None, outputs)
-    return EXIT_OK
-
-
-def _counts_block(counts) -> dict:
-    return {
-        name: {
-            "gates": c.gates,
-            "detections": c.detections,
-            "errors": c.errors,
-        }
-        for name, c in (
-            ("signal", counts.signal),
-            ("decoy", counts.decoy),
-            ("vacuum", counts.vacuum),
-        )
-    }
+    return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
 def cmd_session(args: argparse.Namespace) -> int:
@@ -179,70 +160,24 @@ def cmd_session(args: argparse.Namespace) -> int:
     counts = sample_counts(cfg) if mode == "sampled" else None
     result = run_pipeline(cfg, counts)
 
-    obs = result.observation
-    fb = result.observable_bounds
+    seed = cfg.rng_seed if mode == "sampled" else None
     report = {
         "report": "session",
-        "tool_version": cfgmod.TOOL_VERSION,
+        "tool_version": __version__,
         "mode": result.mode,
-        "seed": cfg.rng_seed if mode == "sampled" else None,
+        "seed": seed,
         "config": cfgmod.experiment_to_dict(cfg, mode),
-        "observation": {
-            "q_signal": obs.q_signal,
-            "q_decoy": obs.q_decoy,
-            "e_signal": obs.e_signal,
-            "e_decoy": obs.e_decoy,
-            "y0_obs": obs.y0_obs,
-            "n_signal": obs.n_signal,
-            "n_decoy": obs.n_decoy,
-            "n_vacuum": obs.n_vacuum,
-        },
-        "expected": {
-            "q_signal": result.expected.q_signal,
-            "e_signal": result.expected.e_signal,
-            "q_decoy": result.expected.q_decoy,
-            "e_decoy": result.expected.e_decoy,
-            "q_vacuum": result.expected.q_vacuum,
-            "e_vacuum": result.expected.e_vacuum,
-        },
+        "observation": asdict(result.observation),
+        "expected": asdict(result.expected),
         "condition_ok": result.condition_ok,
-        "observable_bounds": {
-            "q_decoy_low": fb.q_decoy_low,
-            "q_signal_high": fb.q_signal_high,
-            "eq_signal_high": fb.eq_signal_high,
-            "y0_low": fb.y0_low,
-            "y0_high": fb.y0_high,
-            "clamped": list(fb.clamped),
-        },
-        "bounds": {
-            "y1_lower": result.bounds.y1_lower,
-            "e1_upper": result.bounds.e1_upper,
-            "g0": result.bounds.g0,
-            "g1_lower": result.bounds.g1_lower,
-            "flags": list(result.bounds.flags),
-        },
+        "observable_bounds": asdict(result.observable_bounds),
+        "bounds": asdict(result.bounds),
         "truth": {"y1": result.y1_true, "e1": result.e1_true},
-        "key_rate": {
-            "rate_per_pulse": result.key.rate_per_pulse,
-            "secure_bits": result.key.secure_bits,
-            "negative": result.key.negative,
-            "components": {
-                "ec_cost": result.key.components.ec_cost,
-                "g0": result.key.components.g0,
-                "g1_term": result.key.components.g1_term,
-                "raw_rate": result.key.components.raw_rate,
-            },
-        },
+        "key_rate": asdict(result.key),
     }
     if counts is not None:
-        report["counts"] = _counts_block(counts)
-
-    outputs: list[str] = []
-    _write_output(cfgmod.dump_json(report) + "\n", args.out, outputs)
-    _write_manifest(
-        args.out, doc, cfg.rng_seed if mode == "sampled" else None, outputs
-    )
-    return EXIT_OK
+        report["counts"] = asdict(counts)
+    return _emit(cfgmod.dump_json(report) + "\n", args, doc, seed)
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -261,6 +196,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     grid = []
     loss = round(args.loss_from, 12)
     while loss <= args.loss_to + 1e-9:
+        if len(grid) == CURVE_POINTS_MAX:
+            raise ConfigError(f"loss grid exceeds {CURVE_POINTS_MAX} points")
         grid.append(loss)
         loss = round(args.loss_from + len(grid) * args.loss_step, 12)
     if not grid:
@@ -276,12 +213,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     for c in curves:
         cutoff = "none" if c.cutoff_db is None else cfgmod.format_float(c.cutoff_db)
         lines.append(f"# cutoff_db,{c.scheme_label},{cutoff}")
-    text = "\n".join(lines) + "\n"
-
-    outputs: list[str] = []
-    _write_output(text, args.out, outputs)
-    _write_manifest(args.out, doc, None, outputs)
-    return EXIT_OK
+    return _emit("\n".join(lines) + "\n", args, doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

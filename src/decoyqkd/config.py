@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import asdict
 from typing import Any
 
-from .channel import ChannelParams, eta_to_loss_db, loss_db_to_eta
+from .channel import ChannelParams, E0_DEFAULT, eta_to_loss_db, loss_db_to_eta
 from .decoy import FluctuationPolicy
 from .errors import ConfigError
 from .keyrate import ProtocolParams
@@ -32,8 +34,6 @@ from .sources import (
     SourceModel,
     WcsSource,
 )
-
-TOOL_VERSION = "0.1.0"
 
 
 def format_float(x: float) -> str:
@@ -90,13 +90,25 @@ def _canonical(obj: Any) -> Any:
     return obj
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_config(path: str) -> dict:
+    """Parse a config document. ``NaN``, ``Infinity``, numbers that
+    overflow a float and integers past Python's digit limit are
+    rejected as invalid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(
+                fh, parse_constant=_finite_float, parse_float=_finite_float
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
@@ -114,15 +126,21 @@ def section(doc: dict, name: str, required: bool = True) -> dict:
     return value
 
 
+def _as_float(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field {where}={value!r} overflows a float") from None
+
+
 def number_field(block: dict, key: str, path: str, default=None) -> float:
     if key not in block:
         if default is not None:
             return default
         raise ConfigError(f"missing field {path}.{key}")
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {path}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(block[key], f"{path}.{key}")
 
 
 def integer_field(block: dict, key: str, path: str, default=None) -> int:
@@ -161,12 +179,7 @@ def source_to_dict(model: SourceModel) -> dict:
     if isinstance(model, WcsSource):
         return {"kind": "wcs", "mu": model.mu}
     if isinstance(model, HspsSource):
-        return {
-            "kind": "hsps",
-            "p_cor": model.params.p_cor,
-            "mu_acc": model.params.mu_acc,
-            "d_i": model.params.d_i,
-        }
+        return {"kind": "hsps", **asdict(model.params)}
     return {"kind": "ideal"}
 
 
@@ -186,7 +199,7 @@ def channel_from_dict(d: dict, path: str = "channel") -> ChannelParams:
         eta=eta,
         y0=number_field(d, "y0_per_gate", path),
         e_det=number_field(d, "e_detector", path),
-        e0=number_field(d, "e0_background", path, default=0.5),
+        e0=number_field(d, "e0_background", path, default=E0_DEFAULT),
     )
 
 
@@ -213,12 +226,8 @@ def experiment_from_dict(doc: dict) -> tuple[ExperimentConfig, str]:
     if not isinstance(signal, dict) or not isinstance(decoy, dict):
         raise ConfigError("source.signal and source.decoy must be objects")
 
-    ratio_raw = run.get("intensity_ratio", [10, 4, 1])
-    if (
-        not isinstance(ratio_raw, (list, tuple))
-        or len(ratio_raw) != 3
-        or any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in ratio_raw)
-    ):
+    ratio = run.get("intensity_ratio", ExperimentConfig.intensity_ratio)
+    if not isinstance(ratio, (list, tuple)) or len(ratio) != 3:
         raise ConfigError("run.intensity_ratio must be three numbers")
 
     mode = run.get("mode", "analytic")
@@ -233,15 +242,23 @@ def experiment_from_dict(doc: dict) -> tuple[ExperimentConfig, str]:
         vacuum_mu=number_field(source, "vacuum_mu", "source", default=0.0),
         channel=channel_from_dict(channel),
         protocol=ProtocolParams(
-            q_sift=number_field(protocol, "q_sift", "protocol", default=0.5),
-            f_ec=number_field(protocol, "f_ec", "protocol", default=1.22),
+            q_sift=number_field(
+                protocol, "q_sift", "protocol", default=ProtocolParams.q_sift
+            ),
+            f_ec=number_field(
+                protocol, "f_ec", "protocol", default=ProtocolParams.f_ec
+            ),
         ),
         total_pulses=integer_field(run, "total_pulses", "run"),
-        intensity_ratio=tuple(float(w) for w in ratio_raw),
+        intensity_ratio=tuple(_as_float(w, "run.intensity_ratio") for w in ratio),
         fluctuation=FluctuationPolicy(
-            n_sigma=number_field(run, "n_sigma", "run", default=0.0)
+            n_sigma=number_field(
+                run, "n_sigma", "run", default=FluctuationPolicy.n_sigma
+            )
         ),
-        rng_seed=integer_field(run, "rng_seed", "run", default=0),
+        rng_seed=integer_field(
+            run, "rng_seed", "run", default=ExperimentConfig.rng_seed
+        ),
         n_max=integer_field(source, "n_max", "source", default=N_MAX_DEFAULT),
     )
     return cfg, mode

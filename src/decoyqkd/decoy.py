@@ -11,21 +11,24 @@ and error rate of single-photon pulses:
 
 where primes denote the signal distribution and the superscripts are
 finite-statistics envelopes: each observable V measured over N gates is
-widened to V (1 +/- n_sigma / sqrt(N V)). The derivation requires the
+widened to V (1 +/- n_sigma / sqrt(N V)). :func:`fluctuation_bounds`
+computes that envelope once per session; the estimators read it and
+return ``(value, flags)`` pairs. The derivation requires the
 distribution pair to satisfy a sign condition on every multi-photon
 coefficient, checked termwise by :func:`check_condition`.
 
-A pessimistic no-decoy bound and the infinite-decoy exact limit are
-provided for scheme comparisons. All bounds clamp into [0, 1]; any
-clamp or degeneracy is reported through ``flags`` rather than silently.
+A pessimistic no-decoy bound (same e1 formula) and the infinite-decoy
+exact limit are provided for scheme comparisons. All bounds clamp into
+[0, 1]; any clamp or degeneracy is reported through ``flags`` rather
+than silently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
-from .channel import ChannelParams, error_n, yield_n
+from .channel import ChannelParams, E0_DEFAULT, error_n, yield_n
 from .errors import DegenerateDistributionError, InvalidParameterError
 from .sources import PhotonNumberDistribution
 
@@ -38,9 +41,9 @@ class FluctuationPolicy:
     n_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.n_sigma >= 0.0:
+        if not 0.0 <= self.n_sigma < math.inf:
             raise InvalidParameterError(
-                f"n_sigma={self.n_sigma!r} must be >= 0"
+                f"n_sigma={self.n_sigma!r} must be finite and >= 0"
             )
 
 
@@ -57,11 +60,11 @@ class ThreeIntensityObservation:
     q_signal: float
     q_decoy: float
     e_signal: float
+    e_decoy: float | None = field(default=None, kw_only=True)
     y0_obs: float
     n_signal: int
     n_decoy: int
     n_vacuum: int
-    e_decoy: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("q_signal", "q_decoy", "e_signal", "y0_obs"):
@@ -184,19 +187,11 @@ def fluctuation_bounds(
     half-width reaches one.
     """
     ns = pol.n_sigma
-    eq = obs.q_signal * obs.e_signal
-    if ns == 0.0:
-        return ObservableBounds(
-            q_decoy_low=obs.q_decoy,
-            q_signal_high=obs.q_signal,
-            eq_signal_high=eq,
-            y0_low=obs.y0_obs,
-            y0_high=obs.y0_obs,
-        )
-
     clamped: list[str] = []
 
     def half_width(value: float, n_pulses: int) -> float:
+        if ns == 0.0:
+            return 0.0
         if value <= 0.0:
             return math.inf
         return ns / math.sqrt(n_pulses * value)
@@ -216,7 +211,7 @@ def fluctuation_bounds(
     return ObservableBounds(
         q_decoy_low=low("q_decoy_low", obs.q_decoy, obs.n_decoy),
         q_signal_high=min(high(obs.q_signal, obs.n_signal), 1.0),
-        eq_signal_high=min(high(eq, obs.n_signal), 1.0),
+        eq_signal_high=min(high(obs.q_signal * obs.e_signal, obs.n_signal), 1.0),
         y0_low=low("y0_low", obs.y0_obs, obs.n_vacuum),
         y0_high=min(high(obs.y0_obs, obs.n_vacuum), 1.0),
         clamped=tuple(clamped),
@@ -224,72 +219,55 @@ def fluctuation_bounds(
 
 
 def estimate_y1_lower(
-    obs: ThreeIntensityObservation,
+    fb: ObservableBounds,
     dist_signal: PhotonNumberDistribution,
     dist_decoy: PhotonNumberDistribution,
-    pol: FluctuationPolicy = FluctuationPolicy(),
-) -> BoundsResult:
+) -> tuple[float, tuple[str, ...]]:
     """Lower-bound the single-photon yield from the intensity pair.
 
-    Returns a partial :class:`BoundsResult`: ``e1_upper`` is left at its
-    vacuous value 1 (flagged 'e1-not-estimated') until
-    :func:`estimate_e1_upper` fills it in. On noiseless observables the
-    bound is guaranteed not to exceed the true Y1 whenever
-    :func:`check_condition` holds; checking that condition is the
-    caller's responsibility (degenerate pairs still raise here).
+    Returns ``(y1_lower, flags)``; a bound outside [0, 1] is clamped and
+    flagged. On noiseless observables the bound is guaranteed not to
+    exceed the true Y1 whenever :func:`check_condition` holds; checking
+    that condition is the caller's responsibility (degenerate pairs
+    still raise here).
     """
     den = _estimator_denominator(dist_signal, dist_decoy)
-    fb = fluctuation_bounds(obs, pol)
     p2s, p2d = dist_signal.p(2), dist_decoy.p(2)
-
     num = (
         p2s * fb.q_decoy_low
         - p2d * fb.q_signal_high
         - fb.y0_high * (p2s * dist_decoy.p(0) - p2d * dist_signal.p(0))
     )
-
-    flags: list[str] = ["e1-not-estimated"]
     y1 = num / den
     if y1 < 0.0:
-        flags.append("y1-negative-clamped")
-        y1 = 0.0
-    elif y1 > 1.0:
-        flags.append("y1-clamped-high")
-        y1 = 1.0
-
-    return BoundsResult(
-        y1_lower=y1,
-        e1_upper=1.0,
-        g0=min(obs.y0_obs * dist_signal.p(0), 1.0),
-        g1_lower=y1 * dist_signal.p(1),
-        flags=tuple(flags),
-    )
+        return 0.0, ("y1-negative-clamped",)
+    if y1 > 1.0:
+        return 1.0, ("y1-clamped-high",)
+    return y1, ()
 
 
-def estimate_e1_upper(
-    obs: ThreeIntensityObservation,
-    dist_signal: PhotonNumberDistribution,
-    y1_lower: float,
-    pol: FluctuationPolicy = FluctuationPolicy(),
-    e0: float = 0.5,
-) -> tuple[float, tuple[str, ...]]:
-    """Upper-bound the single-photon error rate given a Y1 lower bound.
-
-    Returns ``(e1_upper, flags)``. A vanishing ``y1_lower`` leaves the
-    error unbounded (1, flagged); results outside [0, 1] are clamped
-    and flagged. On noiseless observables the bound is guaranteed not
-    to fall below the true e1.
-    """
-    if y1_lower <= 0.0:
-        return 1.0, ("e1-unbounded",)
+def _single_photon_weight(dist_signal: PhotonNumberDistribution) -> float:
     p1 = dist_signal.p(1)
     if p1 <= 0.0:
         raise DegenerateDistributionError(
             "signal distribution has no single-photon weight"
         )
-    fb = fluctuation_bounds(obs, pol)
-    e1 = (fb.eq_signal_high - e0 * fb.y0_low * dist_signal.p(0)) / (
-        y1_lower * p1
+    return p1
+
+
+def _e1_upper(
+    eq_signal: float,
+    y0: float,
+    dist_signal: PhotonNumberDistribution,
+    y1: float,
+    e0: float,
+) -> tuple[float, tuple[str, ...]]:
+    """The e1 bound of :func:`estimate_e1_upper` and :func:`no_decoy_bounds`:
+    (E_s Q_s - e0 Y0 P'(0)) / (Y1 P'(1)), clamped into [0, 1]."""
+    if y1 <= 0.0:
+        return 1.0, ("e1-unbounded",)
+    e1 = (eq_signal - e0 * y0 * dist_signal.p(0)) / (
+        y1 * _single_photon_weight(dist_signal)
     )
     if e1 < 0.0:
         return 0.0, ("e1-clamped-low",)
@@ -298,26 +276,49 @@ def estimate_e1_upper(
     return e1, ()
 
 
+def estimate_e1_upper(
+    fb: ObservableBounds,
+    dist_signal: PhotonNumberDistribution,
+    y1_lower: float,
+    e0: float = E0_DEFAULT,
+) -> tuple[float, tuple[str, ...]]:
+    """Upper-bound the single-photon error rate given a Y1 lower bound.
+
+    Returns ``(e1_upper, flags)``. A vanishing ``y1_lower`` leaves the
+    error unbounded (1, flagged); results outside [0, 1] are clamped
+    and flagged. On noiseless observables the bound is guaranteed not
+    to fall below the true e1.
+    """
+    return _e1_upper(fb.eq_signal_high, fb.y0_low, dist_signal, y1_lower, e0)
+
+
 def estimate_bounds(
     obs: ThreeIntensityObservation,
     dist_signal: PhotonNumberDistribution,
     dist_decoy: PhotonNumberDistribution,
-    pol: FluctuationPolicy = FluctuationPolicy(),
-    e0: float = 0.5,
+    fb: ObservableBounds,
+    e0: float = E0_DEFAULT,
 ) -> BoundsResult:
-    """Full three-intensity estimate: Y1 lower bound, then e1 upper bound."""
-    partial = estimate_y1_lower(obs, dist_signal, dist_decoy, pol)
-    e1, e1_flags = estimate_e1_upper(
-        obs, dist_signal, partial.y1_lower, pol, e0=e0
+    """Full three-intensity estimate from the envelope ``fb`` of ``obs``:
+    Y1 lower bound, then e1 upper bound. The background gain g0 uses the
+    central ``obs.y0_obs``."""
+    y1, y1_flags = estimate_y1_lower(fb, dist_signal, dist_decoy)
+    e1, e1_flags = estimate_e1_upper(fb, dist_signal, y1, e0)
+    return BoundsResult(
+        y1_lower=y1,
+        e1_upper=e1,
+        g0=min(obs.y0_obs * dist_signal.p(0), 1.0),
+        g1_lower=y1 * dist_signal.p(1),
+        flags=y1_flags + e1_flags,
     )
-    flags = tuple(f for f in partial.flags if f != "e1-not-estimated")
-    return replace(partial, e1_upper=e1, flags=flags + e1_flags)
 
 
 def no_decoy_bounds(
-    obs: ThreeIntensityObservation,
+    q_signal: float,
+    e_signal: float,
+    y0_obs: float,
     dist_signal: PhotonNumberDistribution,
-    e0: float = 0.5,
+    e0: float = E0_DEFAULT,
 ) -> BoundsResult:
     """Pessimistic single-photon bounds without decoy information.
 
@@ -327,44 +328,27 @@ def no_decoy_bounds(
 
         G1^L = Q_s - G0 - P'(m >= 2)
 
-    floored at zero (flagged). The error bound reuses the e1 formula
-    with these values and central observables.
+    floored at zero (flagged). The error bound is the e1 formula with
+    these values and the central observables.
     """
-    p1 = dist_signal.p(1)
-    if p1 <= 0.0:
-        raise DegenerateDistributionError(
-            "signal distribution has no single-photon weight"
-        )
-    flags: list[str] = []
-    g0 = min(obs.y0_obs * dist_signal.p(0), 1.0)
-    g1 = obs.q_signal - g0 - dist_signal.p_at_least(2)
+    for name, v in (("q_signal", q_signal), ("e_signal", e_signal), ("y0_obs", y0_obs)):
+        if not 0.0 <= v <= 1.0:
+            raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
+    p1 = _single_photon_weight(dist_signal)
+    flags: tuple[str, ...] = ()
+    g0 = min(y0_obs * dist_signal.p(0), 1.0)
+    g1 = q_signal - g0 - dist_signal.p_at_least(2)
     if g1 < 0.0:
-        flags.append("y1-negative-clamped")
+        flags = ("y1-negative-clamped",)
         g1 = 0.0
     y1 = g1 / p1
     if y1 > 1.0:
-        flags.append("y1-clamped-high")
+        flags = ("y1-clamped-high",)
         y1 = 1.0
         g1 = y1 * p1
-
-    if y1 <= 0.0:
-        e1, e1_flags = 1.0, ("e1-unbounded",)
-    else:
-        e1 = (obs.e_signal * obs.q_signal - e0 * obs.y0_obs * dist_signal.p(0)) / (
-            y1 * p1
-        )
-        e1_flags = ()
-        if e1 < 0.0:
-            e1, e1_flags = 0.0, ("e1-clamped-low",)
-        elif e1 > 1.0:
-            e1, e1_flags = 1.0, ("e1-clamped-high",)
-
+    e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, dist_signal, y1, e0)
     return BoundsResult(
-        y1_lower=y1,
-        e1_upper=e1,
-        g0=g0,
-        g1_lower=g1,
-        flags=tuple(flags) + e1_flags,
+        y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags + e1_flags
     )
 
 
@@ -381,12 +365,9 @@ def infinite_decoy_exact(
     distribution is supplied, else left at zero.
     """
     y1 = yield_n(ch, 1)
-    e1 = error_n(ch, 1)
-    if dist_signal is None:
-        return BoundsResult(y1_lower=y1, e1_upper=e1, g0=0.0, g1_lower=0.0)
-    return BoundsResult(
-        y1_lower=y1,
-        e1_upper=e1,
-        g0=min(ch.y0 * dist_signal.p(0), 1.0),
-        g1_lower=y1 * dist_signal.p(1),
+    g0, g1 = (
+        (0.0, 0.0)
+        if dist_signal is None
+        else (min(ch.y0 * dist_signal.p(0), 1.0), y1 * dist_signal.p(1))
     )
+    return BoundsResult(y1_lower=y1, e1_upper=error_n(ch, 1), g0=g0, g1_lower=g1)

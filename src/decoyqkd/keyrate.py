@@ -57,8 +57,8 @@ class KeyRateComponents:
 class KeyRateResult:
     rate_per_pulse: float
     secure_bits: int
-    components: KeyRateComponents
     negative: bool
+    components: KeyRateComponents
 
 
 def binary_entropy(x: float) -> float:
@@ -99,10 +99,10 @@ def key_rate(
     return KeyRateResult(
         rate_per_pulse=rate,
         secure_bits=bits,
+        negative=raw < 0.0,
         components=KeyRateComponents(
             ec_cost=ec_cost, g0=bounds.g0, g1_term=g1_term, raw_rate=raw
         ),
-        negative=raw < 0.0,
     )
 
 

@@ -41,6 +41,7 @@ from .sources import (
     HspsParams,
     HspsSource,
     N_MAX_DEFAULT,
+    N_MAX_LIMIT,
     PhotonNumberDistribution,
     SourceModel,
     ideal_sps_distribution,
@@ -51,6 +52,9 @@ from .sources import (
 # decoy states (attenuation to ~0.1 photons/pulse keeps the multiphoton
 # fraction tolerable)
 WCS_NO_DECOY_MU_DEFAULT = 0.1
+
+# numpy draws the binomial gate counts as C int64
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -80,23 +84,30 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"vacuum_mu={self.vacuum_mu!r} must be >= 0"
             )
-        if self.total_pulses < 1:
+        if not 1 <= self.total_pulses <= _INT64_MAX:
             raise InvalidParameterError(
-                f"total_pulses={self.total_pulses!r} must be >= 1"
+                f"total_pulses={self.total_pulses!r} must be between 1 and "
+                "2**63 - 1"
             )
-        if len(self.intensity_ratio) != 3 or any(
-            not w > 0.0 for w in self.intensity_ratio
+        # pulse_split scales total_pulses by each weight
+        ratio = self.intensity_ratio
+        if (
+            len(ratio) != 3
+            or any(not w > 0.0 for w in ratio)
+            or not math.isfinite(self.total_pulses * sum(ratio))
         ):
             raise InvalidParameterError(
-                f"intensity_ratio={self.intensity_ratio!r} needs three "
-                "positive weights"
+                f"intensity_ratio={ratio!r} needs three positive weights whose "
+                "sum times total_pulses is finite"
             )
         if self.rng_seed < 0:
             raise InvalidParameterError(
                 f"rng_seed={self.rng_seed!r} must be >= 0"
             )
-        if self.n_max < 2:
-            raise InvalidParameterError(f"n_max={self.n_max!r} must be >= 2")
+        if not 2 <= self.n_max <= N_MAX_LIMIT:
+            raise InvalidParameterError(
+                f"n_max={self.n_max!r} must be between 2 and {N_MAX_LIMIT}"
+            )
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -299,9 +310,8 @@ def _analyse(
 
     dist_signal, dist_decoy, _ = dists
     condition_ok = check_condition(dist_signal, dist_decoy)
-    bounds = estimate_bounds(
-        obs, dist_signal, dist_decoy, cfg.fluctuation, e0=cfg.channel.e0
-    )
+    fb = fluctuation_bounds(obs, cfg.fluctuation)
+    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=cfg.channel.e0)
     key = key_rate(
         obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
     )
@@ -311,7 +321,7 @@ def _analyse(
         expected=expected,
         counts=counts,
         condition_ok=condition_ok,
-        observable_bounds=fluctuation_bounds(obs, cfg.fluctuation),
+        observable_bounds=fb,
         bounds=bounds,
         key=key,
         y1_true=yield_n(cfg.channel, 1),
@@ -423,20 +433,9 @@ def _hsps_template_params(cfg: ExperimentConfig) -> tuple[HspsParams, HspsParams
     return cfg.source_signal.params, cfg.source_decoy.params
 
 
-def _no_decoy_rate(
-    dist, ch: ChannelParams, protocol: ProtocolParams, y0_obs: float
-) -> float:
+def _no_decoy_rate(dist, ch: ChannelParams, protocol: ProtocolParams) -> float:
     point = qber(dist, ch)
-    obs = ThreeIntensityObservation(
-        q_signal=point.q_gain,
-        q_decoy=point.q_gain,  # unused by the pessimistic estimator
-        e_signal=point.qber,
-        y0_obs=y0_obs,
-        n_signal=1,
-        n_decoy=1,
-        n_vacuum=1,
-    )
-    bounds = no_decoy_bounds(obs, dist, e0=ch.e0)
+    bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
@@ -467,12 +466,12 @@ def _scheme_rate_at(
     if scheme.kind is SchemeKind.WCS_NO_DECOY:
         mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
         dist = wcs_distribution(mu, cfg.n_max)
-        return lambda ch: _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
+        return lambda ch: _no_decoy_rate(dist, ch, protocol)
 
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
         signal_params, _ = _hsps_template_params(cfg)
         dist = HspsSource(signal_params).distribution(cfg.n_max)
-        return lambda ch: _no_decoy_rate(dist, ch, protocol, y0_obs=ch.y0)
+        return lambda ch: _no_decoy_rate(dist, ch, protocol)
 
     # HSPS_DECOY: three-intensity estimation at the template intensities
     signal_params, decoy_params = _hsps_template_params(cfg)

@@ -32,6 +32,9 @@ from .errors import (
 )
 
 N_MAX_DEFAULT = 16
+# largest accepted truncation: P(n) underflows long before it, and the
+# heralded-source build grows quadratically with n_max
+N_MAX_LIMIT = 256
 DI_DEFAULT = 1e-3
 
 # absolute tolerance on sum(probs) == 1 and on per-bin range checks
@@ -172,6 +175,13 @@ class MeasuredRates:
             )
 
 
+def _check_n_max(n_max: int) -> None:
+    if not 2 <= n_max <= N_MAX_LIMIT:
+        raise InvalidParameterError(
+            f"n_max={n_max} must be between 2 and {N_MAX_LIMIT}"
+        )
+
+
 def _poisson_pmf(mu: float, n_max: int) -> list[float]:
     # e^-mu * mu^n / n!, built iteratively to avoid factorial overflow
     pmf = [math.exp(-mu)]
@@ -190,8 +200,7 @@ def wcs_distribution(
     """
     if not mu >= 0.0:
         raise InvalidParameterError(f"mu={mu!r} must be >= 0")
-    if n_max < 2:
-        raise InvalidParameterError(f"n_max={n_max} must be >= 2")
+    _check_n_max(n_max)
     pmf = _poisson_pmf(mu, n_max - 1)
     tail = max(1.0 - math.fsum(pmf), 0.0)
     return PhotonNumberDistribution(probs=tuple(pmf) + (tail,))
@@ -218,8 +227,7 @@ def hsps_distribution(
     the auto-correlation, where the dark-count correction does not
     enter.
     """
-    if n_max < 2:
-        raise InvalidParameterError(f"n_max={n_max} must be >= 2")
+    _check_n_max(n_max)
     p_cor, mu, d_i = params.p_cor, params.mu_acc, params.d_i
 
     pmf = _poisson_pmf(mu, n_max)
@@ -248,8 +256,7 @@ def hsps_distribution(
 
 def ideal_sps_distribution(n_max: int = 2) -> PhotonNumberDistribution:
     """Deterministic single-photon emitter: P(1) = 1."""
-    if n_max < 2:
-        raise InvalidParameterError(f"n_max={n_max} must be >= 2")
+    _check_n_max(n_max)
     probs = [0.0] * (n_max + 1)
     probs[1] = 1.0
     return PhotonNumberDistribution(probs=tuple(probs), tail_folded=False)
@@ -263,9 +270,10 @@ def g2_zero(dist: PhotonNumberDistribution) -> float:
     """
     p_ge1 = dist.p_at_least(1)
     p_ge2 = dist.p_at_least(2)
-    if p_ge1 <= 0.0:
+    # a P(m>=1) that is zero, or squares to zero, leaves g2(0) undefined
+    if p_ge1 * p_ge1 <= 0.0:
         raise UndefinedStatisticError(
-            "g2(0) is undefined for a vacuum-only distribution"
+            f"g2(0) is undefined for a (near-)vacuum distribution, P(m>=1)={p_ge1!r}"
         )
     return 2.0 * p_ge2 / (p_ge1 * p_ge1)
 
@@ -286,7 +294,13 @@ def infer_accidental_rate(m: MeasuredRates) -> float:
         raise InvalidParameterError(
             "rates violate the detection model: need ds_hz <= rs_hz < r0_hz"
         )
-    return math.log(num / den) / (m.eta_s * m.gate_time_s)
+    scale = m.eta_s * m.gate_time_s
+    flux = math.log(num / den) / scale if scale > 0.0 else math.inf
+    if not math.isfinite(flux):
+        raise InvalidParameterError(
+            f"eta_s * gate_time_s = {scale!r} is too small to infer a finite flux"
+        )
+    return flux
 
 
 def infer_correlation(

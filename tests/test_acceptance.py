@@ -27,6 +27,7 @@ from decoyqkd import (
     estimate_bounds,
     estimate_y1_lower,
     expected_statistics,
+    fluctuation_bounds,
     gain,
     hsps_distribution,
     infer_accidental_rate,
@@ -85,7 +86,10 @@ class TestCriterion1ReferenceKeyRate:
             n_vacuum=100_000_000,
         )
         bounds = estimate_bounds(
-            obs, dist_signal, dist_decoy, FluctuationPolicy(10.0)
+            obs,
+            dist_signal,
+            dist_decoy,
+            fluctuation_bounds(obs, FluctuationPolicy(10.0)),
         )
         result = key_rate(
             obs.q_signal,
@@ -226,7 +230,7 @@ class TestCriterion4EstimatorSoundness:
                 n_decoy=10**9,
                 n_vacuum=10**9,
             )
-            bounds = estimate_bounds(obs, ds, dd, pol)
+            bounds = estimate_bounds(obs, ds, dd, fluctuation_bounds(obs, pol))
             assert bounds.y1_lower <= yield_n(ch, 1) + 1e-12
             if bounds.y1_lower > 0.0:
                 assert bounds.e1_upper >= error_n(ch, 1) - 1e-12
@@ -244,8 +248,10 @@ class TestCriterion4EstimatorSoundness:
             n_decoy=1,
             n_vacuum=1,
         )
-        toy = estimate_y1_lower(toy_obs, toy_signal, toy_decoy, pol)
-        toy_err = abs(toy.y1_lower - 0.2)
+        toy_y1, _ = estimate_y1_lower(
+            fluctuation_bounds(toy_obs, pol), toy_signal, toy_decoy
+        )
+        toy_err = abs(toy_y1 - 0.2)
         elapsed = time.perf_counter() - start
 
         ok = checked >= 150 and toy_err <= 1e-12 and elapsed < 10.0

@@ -1,0 +1,207 @@
+"""The CLI contract on outside input: exit 0, 2 or 3, never a traceback.
+
+Fixed reproductions of inputs that once crashed or printed invalid JSON,
+and a Hypothesis property that swaps leaves of the shipped configs for
+arbitrary JSON values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decoyqkd import FluctuationPolicy, InvalidParameterError
+from decoyqkd.cli import CURVE_POINTS_MAX, main
+from decoyqkd.config import experiment_from_dict
+from decoyqkd.sources import N_MAX_LIMIT
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped(name: str) -> dict:
+    return json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def strict_loads(text: str):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def session_with(tmp_path, **run_fields) -> str:
+    doc = shipped("session-36db.json")
+    doc["run"].update(run_fields)
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize(
+        "run_fields",
+        [
+            {"n_sigma": math.inf},
+            {"intensity_ratio": [10, math.inf, 1]},
+            {"total_pulses": 10**30},
+            {"intensity_ratio": [1e308, 1e308, 1e308]},
+            {"intensity_ratio": [10, 1e308, 1]},
+            {"intensity_ratio": [10**400, 4, 1]},
+        ],
+    )
+    def test_session_rejects(self, tmp_path, run_fields):
+        cfg = session_with(tmp_path, **run_fields)
+        assert run(["session", "--config", cfg])[0] == 2
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e400", "1" + "0" * 5000],
+        ids=["1e400", "5001-digit-int"],
+    )
+    def test_numbers_past_float_or_digit_limits(self, tmp_path, literal):
+        text = (CONFIGS / "session-36db.json").read_text(encoding="utf-8")
+        path = tmp_path / "session.json"
+        path.write_text(text.replace('"n_sigma": 10.0', f'"n_sigma": {literal}'))
+        assert run(["session", "--config", str(path)])[0] == 2
+
+    def test_sigma_flag_must_be_finite(self, tmp_path):
+        cfg = session_with(tmp_path)
+        assert run(["session", "--config", cfg, "--sigma", "inf"])[0] == 2
+
+    def test_n_max_cap(self, tmp_path):
+        doc = shipped("session-36db.json")
+        doc["source"]["n_max"] = N_MAX_LIMIT + 1
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["session", "--config", str(session)])[0] == 2
+        for name in ("source-hsps.json", "rates.json"):
+            doc = shipped(name)
+            doc.setdefault("source", {})["n_max"] = N_MAX_LIMIT + 1
+            path = tmp_path / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert run(["distribution", "--config", str(path)])[0] == 2
+        doc["source"]["n_max"] = N_MAX_LIMIT
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["distribution", "--config", str(path)])
+        assert code == 0
+        assert strict_loads(out)["distribution"]["n_max"] == N_MAX_LIMIT
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("0", "inf", "1"),
+            ("0", "60", "1e-20"),
+            ("1e300", "1e300", "1"),
+            ("0", str(CURVE_POINTS_MAX), "1"),
+        ],
+    )
+    def test_curve_grid_cap(self, tmp_path, grid):
+        loss_from, loss_to, step = grid
+        argv = ["curve", "--config", str(CONFIGS / "session-36db.json")]
+        argv += ["--schemes", "ideal-sps", "--loss-from", loss_from]
+        argv += ["--loss-to", loss_to, "--loss-step", step]
+        assert run(argv)[0] == 2
+
+    def test_near_vacuum_source_has_no_g2(self, tmp_path):
+        path = tmp_path / "source.json"
+        doc = {"source": {"kind": "hsps", "p_cor": 4e-301, "mu_acc": 0.0}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["distribution", "--config", str(path)])
+        assert code == 0
+        assert strict_loads(out)["distribution"]["g2_zero"] is None
+
+    @pytest.mark.parametrize("command", ["infer", "distribution"])
+    def test_flux_past_float_range(self, tmp_path, command):
+        doc = shipped("rates.json")
+        doc["rates"].update(eta_s=4.8e-302, gate_time_ns=4.8e-302)
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run([command, "--config", str(path)])[0] == 2
+
+    def test_limits_are_inclusive(self):
+        cfg, _ = experiment_from_dict(shipped("session-36db.json"))
+        assert replace(cfg, total_pulses=2**63 - 1).total_pulses == 2**63 - 1
+        with pytest.raises(InvalidParameterError):
+            replace(cfg, total_pulses=2**63)
+        with pytest.raises(InvalidParameterError):
+            replace(cfg, n_max=N_MAX_LIMIT + 1)
+        with pytest.raises(InvalidParameterError):
+            FluctuationPolicy(math.inf)
+
+
+# command -> shipped config documents it runs on
+TARGETS = (
+    ("session", "session-36db.json"),
+    ("distribution", "source-hsps.json"),
+    ("distribution", "rates.json"),
+    ("infer", "rates.json"),
+)
+
+
+def leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from leaf_paths(value, prefix + (index,))
+    else:
+        yield prefix
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_targets(draw):
+    command, name = draw(st.sampled_from(TARGETS))
+    doc = shipped(name)
+    paths = list(leaf_paths(doc))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(json_values)
+    return command, doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=mutated_targets())
+def test_mutated_shipped_configs_keep_the_contract(workdir, target):
+    command, doc = target
+    path = workdir / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run([command, "--config", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        report = strict_loads(out)
+        assert report["report"] == command

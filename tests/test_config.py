@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,31 @@ class TestLoadConfig:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers(self, tmp_path, token):
+        path = tmp_path / "nan.json"
+        path.write_text('{"run": {"n_sigma": %s}}' % token)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(str(path))
+
+
+class TestVersion:
+    def test_pyproject_reads_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            pyproject = tomllib.load(fh)
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        dynamic = pyproject["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "decoyqkd.__version__"}
+
+    def test_reports_carry_the_package_version(self, tmp_path, capsys):
+        from decoyqkd import __version__
+        from decoyqkd.cli import main
+
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps({"source": {"kind": "ideal"}}))
+        assert main(["distribution", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["tool_version"] == __version__

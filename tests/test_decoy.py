@@ -135,30 +135,40 @@ class TestY1Lower:
         ds = wcs_distribution(0.1)
         dd = wcs_distribution(0.01)
         obs = noiseless_obs(ds, dd, ch)
-        result = estimate_y1_lower(obs, ds, dd, FluctuationPolicy(0.0))
+        y1_lower, _ = estimate_y1_lower(
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)), ds, dd
+        )
         y1_true = ch.y0 + ch.eta
-        assert result.y1_lower <= y1_true
-        assert result.y1_lower >= 0.85 * y1_true
+        assert y1_lower <= y1_true
+        assert y1_lower >= 0.85 * y1_true
 
     def test_two_photon_support_is_exact(self):
         obs = make_obs(q_signal=0.3, q_decoy=0.22, e_signal=0.0, y0_obs=0.0)
-        result = estimate_y1_lower(obs, TOY_SIGNAL, TOY_DECOY, FluctuationPolicy(0.0))
+        y1_lower, _ = estimate_y1_lower(
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)), TOY_SIGNAL, TOY_DECOY
+        )
         # hand arithmetic: (0.5*0.22 - 0.1*0.3) / (0.5*0.9 - 0.1*0.5) = 0.2
-        assert result.y1_lower == pytest.approx(0.2, abs=1e-12)
+        assert y1_lower == pytest.approx(0.2, abs=1e-12)
 
     def test_fluctuations_only_weaken_the_bound(self):
         ds, dd = bench_distributions()
         obs = noiseless_obs(ds, dd, bench_channel())
-        y1_central = estimate_y1_lower(obs, ds, dd, FluctuationPolicy(0.0)).y1_lower
-        y1_fluct = estimate_y1_lower(obs, ds, dd, FluctuationPolicy(10.0)).y1_lower
+        y1_central, _ = estimate_y1_lower(
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)), ds, dd
+        )
+        y1_fluct, _ = estimate_y1_lower(
+            fluctuation_bounds(obs, FluctuationPolicy(10.0)), ds, dd
+        )
         assert y1_fluct < y1_central
 
     def test_negative_numerator_clamps_with_flag(self):
         ds, dd = bench_distributions()
         obs = make_obs(q_signal=0.5, q_decoy=1e-9, e_signal=0.1, y0_obs=0.0)
-        result = estimate_y1_lower(obs, ds, dd, FluctuationPolicy(0.0))
-        assert result.y1_lower == 0.0
-        assert "y1-negative-clamped" in result.flags
+        y1_lower, flags = estimate_y1_lower(
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)), ds, dd
+        )
+        assert y1_lower == 0.0
+        assert "y1-negative-clamped" in flags
 
 
 class TestE1Upper:
@@ -168,7 +178,9 @@ class TestE1Upper:
         obs = make_obs(
             q_signal=y0 * ds.p(0), q_decoy=1e-5, e_signal=0.5, y0_obs=y0
         )
-        e1, flags = estimate_e1_upper(obs, ds, y1_lower=1e-3, pol=FluctuationPolicy(0.0))
+        e1, flags = estimate_e1_upper(
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)), ds, y1_lower=1e-3
+        )
         assert e1 == pytest.approx(0.0, abs=1e-15)
         assert flags == ()
 
@@ -183,20 +195,28 @@ class TestE1Upper:
             n_decoy=400_000_000,
             n_vacuum=100_000_000,
         )
-        bounds = estimate_bounds(obs, ds, dd, FluctuationPolicy(10.0))
+        bounds = estimate_bounds(
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(10.0))
+        )
         assert 0.025 < bounds.e1_upper < 0.11
 
     def test_monotone_in_sigma(self):
         ds, dd = bench_distributions()
         obs = noiseless_obs(ds, dd, bench_channel())
-        b0 = estimate_bounds(obs, ds, dd, FluctuationPolicy(0.0))
-        b10 = estimate_bounds(obs, ds, dd, FluctuationPolicy(10.0))
+        b0 = estimate_bounds(
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
+        )
+        b10 = estimate_bounds(
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(10.0))
+        )
         assert b0.e1_upper <= b10.e1_upper
 
     def test_zero_yield_bound_is_unbounded(self):
         ds, _ = bench_distributions()
         obs = make_obs(1e-4, 1e-4, 0.06, 1e-5)
-        e1, flags = estimate_e1_upper(obs, ds, y1_lower=0.0)
+        e1, flags = estimate_e1_upper(
+            fluctuation_bounds(obs, FluctuationPolicy()), ds, y1_lower=0.0
+        )
         assert e1 == 1.0
         assert "e1-unbounded" in flags
 
@@ -205,7 +225,9 @@ class TestE1Upper:
         # and the error bound degenerates, all visible in the flags
         ds, dd = bench_distributions()
         obs = make_obs(q_signal=0.5, q_decoy=1e-9, e_signal=0.1, y0_obs=0.0)
-        bounds = estimate_bounds(obs, ds, dd, FluctuationPolicy(0.0))
+        bounds = estimate_bounds(
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
+        )
         assert bounds.y1_lower == 0.0
         assert bounds.g1_lower == 0.0
         assert bounds.e1_upper == 1.0
@@ -229,7 +251,9 @@ class TestSoundness:
             if not check_condition(ds, dd):
                 continue
             obs = noiseless_obs(ds, dd, ch, y0_obs=y0)
-            bounds = estimate_bounds(obs, ds, dd, FluctuationPolicy(0.0))
+            bounds = estimate_bounds(
+                obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
+            )
             y1_true, e1_true = yield_n(ch, 1), error_n(ch, 1)
             assert bounds.y1_lower <= y1_true + 1e-12
             if bounds.y1_lower > 0.0:
@@ -244,7 +268,7 @@ class TestNoDecoy:
         dist = ideal_sps_distribution()
         point = qber(dist, ch)
         obs = make_obs(point.q_gain, point.q_gain, point.qber, 0.0)
-        bounds = no_decoy_bounds(obs, dist)
+        bounds = no_decoy_bounds(obs.q_signal, obs.e_signal, obs.y0_obs, dist)
         assert bounds.g1_lower == pytest.approx(yield_n(ch, 1), abs=1e-15)
 
     def test_wcs_closed_form(self):
@@ -254,7 +278,7 @@ class TestNoDecoy:
         mu = 0.1
         dist = wcs_distribution(mu)
         obs = noiseless_obs(dist, wcs_distribution(mu / 10), ch)
-        bounds = no_decoy_bounds(obs, dist)
+        bounds = no_decoy_bounds(obs.q_signal, obs.e_signal, obs.y0_obs, dist)
         expected = (
             obs.q_signal
             - ch.y0 * math.exp(-mu)
@@ -272,8 +296,12 @@ class TestNoDecoy:
                     ds = wcs_distribution(mu_s)
                     dd = wcs_distribution(mu_s / 10)
                     obs = noiseless_obs(ds, dd, ch, y0_obs=y0)
-                    with_decoy = estimate_bounds(obs, ds, dd, pol)
-                    without = no_decoy_bounds(obs, ds)
+                    with_decoy = estimate_bounds(
+                        obs, ds, dd, fluctuation_bounds(obs, pol)
+                    )
+                    without = no_decoy_bounds(
+                        obs.q_signal, obs.e_signal, obs.y0_obs, ds
+                    )
                     if with_decoy.g1_lower > 0.0 and without.g1_lower > 0.0:
                         assert without.g1_lower <= with_decoy.g1_lower + 1e-15
 
@@ -281,7 +309,7 @@ class TestNoDecoy:
         ch = ChannelParams(eta=1e-3, y0=1e-5, e_det=0.025)
         dist = wcs_distribution(0.5)
         obs = noiseless_obs(dist, wcs_distribution(0.05), ch)
-        bounds = no_decoy_bounds(obs, dist)
+        bounds = no_decoy_bounds(obs.q_signal, obs.e_signal, obs.y0_obs, dist)
         assert bounds.g1_lower == 0.0
         assert "y1-negative-clamped" in bounds.flags
         assert bounds.e1_upper == 1.0
@@ -290,7 +318,7 @@ class TestNoDecoy:
         dist = PhotonNumberDistribution(probs=(0.5, 0.0, 0.5), tail_folded=False)
         obs = make_obs(0.1, 0.1, 0.02, 0.0)
         with pytest.raises(DegenerateDistributionError):
-            no_decoy_bounds(obs, dist)
+            no_decoy_bounds(obs.q_signal, obs.e_signal, obs.y0_obs, dist)
 
 
 class TestInfiniteDecoy:
@@ -308,7 +336,9 @@ class TestInfiniteDecoy:
         ds, dd = bench_distributions()
         ch = bench_channel()
         obs = noiseless_obs(ds, dd, ch)
-        three = estimate_bounds(obs, ds, dd, FluctuationPolicy(0.0))
+        three = estimate_bounds(
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
+        )
         exact = infinite_decoy_exact(ch)
         assert three.y1_lower <= exact.y1_lower
 

@@ -19,7 +19,6 @@ from decoyqkd import (
     ProtocolParams,
     Scheme,
     SchemeKind,
-    ThreeIntensityObservation,
     UndefinedStatisticError,
     WcsSource,
     binary_entropy,
@@ -272,16 +271,7 @@ def count_calls(monkeypatch, modules, names) -> list[int]:
 
 def no_decoy_rate(dist, ch, protocol):
     point = qber(dist, ch)
-    obs = ThreeIntensityObservation(
-        q_signal=point.q_gain,
-        q_decoy=point.q_gain,
-        e_signal=point.qber,
-        y0_obs=ch.y0,
-        n_signal=1,
-        n_decoy=1,
-        n_vacuum=1,
-    )
-    bounds = no_decoy_bounds(obs, dist, e0=ch.e0)
+    bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
