@@ -33,12 +33,9 @@ from .errors import (
 )
 from .session import Scheme, run_pipeline, sample_counts, scan_loss
 from .sources import (
-    DI_DEFAULT,
     HspsParams,
     HspsSource,
-    N_MAX_DEFAULT,
     g2_zero,
-    hsps_distribution,
     infer_accidental_rate,
     infer_correlation,
 )
@@ -92,60 +89,32 @@ def _infer_block(rates, d_i: float) -> dict:
     r_s = infer_accidental_rate(rates)
     mu_acc = r_s * rates.gate_time_s
     p_cor = infer_correlation(rates, r_s)
-    return {
-        "r_s_hz": r_s,
-        "mu_acc": mu_acc,
-        "p_cor": p_cor,
-        "d_i": d_i,
-    }
+    return {"r_s_hz": r_s, "mu_acc": mu_acc, "p_cor": p_cor, "d_i": d_i}
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     doc = cfgmod.load_config(args.config)
+    model, measured, n_max = cfgmod.distribution_from_dict(doc)
     report: dict = {"report": "distribution", "tool_version": __version__}
-
-    source_block = cfgmod.section(doc, "source", required=False)
-    rates_block = cfgmod.section(doc, "rates", required=False)
-    have_source = "kind" in source_block
-    if not have_source and not rates_block:
-        raise ConfigError(
-            "distribution needs a 'source' model or a 'rates' block"
-        )
-
-    n_max = cfgmod.integer_field(
-        source_block, "n_max", "source", default=N_MAX_DEFAULT
-    )
-    if have_source:
-        model = cfgmod.source_from_dict(source_block, "source")
-        report["source"] = cfgmod.source_to_dict(model)
-        report["distribution"] = _distribution_report(model.distribution(n_max))
-    if rates_block:
-        rates = cfgmod.rates_from_dict(rates_block)
-        d_i = cfgmod.number_field(rates_block, "d_i", "rates", default=DI_DEFAULT)
-        inference = _infer_block(rates, d_i)
-        report["inference"] = inference
-        if not have_source:
-            params = HspsParams(
-                p_cor=inference["p_cor"], mu_acc=inference["mu_acc"], d_i=d_i
+    if measured is not None:
+        inference = _infer_block(*measured)
+        if model is None:
+            # rates alone: they lead the report, then the source they imply
+            report["inference"] = inference
+            model = HspsSource(
+                HspsParams(inference["p_cor"], inference["mu_acc"], inference["d_i"])
             )
-            report["source"] = cfgmod.source_to_dict(HspsSource(params))
-            report["distribution"] = _distribution_report(
-                hsps_distribution(params, n_max)
-            )
-
+    report["source"] = cfgmod.source_to_dict(model)
+    report["distribution"] = _distribution_report(model.distribution(n_max))
+    if measured is not None:
+        report.setdefault("inference", inference)
     return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     doc = cfgmod.load_config(args.config)
-    rates_block = cfgmod.section(doc, "rates")
-    rates = cfgmod.rates_from_dict(rates_block)
-    d_i = cfgmod.number_field(rates_block, "d_i", "rates", default=DI_DEFAULT)
-    report = {
-        "report": "infer",
-        "tool_version": __version__,
-        **_infer_block(rates, d_i),
-    }
+    report = {"report": "infer", "tool_version": __version__}
+    report.update(_infer_block(*cfgmod.infer_from_dict(doc)))
     return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
@@ -188,7 +157,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if not schemes:
         raise ConfigError("no schemes given")
 
-    if args.loss_step <= 0.0:
+    if not args.loss_step > 0.0:
         raise ConfigError(f"--loss-step must be > 0, got {args.loss_step}")
     if args.loss_to < args.loss_from:
         raise ConfigError("--loss-to must be >= --loss-from")

@@ -4,7 +4,9 @@ Sessions are described by a JSON document with ``source``, ``channel``,
 ``protocol`` and ``run`` sections. Physical quantities carry their unit
 in the field name (``gate_time_ns``, ``loss_db``, ``y0_per_gate``) so a
 nanosecond never silently becomes a second and a dB never a linear
-transmittance.
+transmittance. Each reader pops the fields it knows from a copy of its
+section; any key left over, or any other section, is a ``ConfigError``
+naming its path (``unknown field run.n_sigmaa``).
 
 Serialization is canonical: floats are rendered in scientific notation
 with nine significant digits, which makes reports byte-reproducible and
@@ -115,15 +117,26 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def section(doc: dict, name: str, required: bool = True) -> dict:
-    value = doc.get(name)
+def _section(block: dict, key: str, path: str = "", required: bool = True) -> dict:
+    """Pop section ``key`` as a copy for its reader to pop fields from;
+    ``null`` counts as absent, and an absent optional section is empty."""
+    name = f"{path}.{key}" if path else key
+    value = block.pop(key, None)
     if value is None:
         if required:
             raise ConfigError(f"missing section {name!r}")
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    return value
+    return dict(value)
+
+
+def _reject_rest(block: dict, path: str = "") -> None:
+    """Readers pop every key they use, so any key left over is unknown."""
+    if block:
+        key = next(iter(block))
+        where = f"field {path}.{key}" if path else f"section {key!r}"
+        raise ConfigError(f"unknown {where}")
 
 
 def _as_float(value: Any, where: str) -> float:
@@ -135,44 +148,42 @@ def _as_float(value: Any, where: str) -> float:
         raise ConfigError(f"field {where}={value!r} overflows a float") from None
 
 
-def number_field(block: dict, key: str, path: str, default=None) -> float:
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing field {path}.{key}")
-    return _as_float(block[key], f"{path}.{key}")
-
-
-def integer_field(block: dict, key: str, path: str, default=None) -> int:
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing field {path}.{key}")
-    value = block[key]
+def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(
-            f"field {path}.{key} must be an integer, got {value!r}"
-        )
+        raise ConfigError(f"field {where} must be an integer, got {value!r}")
     return value
 
 
+def _field(block: dict, key: str, path: str, default=None, read=_as_float):
+    """Pop ``key`` and convert it with ``read``; required without a default."""
+    if key not in block:
+        if default is None:
+            raise ConfigError(f"missing field {path}.{key}")
+        return default
+    return read(block.pop(key), f"{path}.{key}")
+
+
 def source_from_dict(d: dict, path: str) -> SourceModel:
-    kind = d.get("kind")
+    d = dict(d)
+    kind = d.pop("kind", None)
     if kind == "wcs":
-        return WcsSource(mu=number_field(d, "mu", path))
-    if kind == "hsps":
-        return HspsSource(
+        model: SourceModel = WcsSource(mu=_field(d, "mu", path))
+    elif kind == "hsps":
+        model = HspsSource(
             HspsParams(
-                p_cor=number_field(d, "p_cor", path),
-                mu_acc=number_field(d, "mu_acc", path),
-                d_i=number_field(d, "d_i", path, default=DI_DEFAULT),
+                p_cor=_field(d, "p_cor", path),
+                mu_acc=_field(d, "mu_acc", path),
+                d_i=_field(d, "d_i", path, DI_DEFAULT),
             )
         )
-    if kind == "ideal":
-        return IdealSpsSource()
-    raise ConfigError(
-        f"field {path}.kind must be one of 'wcs', 'hsps', 'ideal', got {kind!r}"
-    )
+    elif kind == "ideal":
+        model = IdealSpsSource()
+    else:
+        raise ConfigError(
+            f"field {path}.kind must be one of 'wcs', 'hsps', 'ideal', got {kind!r}"
+        )
+    _reject_rest(d, path)
+    return model
 
 
 def source_to_dict(model: SourceModel) -> dict:
@@ -184,83 +195,100 @@ def source_to_dict(model: SourceModel) -> dict:
 
 
 def channel_from_dict(d: dict, path: str = "channel") -> ChannelParams:
+    d = dict(d)
     has_loss = "loss_db" in d
-    has_eta = "eta" in d
-    if has_loss == has_eta:
-        raise ConfigError(
-            f"section {path!r} needs exactly one of 'loss_db' or 'eta'"
-        )
-    eta = (
-        loss_db_to_eta(number_field(d, "loss_db", path))
-        if has_loss
-        else number_field(d, "eta", path)
+    if has_loss == ("eta" in d):
+        raise ConfigError(f"section {path!r} needs exactly one of 'loss_db' or 'eta'")
+    eta = _field(d, "loss_db" if has_loss else "eta", path)
+    channel = ChannelParams(
+        eta=loss_db_to_eta(eta) if has_loss else eta,
+        y0=_field(d, "y0_per_gate", path),
+        e_det=_field(d, "e_detector", path),
+        e0=_field(d, "e0_background", path, E0_DEFAULT),
     )
-    return ChannelParams(
-        eta=eta,
-        y0=number_field(d, "y0_per_gate", path),
-        e_det=number_field(d, "e_detector", path),
-        e0=number_field(d, "e0_background", path, default=E0_DEFAULT),
-    )
+    _reject_rest(d, path)
+    return channel
 
 
-def rates_from_dict(d: dict, path: str = "rates") -> MeasuredRates:
-    return MeasuredRates(
-        r0_hz=number_field(d, "r0_hz", path),
-        rs_hz=number_field(d, "rs_hz", path),
-        rc_hz=number_field(d, "rc_hz", path),
-        ds_hz=number_field(d, "ds_hz", path),
-        eta_s=number_field(d, "eta_s", path),
-        gate_time_s=number_field(d, "gate_time_ns", path) * 1e-9,
+def rates_from_dict(d: dict, path: str = "rates") -> tuple[MeasuredRates, float]:
+    """Measured rates, and the idler dark fraction ``d_i`` of the source."""
+    d = dict(d)
+    rates = MeasuredRates(
+        r0_hz=_field(d, "r0_hz", path),
+        rs_hz=_field(d, "rs_hz", path),
+        rc_hz=_field(d, "rc_hz", path),
+        ds_hz=_field(d, "ds_hz", path),
+        eta_s=_field(d, "eta_s", path),
+        gate_time_s=_field(d, "gate_time_ns", path) * 1e-9,
     )
+    d_i = _field(d, "d_i", path, DI_DEFAULT)
+    _reject_rest(d, path)
+    return rates, d_i
+
+
+def distribution_from_dict(doc: dict) -> tuple[SourceModel | None, tuple | None, int]:
+    """Source model, :func:`rates_from_dict` pair and ``n_max`` of a
+    ``distribution`` or ``infer`` document. A part is ``None`` when its
+    section is absent or empty; ``source.n_max`` alone is no model."""
+    doc = dict(doc)
+    source = _section(doc, "source", required=False)
+    rates = _section(doc, "rates", required=False)
+    _reject_rest(doc)
+    n_max = _field(source, "n_max", "source", N_MAX_DEFAULT, _as_int)
+    if not source and not rates:
+        raise ConfigError("document needs a 'source' model or a 'rates' section")
+    model = source_from_dict(source, "source") if source else None
+    return model, rates_from_dict(rates) if rates else None, n_max
+
+
+def infer_from_dict(doc: dict) -> tuple[MeasuredRates, float]:
+    """The :func:`rates_from_dict` pair of an ``infer`` document: a
+    ``distribution`` document whose ``rates`` section is required."""
+    if not doc.get("rates"):
+        raise ConfigError("missing section 'rates'")
+    return distribution_from_dict(doc)[1]
 
 
 def experiment_from_dict(doc: dict) -> tuple[ExperimentConfig, str]:
     """Build an :class:`ExperimentConfig` plus run mode from a document."""
-    source = section(doc, "source")
-    channel = section(doc, "channel")
-    protocol = section(doc, "protocol", required=False)
-    run = section(doc, "run")
+    doc = dict(doc)
+    source = _section(doc, "source")
+    channel = _section(doc, "channel")
+    protocol = _section(doc, "protocol", required=False)
+    run = _section(doc, "run")
+    _reject_rest(doc)
 
-    signal = source.get("signal")
-    decoy = source.get("decoy")
-    if not isinstance(signal, dict) or not isinstance(decoy, dict):
-        raise ConfigError("source.signal and source.decoy must be objects")
-
-    ratio = run.get("intensity_ratio", ExperimentConfig.intensity_ratio)
+    ratio = run.pop("intensity_ratio", ExperimentConfig.intensity_ratio)
     if not isinstance(ratio, (list, tuple)) or len(ratio) != 3:
         raise ConfigError("run.intensity_ratio must be three numbers")
 
-    mode = run.get("mode", "analytic")
+    mode = run.pop("mode", "analytic")
     if mode not in ("analytic", "sampled"):
-        raise ConfigError(
-            f"run.mode must be 'analytic' or 'sampled', got {mode!r}"
-        )
+        raise ConfigError(f"run.mode must be 'analytic' or 'sampled', got {mode!r}")
 
+    signal, decoy = (
+        source_from_dict(_section(source, key, "source"), f"source.{key}")
+        for key in ("signal", "decoy")
+    )
     cfg = ExperimentConfig(
-        source_signal=source_from_dict(signal, "source.signal"),
-        source_decoy=source_from_dict(decoy, "source.decoy"),
-        vacuum_mu=number_field(source, "vacuum_mu", "source", default=0.0),
+        source_signal=signal,
+        source_decoy=decoy,
+        vacuum_mu=_field(source, "vacuum_mu", "source", 0.0),
         channel=channel_from_dict(channel),
         protocol=ProtocolParams(
-            q_sift=number_field(
-                protocol, "q_sift", "protocol", default=ProtocolParams.q_sift
-            ),
-            f_ec=number_field(
-                protocol, "f_ec", "protocol", default=ProtocolParams.f_ec
-            ),
+            q_sift=_field(protocol, "q_sift", "protocol", ProtocolParams.q_sift),
+            f_ec=_field(protocol, "f_ec", "protocol", ProtocolParams.f_ec),
         ),
-        total_pulses=integer_field(run, "total_pulses", "run"),
+        total_pulses=_field(run, "total_pulses", "run", read=_as_int),
         intensity_ratio=tuple(_as_float(w, "run.intensity_ratio") for w in ratio),
         fluctuation=FluctuationPolicy(
-            n_sigma=number_field(
-                run, "n_sigma", "run", default=FluctuationPolicy.n_sigma
-            )
+            n_sigma=_field(run, "n_sigma", "run", FluctuationPolicy.n_sigma)
         ),
-        rng_seed=integer_field(
-            run, "rng_seed", "run", default=ExperimentConfig.rng_seed
-        ),
-        n_max=integer_field(source, "n_max", "source", default=N_MAX_DEFAULT),
+        rng_seed=_field(run, "rng_seed", "run", ExperimentConfig.rng_seed, _as_int),
+        n_max=_field(source, "n_max", "source", N_MAX_DEFAULT, _as_int),
     )
+    for block, path in ((source, "source"), (protocol, "protocol"), (run, "run")):
+        _reject_rest(block, path)
     return cfg, mode
 
 

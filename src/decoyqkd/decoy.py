@@ -353,21 +353,20 @@ def no_decoy_bounds(
 
 
 def infinite_decoy_exact(
-    ch: ChannelParams,
-    dist_signal: PhotonNumberDistribution | None = None,
+    ch: ChannelParams, dist_signal: PhotonNumberDistribution
 ) -> BoundsResult:
     """Idealized estimator limit: the channel truth itself.
 
     With unlimited decoy settings the single-photon yield and error are
     identified exactly, so the bounds collapse onto Y1 and e1 of the
-    channel. Only meaningful in simulation, where the channel is known.
-    The gain components g0/g1 are filled in when the signal
-    distribution is supplied, else left at zero.
+    channel, and the gain components onto those of the signal
+    distribution. Only meaningful in simulation, where the channel is
+    known.
     """
     y1 = yield_n(ch, 1)
-    g0, g1 = (
-        (0.0, 0.0)
-        if dist_signal is None
-        else (min(ch.y0 * dist_signal.p(0), 1.0), y1 * dist_signal.p(1))
+    return BoundsResult(
+        y1_lower=y1,
+        e1_upper=error_n(ch, 1),
+        g0=min(ch.y0 * dist_signal.p(0), 1.0),
+        g1_lower=y1 * dist_signal.p(1),
     )
-    return BoundsResult(y1_lower=y1, e1_upper=error_n(ch, 1), g0=g0, g1_lower=g1)

@@ -41,9 +41,9 @@ from .sources import (
     HspsParams,
     HspsSource,
     N_MAX_DEFAULT,
-    N_MAX_LIMIT,
     PhotonNumberDistribution,
     SourceModel,
+    _check_n_max,
     ideal_sps_distribution,
     wcs_distribution,
 )
@@ -104,10 +104,7 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"rng_seed={self.rng_seed!r} must be >= 0"
             )
-        if not 2 <= self.n_max <= N_MAX_LIMIT:
-            raise InvalidParameterError(
-                f"n_max={self.n_max!r} must be between 2 and {N_MAX_LIMIT}"
-            )
+        _check_n_max(self.n_max)
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -580,21 +577,23 @@ def _wcs_rate(
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# optimize_mu's search: a coarse grid of MU_COARSE_POINTS intensities
+# spanning MU_SEARCH_RANGE, then golden-section refinement to MU_TOL
+MU_SEARCH_RANGE = (1e-4, 1.0)
+MU_COARSE_POINTS = 512
+MU_TOL = 1e-7
+
 
 def optimize_mu(
-    channel: ChannelParams,
-    protocol: ProtocolParams = ProtocolParams(),
-    search_range: tuple[float, float] = (1e-4, 1.0),
-    coarse_points: int = 512,
-    mu_tol: float = 1e-7,
+    channel: ChannelParams, protocol: ProtocolParams = ProtocolParams()
 ) -> MuOptimum:
     """Maximize the infinite-decoy coherent-state rate over the signal
     intensity.
 
-    A coarse grid of ``coarse_points`` intensities, evaluated in one
+    A coarse grid of ``MU_COARSE_POINTS`` intensities, evaluated in one
     numpy pass, brackets the maximum; golden-section refinement with the
     scalar :func:`wcs_infinite_decoy_rate` then narrows it to
-    ``mu_tol``. The scalar rate also picks the best grid point among the
+    ``MU_TOL``. The scalar rate also picks the best grid point among the
     array maximum and its two neighbours, and decides between that point
     and the refined one, so the result equals that of a grid evaluated
     one scalar at a time unless the rate is flat to within rounding over
@@ -602,17 +601,7 @@ def optimize_mu(
     the result is flagged infeasible (rate 0 at the least-bad
     intensity).
     """
-    lo, hi = search_range
-    if not (0.0 < lo < hi <= 1.0):
-        raise InvalidParameterError(
-            f"search_range={search_range!r} must satisfy 0 < lo < hi <= 1"
-        )
-    if coarse_points < 3:
-        raise InvalidParameterError(
-            f"coarse_points={coarse_points!r} must be >= 3"
-        )
-    if not mu_tol > 0.0:
-        raise InvalidParameterError(f"mu_tol={mu_tol!r} must be > 0")
+    lo = MU_SEARCH_RANGE[0]
     # the gain y0 + 1 - exp(-eta mu) rounds to zero at the low end of the
     # range only without background; the QBER is then undefined
     if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
@@ -623,24 +612,24 @@ def optimize_mu(
     def rate(mu: float) -> float:
         return wcs_infinite_decoy_rate(mu, channel, protocol)
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)
     values = _wcs_rate(
         grid, channel, protocol, np.exp, np.minimum, _binary_entropy_array
     )
     # numpy's exp and log2 may round differently from math's in the last
     # bit, which can swap two near-equal neighbours
     best = int(np.argmax(values))
-    near = range(max(best - 1, 0), min(best + 2, coarse_points))
+    near = range(max(best - 1, 0), min(best + 2, MU_COARSE_POINTS))
     scalar = {k: rate(grid[k]) for k in near}
     best = max(near, key=scalar.__getitem__)
 
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse_points - 1)]
+    b = grid[min(best + 1, MU_COARSE_POINTS - 1)]
     # golden-section interior points, keeping the better half each step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = rate(c), rate(d)
-    while b - a > mu_tol:
+    while b - a > MU_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

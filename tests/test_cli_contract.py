@@ -1,8 +1,9 @@
 """The CLI contract on outside input: exit 0, 2 or 3, never a traceback.
 
-Fixed reproductions of inputs that once crashed or printed invalid JSON,
-and a Hypothesis property that swaps leaves of the shipped configs for
-arbitrary JSON values.
+Fixed reproductions of inputs that once crashed, printed invalid JSON or
+were read with a misspelled key silently dropped, and a Hypothesis
+property that swaps leaves of the shipped configs for arbitrary JSON
+values and renames or inserts keys.
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ from decoyqkd.config import experiment_from_dict
 from decoyqkd.sources import N_MAX_LIMIT
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SESSION = "session-36db.json"
 
 
 def shipped(name: str) -> dict:
     return json.loads((CONFIGS / name).read_text(encoding="utf-8"))
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str], err: io.StringIO | None = None) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err or io.StringIO()):
+            code = main(argv)
     return code, out.getvalue()
 
 
@@ -108,6 +111,7 @@ class TestOutsideInput:
             ("0", "60", "1e-20"),
             ("1e300", "1e300", "1"),
             ("0", str(CURVE_POINTS_MAX), "1"),
+            ("0", "60", "nan"),
         ],
     )
     def test_curve_grid_cap(self, tmp_path, grid):
@@ -144,6 +148,37 @@ class TestOutsideInput:
             FluctuationPolicy(math.inf)
 
 
+class TestUnknownKeys:
+    """A key no reader pops exits 2 naming its path; it never stands in
+    for a default."""
+
+    @pytest.mark.parametrize(
+        "command, name, block, old, new",
+        [
+            ("session", SESSION, "source", "vacuum_mu", "vacum_mu"),
+            ("session", SESSION, "source.signal", "d_i", "D_i"),
+            ("session", SESSION, "channel", "e0_background", "e0"),
+            ("session", SESSION, "protocol", "q_sift", "q_shift"),
+            ("session", SESSION, "run", "n_sigma", "n_sigmaa"),
+            ("infer", "rates.json", "rates", None, "d_I"),
+            ("distribution", "rates.json", "rates", None, "d_I"),
+            ("distribution", "source-hsps.json", "source", "n_max", "nmax"),
+            ("session", SESSION, "", "protocol", "protocl"),
+            ("distribution", "source-hsps.json", "", "source", "sources"),
+        ],
+    )
+    def test_exits_2_naming_the_path(self, tmp_path, command, name, block, old, new):
+        doc = shipped(name)
+        node = at(doc, block.split(".") if block else ())
+        node[new] = node.pop(old) if old else 1e-3
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        assert run([command, "--config", str(path)], err)[0] == 2
+        assert "unknown" in err.getvalue()
+        assert (f"{block}.{new}" if block else new) in err.getvalue()
+
+
 # command -> shipped config documents it runs on
 TARGETS = (
     ("session", "session-36db.json"),
@@ -151,6 +186,29 @@ TARGETS = (
     ("distribution", "rates.json"),
     ("infer", "rates.json"),
 )
+
+
+def key_names(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from key_names(value)
+
+
+# every key some reader pops: those of the shipped configs, plus the
+# channel's eta and the coherent source's mu
+KNOWN_KEYS = {key for _, name in TARGETS for key in key_names(shipped(name))}
+KNOWN_KEYS |= {"eta", "mu"}
+
+
+def dict_paths(node, prefix=()):
+    if isinstance(node, dict):
+        yield prefix
+        for key, value in node.items():
+            yield from dict_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from dict_paths(value, prefix + (index,))
 
 
 def leaf_paths(node, prefix=()):
@@ -176,17 +234,34 @@ json_values = st.recursive(
 )
 
 
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def mutated_targets(draw):
+    """A shipped config after 1-3 edits, each of which swaps a leaf for
+    any JSON value, renames a key or inserts one; and whether an edit
+    wrote a key outside ``KNOWN_KEYS``."""
     command, name = draw(st.sampled_from(TARGETS))
     doc = shipped(name)
-    paths = list(leaf_paths(doc))
-    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = draw(json_values)
-    return command, doc
+    unknown = False
+    edits = st.sampled_from(("swap", "rename", "insert"))
+    for edit in draw(st.lists(edits, min_size=1, max_size=3)):
+        if edit == "swap":
+            path = draw(st.sampled_from(list(leaf_paths(doc))))
+            at(doc, path[:-1])[path[-1]] = draw(json_values)
+            continue
+        block = at(doc, draw(st.sampled_from(list(dict_paths(doc)))))
+        key = draw(st.text(max_size=8))
+        if edit == "rename" and block:
+            block[key] = block.pop(draw(st.sampled_from(list(block))))
+        else:
+            block[key] = draw(json_values)
+        unknown |= key not in KNOWN_KEYS
+    return command, doc, unknown
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +272,13 @@ def workdir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(target=mutated_targets())
 def test_mutated_shipped_configs_keep_the_contract(workdir, target):
-    command, doc = target
+    command, doc, unknown = target
     path = workdir / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out = run([command, "--config", str(path)])
     assert code in (0, 2, 3)
+    if unknown:
+        assert code == 2
     if code == 0:
         report = strict_loads(out)
         assert report["report"] == command

@@ -77,7 +77,7 @@ class TestChannelSection:
 
 class TestRatesSection:
     def test_gate_time_converted_from_ns(self):
-        rates = rates_from_dict(
+        rates, _ = rates_from_dict(
             {
                 "r0_hz": 1e6,
                 "rs_hz": 8e3,

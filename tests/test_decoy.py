@@ -324,12 +324,12 @@ class TestNoDecoy:
 class TestInfiniteDecoy:
     def test_lossless_channel(self):
         ch = ChannelParams(eta=1.0, y0=0.0, e_det=0.025)
-        bounds = infinite_decoy_exact(ch)
+        bounds = infinite_decoy_exact(ch, bench_distributions()[0])
         assert bounds.y1_lower == 1.0
         assert bounds.e1_upper == pytest.approx(0.025, abs=1e-15)
 
     def test_benchmark_channel(self):
-        bounds = infinite_decoy_exact(bench_channel())
+        bounds = infinite_decoy_exact(bench_channel(), bench_distributions()[0])
         assert bounds.y1_lower == pytest.approx(2.59189e-4, rel=1e-5)
 
     def test_three_intensity_bound_never_exceeds_truth(self):
@@ -339,7 +339,7 @@ class TestInfiniteDecoy:
         three = estimate_bounds(
             obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
         )
-        exact = infinite_decoy_exact(ch)
+        exact = infinite_decoy_exact(ch, bench_distributions()[0])
         assert three.y1_lower <= exact.y1_lower
 
     def test_gain_components_from_distribution(self):

@@ -304,21 +304,15 @@ def per_point_rate(scheme, cfg, ch):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scalar_optimize_mu(
-    channel,
-    protocol=ProtocolParams(),
-    search_range=(1e-4, 1.0),
-    coarse_points=512,
-    mu_tol=1e-7,
-):
+def scalar_optimize_mu(channel, protocol=ProtocolParams()):
     """Reference: the coarse grid evaluated one scalar rate at a time,
     then the same golden-section refinement as :func:`optimize_mu`."""
 
     def rate(mu):
         return wcs_infinite_decoy_rate(mu, channel, protocol)
 
-    lo, hi = search_range
-    grid = np.linspace(lo, hi, coarse_points)
+    coarse_points = session_mod.MU_COARSE_POINTS
+    grid = np.linspace(*session_mod.MU_SEARCH_RANGE, coarse_points)
     values = [rate(mu) for mu in grid]
     best = int(np.argmax(values))
 
@@ -327,7 +321,7 @@ def scalar_optimize_mu(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = rate(c), rate(d)
-    while b - a > mu_tol:
+    while b - a > session_mod.MU_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -378,22 +372,6 @@ class TestOptimizeMu:
         result = optimize_mu(ch)
         assert not result.feasible
         assert result.rate == 0.0
-
-    def test_search_range_validation(self):
-        with pytest.raises(InvalidParameterError):
-            optimize_mu(bench_channel(), search_range=(0.5, 0.1))
-
-    @pytest.mark.parametrize("mu_tol", [0.0, -1e-7, math.nan])
-    def test_rejects_non_positive_tolerance(self, mu_tol, monkeypatch):
-        evals = count_calls(monkeypatch, (session_mod,), ("wcs_infinite_decoy_rate",))
-        with pytest.raises(InvalidParameterError):
-            optimize_mu(bench_channel(), mu_tol=mu_tol)
-        assert evals[0] == 0
-
-    @pytest.mark.parametrize("coarse_points", [-1, 0, 1, 2])
-    def test_rejects_too_few_grid_points(self, coarse_points):
-        with pytest.raises(InvalidParameterError):
-            optimize_mu(bench_channel(), coarse_points=coarse_points)
 
     @given(
         eta=st.floats(min_value=1e-7, max_value=1.0),
