@@ -18,6 +18,7 @@ average QBER observable at a given intensity setting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,14 +91,28 @@ def error_n(ch: ChannelParams, n: int) -> float:
     return (ch.e0 * ch.y0 + ch.e_det * signal) / y
 
 
+@functools.lru_cache(maxsize=8)
+def _signal_terms(eta: float, n_max: int) -> tuple[float, ...]:
+    """The signal detection probabilities 1 - (1 - eta)^n, n = 0..n_max.
+
+    Cached, so that the gains and error numerators of all distributions
+    sent through one channel (a session's signal, decoy and vacuum
+    settings) compute each power once. The terms are those of
+    :func:`yield_n` and :func:`error_n`, bit for bit.
+    """
+    return tuple(1.0 - (1.0 - eta) ** n for n in range(n_max + 1))
+
+
 def gain(dist: PhotonNumberDistribution, ch: ChannelParams) -> float:
     """Per-gate gain of a source through the channel, sum_n Y_n P(n).
 
     The folded tail bin is weighted with the yield at the truncation
     order; the bias is bounded by the tail mass itself.
     """
+    y0 = ch.y0
+    signal = _signal_terms(ch.eta, dist.n_max)
     return math.fsum(
-        p * yield_n(ch, n) for n, p in enumerate(dist.probs) if p > 0.0
+        p * min(y0 + s, 1.0) for p, s in zip(dist.probs, signal) if p > 0.0
     )
 
 
@@ -107,9 +122,11 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
     if q <= 0.0:
         raise UndefinedStatisticError("QBER undefined at zero gain")
     # Y_n * e_n collapses to the error numerator independent of clamping
+    background, e_det = ch.e0 * ch.y0, ch.e_det
+    signal = _signal_terms(ch.eta, dist.n_max)
     err = math.fsum(
-        p * (ch.e0 * ch.y0 + ch.e_det * (1.0 - (1.0 - ch.eta) ** n))
-        for n, p in enumerate(dist.probs)
+        p * (background + e_det * s)
+        for p, s in zip(dist.probs, signal)
         if p > 0.0
     )
     return GainErrorPoint(q_gain=q, qber=min(err / q, 1.0))

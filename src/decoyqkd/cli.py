@@ -182,6 +182,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     for c in curves:
         cutoff = "none" if c.cutoff_db is None else cfgmod.format_float(c.cutoff_db)
         lines.append(f"# cutoff_db,{c.scheme_label},{cutoff}")
+        if c.rate[-1] > 0.0:
+            # the summary line then shows the end of the grid, not a cutoff
+            print(
+                f"note: {c.scheme_label} still has positive key at the last "
+                "grid loss; its cutoff lies beyond the grid",
+                file=sys.stderr,
+            )
     return _emit("\n".join(lines) + "\n", args, doc)
 
 

@@ -70,6 +70,19 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _rate_bracket(q_gain, e_signal, g0, g1_term, p: ProtocolParams, h2):
+    """The GLLP bracket ``q_sift * (-Q f H2(E) + G0 + g1_term)`` and the
+    error-correction cost ``Q f H2(E)`` it subtracts, as a pair.
+
+    ``g1_term`` is the privacy-amplified single-photon gain
+    G1^L (1 - H2(e1^U)). The arguments may be floats, or numpy arrays
+    with an elementwise ``h2``; the operations and their order are the
+    same either way.
+    """
+    ec_cost = q_gain * p.f_ec * h2(e_signal)
+    return ec_cost, p.q_sift * (-ec_cost + g0 + g1_term)
+
+
 def key_rate(
     q_gain_signal: float,
     e_signal: float,
@@ -90,9 +103,10 @@ def key_rate(
     if not 0.0 <= e_signal <= 1.0:
         raise InvalidParameterError(f"e_signal={e_signal!r} outside [0, 1]")
 
-    ec_cost = q_gain_signal * p.f_ec * binary_entropy(e_signal)
     g1_term = bounds.g1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    raw = p.q_sift * (-ec_cost + bounds.g0 + g1_term)
+    ec_cost, raw = _rate_bracket(
+        q_gain_signal, e_signal, bounds.g0, g1_term, p, binary_entropy
+    )
 
     rate = max(raw, 0.0)
     bits = secure_bits(rate, n_signal) if n_signal is not None else 0

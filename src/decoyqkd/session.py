@@ -8,17 +8,17 @@ Ties the source, channel, estimator and key-rate pieces together:
 * the full analysis pipeline from observation to secure bits, with all
   intermediate quantities echoed for audit;
 * loss sweeps comparing source/estimator schemes on a common channel,
-  building each scheme's photon-number distributions once per sweep;
+  each scheme evaluated over the whole loss axis with its channel-
+  independent setup done once per sweep;
 * optimization of the coherent-state signal intensity in the
-  infinite-decoy limit: a coarse grid in one numpy pass, then
-  golden-section refinement.
+  infinite-decoy limit: a coarse grid evaluated with numpy for blocks of
+  channels, then scalar golden-section refinement.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +36,13 @@ from .decoy import (
     no_decoy_bounds,
 )
 from .errors import InvalidParameterError, UndefinedStatisticError
-from .keyrate import KeyRateResult, ProtocolParams, binary_entropy, key_rate
+from .keyrate import (
+    KeyRateResult,
+    ProtocolParams,
+    _rate_bracket,
+    binary_entropy,
+    key_rate,
+)
 from .sources import (
     HspsParams,
     HspsSource,
@@ -247,11 +253,11 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
 
 
 def observation_from_expected(
-    cfg: ExperimentConfig, stats: IntensityStatistics | None = None
+    stats: IntensityStatistics, split: tuple[int, int, int]
 ) -> ThreeIntensityObservation:
-    if stats is None:
-        stats = expected_statistics(cfg)
-    n_signal, n_decoy, n_vacuum = cfg.pulse_split()
+    """The noiseless observation of ``stats`` over the gate counts
+    ``split`` (:meth:`ExperimentConfig.pulse_split`)."""
+    n_signal, n_decoy, n_vacuum = split
     return ThreeIntensityObservation(
         q_signal=stats.q_signal,
         q_decoy=stats.q_decoy,
@@ -299,19 +305,14 @@ def _analyse(
     """:func:`run_pipeline` on distributions already built from ``cfg``."""
     expected = _expected_statistics(cfg.channel, dists)
     if counts is None:
-        obs = observation_from_expected(cfg, expected)
+        obs = observation_from_expected(expected, cfg.pulse_split())
         mode = "analytic"
     else:
         obs = observation_from_counts(counts)
         mode = "sampled"
 
-    dist_signal, dist_decoy, _ = dists
-    condition_ok = check_condition(dist_signal, dist_decoy)
-    fb = fluctuation_bounds(obs, cfg.fluctuation)
-    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=cfg.channel.e0)
-    key = key_rate(
-        obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
-    )
+    condition_ok = check_condition(dists[0], dists[1])
+    fb, bounds, key = _estimate_key(cfg, cfg.channel, obs, dists)
     return PipelineResult(
         mode=mode,
         observation=obs,
@@ -324,6 +325,23 @@ def _analyse(
         y1_true=yield_n(cfg.channel, 1),
         e1_true=error_n(cfg.channel, 1),
     )
+
+
+def _estimate_key(
+    cfg: ExperimentConfig,
+    ch: ChannelParams,
+    obs: ThreeIntensityObservation,
+    dists: SessionDistributions,
+) -> tuple[ObservableBounds, BoundsResult, KeyRateResult]:
+    """Fluctuation envelope, single-photon bounds and key rate of ``obs``,
+    seen through ``ch`` with the policy and protocol of ``cfg``."""
+    dist_signal, dist_decoy, _ = dists
+    fb = fluctuation_bounds(obs, cfg.fluctuation)
+    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=ch.e0)
+    key = key_rate(
+        obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
+    )
+    return fb, bounds, key
 
 
 class SchemeKind(enum.Enum):
@@ -436,41 +454,43 @@ def _no_decoy_rate(dist, ch: ChannelParams, protocol: ProtocolParams) -> float:
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
-def _scheme_rate_at(
-    scheme: Scheme, cfg: ExperimentConfig
-) -> Callable[[ChannelParams], float]:
-    """Set up ``scheme`` for one scan and return its rate at one channel.
+def _scheme_rates(
+    scheme: Scheme, cfg: ExperimentConfig, channels: list[ChannelParams]
+) -> list[float]:
+    """Key rate of ``scheme`` at each of ``channels``.
 
-    Everything that does not depend on the channel, the photon-number
-    distributions above all, is built here once per scan.
+    Everything that does not depend on the channel is set up here once
+    per scan: the photon-number distributions, and for the heralded
+    three-intensity scheme the gate split and the scan configuration.
     """
     protocol = cfg.protocol
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
-
-        def ideal_rate(ch: ChannelParams) -> float:
+        rates = []
+        for ch in channels:
             point = qber(dist, ch)
             bounds = infinite_decoy_exact(ch, dist)
-            return key_rate(
-                point.q_gain, point.qber, bounds, protocol
-            ).rate_per_pulse
-
-        return ideal_rate
+            key = key_rate(point.q_gain, point.qber, bounds, protocol)
+            rates.append(key.rate_per_pulse)
+        return rates
 
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return lambda ch: optimize_mu(ch, protocol).rate
+        return [opt.rate for opt in _optimize_mu_axis(channels, protocol)]
 
     if scheme.kind is SchemeKind.WCS_NO_DECOY:
         mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
         dist = wcs_distribution(mu, cfg.n_max)
-        return lambda ch: _no_decoy_rate(dist, ch, protocol)
+        return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
 
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
         signal_params, _ = _hsps_template_params(cfg)
         dist = HspsSource(signal_params).distribution(cfg.n_max)
-        return lambda ch: _no_decoy_rate(dist, ch, protocol)
+        return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
 
-    # HSPS_DECOY: three-intensity estimation at the template intensities
+    # HSPS_DECOY: three-intensity estimation at the template intensities.
+    # Each point is the analytic run_pipeline at its channel, less the
+    # applicability condition, whose verdict never reaches the rate (a
+    # degenerate pair still raises, in estimate_bounds).
     signal_params, decoy_params = _hsps_template_params(cfg)
     scan_cfg = replace(
         cfg,
@@ -479,9 +499,13 @@ def _scheme_rate_at(
         fluctuation=FluctuationPolicy(0.0),
     )
     dists = _build_distributions(scan_cfg)
-    return lambda ch: _analyse(
-        replace(scan_cfg, channel=ch), dists
-    ).key.rate_per_pulse
+    split = scan_cfg.pulse_split()
+    rates = []
+    for ch in channels:
+        obs = observation_from_expected(_expected_statistics(ch, dists), split)
+        _, _, key = _estimate_key(scan_cfg, ch, obs, dists)
+        rates.append(key.rate_per_pulse)
+    return rates
 
 
 def scan_loss(
@@ -499,21 +523,26 @@ def scan_loss(
     no-decoy and infinite-decoy schemes use the channel background
     directly.
 
-    Each scheme's photon-number distributions are built once per scan,
-    not once per point. ``wcs-decoy-opt`` runs :func:`optimize_mu` at
-    every point: a coarse intensity grid in one numpy pass, then
-    golden-section refinement.
+    Each scheme is evaluated over the whole loss axis at once: its
+    photon-number distributions and other channel-independent setup are
+    built once per scan, and at each point the channel's signal
+    detection terms 1 - (1 - eta)^n are computed once for all
+    distributions. ``wcs-decoy-opt`` searches the intensity at all
+    points together (see :func:`optimize_mu`). No vectorized ``pow``,
+    ``exp`` or ``log2`` computes a value that reaches the curve: numpy's
+    may round differently from ``math``'s in the last bit, so numpy only
+    ranks the coarse intensity grid, and every rate is computed by the
+    same scalar expressions as a point-by-point evaluation, bit for bit.
     """
     grid = [float(l) for l in loss_grid_db]
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
-    rate_at = _scheme_rate_at(scheme, cfg_template)
-    rates = [
-        rate_at(replace(cfg_template.channel, eta=loss_db_to_eta(loss)))
-        for loss in grid
+    channels = [
+        replace(cfg_template.channel, eta=loss_db_to_eta(loss)) for loss in grid
     ]
+    rates = _scheme_rates(scheme, cfg_template, channels)
     return LossCurve(
         scheme_label=scheme.label, loss_db=tuple(grid), rate=tuple(rates)
     )
@@ -540,7 +569,7 @@ def wcs_infinite_decoy_rate(
     """
     if not mu > 0.0:
         raise InvalidParameterError(f"mu={mu!r} must be > 0")
-    return _wcs_rate(mu, ch, protocol, math.exp, min, binary_entropy)
+    return _wcs_scalar_rate(mu, _wcs_channel_terms(ch), protocol)
 
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
@@ -553,26 +582,43 @@ def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
     return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
 
 
-def _wcs_rate(
-    mu, ch: ChannelParams, protocol: ProtocolParams, exp, minimum, h2
-):
-    """The rate expression of :func:`wcs_infinite_decoy_rate`, written
-    once for a scalar ``mu`` (``math.exp``, ``min``, ``binary_entropy``)
-    and for an array of them (``np.exp``, ``np.minimum``,
-    ``_binary_entropy_array``)."""
-    signal = 1.0 - exp(-ch.eta * mu)
-    q = minimum(ch.y0 + signal, 1.0)
-    e = (ch.e0 * ch.y0 + ch.e_det * signal) / q
-    y1 = yield_n(ch, 1)
+def _wcs_channel_terms(ch: ChannelParams) -> tuple[float, ...]:
+    """The constants of :func:`_wcs_rate` at one channel, the same for
+    every intensity: eta, y0, e0 y0, e_det, Y1 and 1 - H2(min(e1, 1))."""
     e1 = error_n(ch, 1)
-    p0 = exp(-mu)
-    g0 = ch.y0 * p0
-    g1 = y1 * mu * p0
-    return protocol.q_sift * (
-        -q * protocol.f_ec * h2(minimum(e, 1.0))
-        + g0
-        + g1 * (1.0 - binary_entropy(min(e1, 1.0)))
+    return (
+        ch.eta,
+        ch.y0,
+        ch.e0 * ch.y0,
+        ch.e_det,
+        yield_n(ch, 1),
+        1.0 - binary_entropy(min(e1, 1.0)),
     )
+
+
+def _wcs_rate(mu, terms, protocol: ProtocolParams, exp, minimum, h2):
+    """The rate expression of :func:`wcs_infinite_decoy_rate`, written
+    once for a scalar ``mu`` and channel (``math.exp``, ``min``,
+    ``binary_entropy``) and for a block of channels over an intensity
+    grid (``mu`` a row, each of ``terms`` a column of
+    :func:`_wcs_channel_terms` values; ``np.exp``, ``np.minimum``,
+    ``_binary_entropy_array``)."""
+    eta, y0, e0_y0, e_det, y1, privacy = terms
+    signal = 1.0 - exp(-eta * mu)
+    q = minimum(y0 + signal, 1.0)
+    e = (e0_y0 + e_det * signal) / q
+    p0 = exp(-mu)
+    g0 = y0 * p0
+    g1 = y1 * mu * p0
+    return _rate_bracket(q, minimum(e, 1.0), g0, g1 * privacy, protocol, h2)[1]
+
+
+def _wcs_scalar_rate(
+    mu: float, terms: tuple[float, ...], protocol: ProtocolParams
+) -> float:
+    """:func:`_wcs_rate` at one intensity and channel: the scalar rate
+    that decides every intensity :func:`optimize_mu` returns."""
+    return _wcs_rate(mu, terms, protocol, math.exp, min, binary_entropy)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -582,6 +628,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MU_SEARCH_RANGE = (1e-4, 1.0)
 MU_COARSE_POINTS = 512
 MU_TOL = 1e-7
+# channels whose coarse grids are evaluated as one 2-D array: enough to
+# spread numpy's per-call cost, few enough that each temporary stays
+# small (16 x 512 doubles) however long the loss axis
+MU_BLOCK_CHANNELS = 16
 
 
 def optimize_mu(
@@ -590,41 +640,74 @@ def optimize_mu(
     """Maximize the infinite-decoy coherent-state rate over the signal
     intensity.
 
-    A coarse grid of ``MU_COARSE_POINTS`` intensities, evaluated in one
-    numpy pass, brackets the maximum; golden-section refinement with the
-    scalar :func:`wcs_infinite_decoy_rate` then narrows it to
+    A coarse grid of ``MU_COARSE_POINTS`` intensities, evaluated with
+    numpy, brackets the maximum; golden-section refinement with the
+    scalar rate of :func:`wcs_infinite_decoy_rate` then narrows it to
     ``MU_TOL``. The scalar rate also picks the best grid point among the
     array maximum and its two neighbours, and decides between that point
     and the refined one, so the result equals that of a grid evaluated
     one scalar at a time unless the rate is flat to within rounding over
-    more than two grid points. When the rate is non-positive everywhere
-    the result is flagged infeasible (rate 0 at the least-bad
-    intensity).
+    more than two grid points: numpy's vectorized ``exp`` and ``log2``
+    only rank the grid, and no value they compute is returned. When the
+    rate is non-positive everywhere the result is flagged infeasible
+    (rate 0 at the least-bad intensity).
+
+    This is the one-channel case of the loss-axis search of
+    :func:`scan_loss`, which evaluates the coarse grids of
+    ``MU_BLOCK_CHANNELS`` channels as one 2-D array. The constants of
+    the rate at a channel (Y1, 1 - H2(e1), e0 y0) are computed once per
+    channel, not once per evaluation.
     """
+    return _optimize_mu_axis([channel], protocol)[0]
+
+
+def _optimize_mu_axis(
+    channels: list[ChannelParams], protocol: ProtocolParams
+) -> list[MuOptimum]:
+    """:func:`optimize_mu` at each of ``channels``."""
     lo = MU_SEARCH_RANGE[0]
     # the gain y0 + 1 - exp(-eta mu) rounds to zero at the low end of the
     # range only without background; the QBER is then undefined
-    if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
-        raise UndefinedStatisticError(
-            f"QBER undefined: zero gain at mu={lo!r} (eta={channel.eta!r}, y0=0)"
-        )
-
-    def rate(mu: float) -> float:
-        return wcs_infinite_decoy_rate(mu, channel, protocol)
+    for ch in channels:
+        if ch.y0 == 0.0 and math.exp(-ch.eta * lo) == 1.0:
+            raise UndefinedStatisticError(
+                f"QBER undefined: zero gain at mu={lo!r} (eta={ch.eta!r}, y0=0)"
+            )
 
     grid = np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)
-    values = _wcs_rate(
-        grid, channel, protocol, np.exp, np.minimum, _binary_entropy_array
-    )
+    mus = grid.tolist()
+    terms = [_wcs_channel_terms(ch) for ch in channels]
+    optima = []
+    for start in range(0, len(terms), MU_BLOCK_CHANNELS):
+        block = terms[start : start + MU_BLOCK_CHANNELS]
+        columns = np.array(block).T[:, :, np.newaxis]
+        values = _wcs_rate(
+            grid, columns, protocol, np.exp, np.minimum, _binary_entropy_array
+        )
+        optima.extend(
+            _refine_mu(mus, best, k, protocol)
+            for k, best in zip(block, values.argmax(axis=1).tolist())
+        )
+    return optima
+
+
+def _refine_mu(
+    mus: list[float], best: int, terms: tuple[float, ...], protocol: ProtocolParams
+) -> MuOptimum:
+    """Scalar confirmation of the coarse maximum ``mus[best]`` of one
+    channel, then golden-section refinement around it."""
+
+    def rate(mu: float) -> float:
+        return _wcs_scalar_rate(mu, terms, protocol)
+
     # numpy's exp and log2 may round differently from math's in the last
     # bit, which can swap two near-equal neighbours
-    best = int(np.argmax(values))
     near = range(max(best - 1, 0), min(best + 2, MU_COARSE_POINTS))
-    scalar = {k: rate(grid[k]) for k in near}
+    scalar = {k: rate(mus[k]) for k in near}
     best = max(near, key=scalar.__getitem__)
 
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, MU_COARSE_POINTS - 1)]
+    a = mus[max(best - 1, 0)]
+    b = mus[min(best + 1, MU_COARSE_POINTS - 1)]
     # golden-section interior points, keeping the better half each step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -641,7 +724,7 @@ def optimize_mu(
     mu_opt = (a + b) / 2.0
     r_opt = rate(mu_opt)
     if r_opt < scalar[best]:
-        mu_opt, r_opt = float(grid[best]), scalar[best]
+        mu_opt, r_opt = mus[best], scalar[best]
     if r_opt <= 0.0:
         return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
     return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)

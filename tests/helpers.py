@@ -1,19 +1,33 @@
-"""Shared reference parameters and builders for the test suite.
+"""Shared reference parameters, builders and reference formulas for the
+test suite.
 
 The benchmark session is a 36 dB heralded-source link with a 40%
 heralding correlation; the reference observables are the measured
 values the analysis chain is validated against.
+
+The reference formulas evaluate the channel sums and the infinite-decoy
+coherent-state rate term by term from :func:`yield_n` and
+:func:`error_n`, independently of the shared per-channel terms and the
+loss-axis evaluation the package uses; tests compare the package with
+them for exact equality.
 """
 
 from __future__ import annotations
+
+import math
 
 from decoyqkd import (
     ChannelParams,
     ExperimentConfig,
     FluctuationPolicy,
+    GainErrorPoint,
     HspsParams,
     HspsSource,
     ProtocolParams,
+    UndefinedStatisticError,
+    binary_entropy,
+    error_n,
+    yield_n,
 )
 
 BENCH_P_COR = 0.40
@@ -72,4 +86,41 @@ def bench_config(
         intensity_ratio=BENCH_RATIO,
         fluctuation=FluctuationPolicy(n_sigma),
         rng_seed=seed,
+    )
+
+
+def ref_gain(dist, ch) -> float:
+    """sum_n Y_n P(n), one :func:`yield_n` per term."""
+    return math.fsum(
+        p * yield_n(ch, n) for n, p in enumerate(dist.probs) if p > 0.0
+    )
+
+
+def ref_qber(dist, ch) -> GainErrorPoint:
+    """Gain and QBER with the error numerator written out per term."""
+    q = ref_gain(dist, ch)
+    if q <= 0.0:
+        raise UndefinedStatisticError("QBER undefined at zero gain")
+    err = math.fsum(
+        p * (ch.e0 * ch.y0 + ch.e_det * (1.0 - (1.0 - ch.eta) ** n))
+        for n, p in enumerate(dist.probs)
+        if p > 0.0
+    )
+    return GainErrorPoint(q_gain=q, qber=min(err / q, 1.0))
+
+
+def ref_wcs_infinite_decoy_rate(mu, ch, protocol) -> float:
+    """The infinite-decoy coherent-state rate, every term at every call."""
+    signal = 1.0 - math.exp(-ch.eta * mu)
+    q = min(ch.y0 + signal, 1.0)
+    e = (ch.e0 * ch.y0 + ch.e_det * signal) / q
+    y1 = yield_n(ch, 1)
+    e1 = error_n(ch, 1)
+    p0 = math.exp(-mu)
+    g0 = ch.y0 * p0
+    g1 = y1 * mu * p0
+    return protocol.q_sift * (
+        -q * protocol.f_ec * binary_entropy(min(e, 1.0))
+        + g0
+        + g1 * (1.0 - binary_entropy(min(e1, 1.0)))
     )

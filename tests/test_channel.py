@@ -1,9 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyqkd import (
     ChannelParams,
+    ExperimentConfig,
+    IdealSpsSource,
+    ProtocolParams,
+    expected_statistics,
+    WcsSource,
+    HspsSource,
     InvalidParameterError,
     PhotonNumberDistribution,
     UndefinedStatisticError,
@@ -26,6 +34,8 @@ from helpers import (
     BENCH_P_COR,
     BENCH_Y0,
     bench_channel,
+    ref_gain,
+    ref_qber,
 )
 
 VACUUM_ONLY = PhotonNumberDistribution(probs=(1.0, 0.0, 0.0), tail_folded=False)
@@ -156,6 +166,92 @@ class TestQber:
                         for n in range(dist.n_max + 1)
                     )
                     assert abs(point.q_gain * point.qber - numerator) <= 1e-12
+
+
+channels = st.builds(
+    ChannelParams,
+    eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
+    y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+    e_det=st.floats(min_value=0.0, max_value=0.5),
+    e0=st.floats(min_value=0.0, max_value=1.0),
+)
+
+# the three source kinds, at truncations up to 40
+sources = st.one_of(
+    st.builds(WcsSource, st.floats(min_value=0.0, max_value=2.0)),
+    st.builds(
+        HspsSource,
+        st.builds(
+            HspsParams,
+            p_cor=st.floats(min_value=0.0, max_value=1.0),
+            mu_acc=st.floats(min_value=0.0, max_value=0.1),
+            d_i=st.floats(min_value=0.0, max_value=1e-2),
+        ),
+    ),
+    st.builds(IdealSpsSource),
+)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedStatisticError as exc:
+        return type(exc)
+
+
+class TestAgainstReference:
+    """``gain`` and ``qber`` share the signal terms 1 - (1 - eta)^n of a
+    channel between calls; the results stay those of the term-by-term
+    sums, bit for bit."""
+
+    @given(source=sources, n_max=st.integers(min_value=2, max_value=40), ch=channels)
+    @settings(max_examples=300, deadline=None)
+    def test_gain_and_qber_equal_reference(self, source, n_max, ch):
+        dist = source.distribution(n_max)
+        assert gain(dist, ch) == ref_gain(dist, ch)
+        assert outcome(qber, dist, ch) == outcome(ref_qber, dist, ch)
+
+    @given(
+        signal=sources,
+        decoy=sources,
+        vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+        n_max=st.integers(min_value=2, max_value=40),
+        ch=channels,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_expected_statistics_equal_reference(
+        self, signal, decoy, vacuum_mu, n_max, ch
+    ):
+        cfg = ExperimentConfig(
+            source_signal=signal,
+            source_decoy=decoy,
+            vacuum_mu=vacuum_mu,
+            channel=ch,
+            protocol=ProtocolParams(),
+            total_pulses=10**9,
+            n_max=n_max,
+        )
+        dists = [src.distribution(n_max) for src in (signal, decoy)]
+        vacuum = wcs_distribution(vacuum_mu, n_max)
+
+        def reference():
+            sig, dec = (ref_qber(d, ch) for d in dists)
+            q_vac = ref_gain(vacuum, ch)
+            e_vac = ref_qber(vacuum, ch).qber if q_vac > 0.0 else ch.e0
+            return (sig.q_gain, sig.qber, dec.q_gain, dec.qber, q_vac, e_vac)
+
+        def package():
+            stats = expected_statistics(cfg)
+            return (
+                stats.q_signal,
+                stats.e_signal,
+                stats.q_decoy,
+                stats.e_decoy,
+                stats.q_vacuum,
+                stats.e_vacuum,
+            )
+
+        assert outcome(package) == outcome(reference)
 
 
 class TestLossConversion:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from decoyqkd.config import (
     experiment_to_dict,
     format_float,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SESSION_DOC = {
     "source": {
@@ -216,6 +219,37 @@ class TestCurveCommand:
         losses = [row.split(",")[0] for row in rows]
         assert losses == [format_float(k / 10) for k in range(11)]
         assert losses[-1] == format_float(1.0)
+
+    def test_cutoff_beyond_grid_is_noted_on_stderr(self, capsys):
+        argv = ["curve", "--config", str(CONFIGS / "session-36db.json")]
+        argv += ["--schemes", "ideal-sps,wcs-no-decoy"]
+        argv += ["--loss-from", "0", "--loss-to", "1", "--loss-step", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        # stdout is unchanged: the summary still names the last grid loss
+        assert "# cutoff_db,ideal-sps,1.00000000e+00" in captured.out
+        notes = captured.err.splitlines()
+        assert len(notes) == 2
+        assert "ideal-sps" in notes[0] and "beyond the grid" in notes[0]
+        assert "wcs-no-decoy" in notes[1] and "beyond the grid" in notes[1]
+
+    def test_cutoff_inside_grid_has_no_note(self, tmp_path, capsys):
+        code, out = self.run_curve(tmp_path, "wcs-no-decoy", extra=["--loss-to", "60"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "scheme", ["wcs-decoy-opt", "ideal-sps", "wcs-no-decoy", "hsps-decoy:0.40"]
+    )
+    def test_zero_gain_without_background_exits_2(self, tmp_path, capsys, scheme):
+        doc = json.loads(json.dumps(SESSION_DOC))
+        doc["channel"]["y0_per_gate"] = 0.0
+        doc["source"]["vacuum_mu"] = 0.0
+        cfg = write_doc(tmp_path / "c.json", doc)
+        argv = ["curve", "--config", cfg, "--schemes", scheme]
+        argv += ["--loss-from", "100", "--loss-to", "400", "--loss-step", "100"]
+        assert main(argv) == 2
+        assert "undefined" in capsys.readouterr().err
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         cfg = write_doc(tmp_path / "c.json", SESSION_DOC)

@@ -251,8 +251,12 @@ def mutated_targets(draw):
     edits = st.sampled_from(("swap", "rename", "insert"))
     for edit in draw(st.lists(edits, min_size=1, max_size=3)):
         if edit == "swap":
-            path = draw(st.sampled_from(list(leaf_paths(doc))))
-            at(doc, path[:-1])[path[-1]] = draw(json_values)
+            # an earlier insert may have replaced every leaf by an empty
+            # container, leaving nothing to swap
+            leaves = list(leaf_paths(doc))
+            if leaves:
+                path = draw(st.sampled_from(leaves))
+                at(doc, path[:-1])[path[-1]] = draw(json_values)
             continue
         block = at(doc, draw(st.sampled_from(list(dict_paths(doc)))))
         key = draw(st.text(max_size=8))

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decoyqkd.channel as channel_mod
+import decoyqkd.decoy as decoy_mod
 import decoyqkd.session as session_mod
 import decoyqkd.sources as sources_mod
 from decoyqkd import (
@@ -29,7 +32,6 @@ from decoyqkd import (
     loss_db_to_eta,
     no_decoy_bounds,
     optimize_mu,
-    qber,
     run_pipeline,
     sample_counts,
     scan_loss,
@@ -44,6 +46,20 @@ from helpers import (
     BENCH_Y0,
     bench_channel,
     bench_config,
+    ref_qber,
+    ref_wcs_infinite_decoy_rate,
+)
+
+
+# every scheme kind, with and without its optional argument
+SCHEME_TOKENS = (
+    "wcs-no-decoy",
+    "wcs-no-decoy:0.3",
+    "hsps-no-decoy",
+    "wcs-decoy-opt",
+    "hsps-decoy:0.40",
+    "hsps-decoy:0.70",
+    "ideal-sps",
 )
 
 
@@ -215,18 +231,7 @@ class TestScanLoss:
         with pytest.raises(InvalidParameterError):
             scan_loss(cfg, Scheme(SchemeKind.HSPS_DECOY, p_cor=0.4), [1.0, 2.0])
 
-    @pytest.mark.parametrize(
-        "token",
-        [
-            "wcs-no-decoy",
-            "wcs-no-decoy:0.3",
-            "hsps-no-decoy",
-            "wcs-decoy-opt",
-            "hsps-decoy:0.40",
-            "hsps-decoy:0.70",
-            "ideal-sps",
-        ],
-    )
+    @pytest.mark.parametrize("token", SCHEME_TOKENS)
     @pytest.mark.parametrize("vacuum_mu", [0.0, BENCH_MU_VACUUM])
     def test_matches_per_point_evaluation(self, token, vacuum_mu):
         cfg = bench_config(vacuum_mu=vacuum_mu)
@@ -252,6 +257,97 @@ class TestScanLoss:
         assert 0 < builds[0] <= 3
 
 
+def rates_or_error(fn):
+    """The bits of each rate ``fn`` returns (signed zeros included), or
+    the type of the statistics error it raised."""
+    try:
+        return [float.hex(r) for r in fn()]
+    except UndefinedStatisticError as exc:
+        return type(exc)
+
+
+class TestScanLossAgainstReference:
+    """``scan_loss`` evaluates each scheme over the whole loss axis; its
+    rates must be those of a point-by-point evaluation on the reference
+    formulas, bit for bit, and a point with undefined statistics must
+    still raise."""
+
+    @given(
+        y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+        e_det=st.floats(min_value=0.0, max_value=0.5),
+        e0=st.floats(min_value=0.0, max_value=1.0),
+        vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+        n_max=st.integers(min_value=2, max_value=40),
+        losses=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=60.0),
+                st.floats(min_value=60.0, max_value=200.0),
+            ),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        token=st.sampled_from(SCHEME_TOKENS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_point_reference(
+        self, y0, e_det, e0, vacuum_mu, n_max, losses, token
+    ):
+        base = bench_config(q_sift=0.5, vacuum_mu=vacuum_mu)
+        cfg = replace(
+            base,
+            channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det, e0=e0),
+            n_max=n_max,
+        )
+        scheme = Scheme.parse(token)
+        grid = sorted(losses)
+
+        def per_point():
+            return tuple(
+                per_point_rate(
+                    scheme, cfg, replace(cfg.channel, eta=loss_db_to_eta(loss))
+                )
+                for loss in grid
+            )
+
+        expected = rates_or_error(per_point)
+        assert rates_or_error(lambda: scan_loss(cfg, scheme, grid).rate) == expected
+
+    @pytest.mark.parametrize("token", SCHEME_TOKENS)
+    def test_zero_gain_without_background_raises(self, token):
+        cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
+        cfg = replace(cfg, channel=replace(cfg.channel, y0=0.0))
+        # the gain rounds to zero between 120 dB (coherent state at the
+        # lowest searched intensity) and 170 dB (one photon)
+        grid = [20.0, 60.0, 180.0, 190.0]
+        with pytest.raises(UndefinedStatisticError):
+            scan_loss(cfg, Scheme.parse(token), grid)
+
+
+class TestScanLossWork:
+    def test_wcs_decoy_opt_channel_calls_per_point(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch,
+            (channel_mod, decoy_mod, session_mod),
+            ("yield_n", "error_n"),
+        )
+        grid = [0.5 * k for k in range(121)]
+        scan_loss(bench_config(), Scheme(SchemeKind.WCS_DECOY_INF_OPT), grid)
+        assert 0 < calls[0] <= 3 * len(grid)
+
+    def test_wcs_decoy_opt_memory_is_bounded_on_long_axes(self):
+        grid = [0.03 * k for k in range(2000)]
+        scheme = Scheme(SchemeKind.WCS_DECOY_INF_OPT)
+        tracemalloc.start()
+        try:
+            scan_loss(bench_config(), scheme, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (2000 x 512) float64 temporary alone would take 8 MB
+        assert peak < 4 * 2**20
+
+
 def count_calls(monkeypatch, modules, names) -> list[int]:
     """Wrap ``names`` in every module of ``modules`` that binds them;
     the returned one-element list holds the running call count."""
@@ -270,18 +366,19 @@ def count_calls(monkeypatch, modules, names) -> list[int]:
 
 
 def no_decoy_rate(dist, ch, protocol):
-    point = qber(dist, ch)
+    point = ref_qber(dist, ch)
     bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
 def per_point_rate(scheme, cfg, ch):
-    """One scheme's rate at one channel, every distribution built anew
-    and the intensity optimized by the scalar reference search."""
+    """One scheme's rate at one channel, every distribution built anew,
+    the channel sums and the coherent-state rate taken from the reference
+    formulas and the intensity optimized by the scalar reference search."""
     protocol = cfg.protocol
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
-        point = qber(dist, ch)
+        point = ref_qber(dist, ch)
         bounds = infinite_decoy_exact(ch, dist)
         return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
@@ -305,11 +402,15 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def scalar_optimize_mu(channel, protocol=ProtocolParams()):
-    """Reference: the coarse grid evaluated one scalar rate at a time,
-    then the same golden-section refinement as :func:`optimize_mu`."""
+    """Reference: the zero-gain check of :func:`optimize_mu`, the coarse
+    grid evaluated one scalar rate at a time, then the same
+    golden-section refinement."""
+    lo = session_mod.MU_SEARCH_RANGE[0]
+    if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
+        raise UndefinedStatisticError("QBER undefined at zero gain")
 
     def rate(mu):
-        return wcs_infinite_decoy_rate(mu, channel, protocol)
+        return ref_wcs_infinite_decoy_rate(mu, channel, protocol)
 
     coarse_points = session_mod.MU_COARSE_POINTS
     grid = np.linspace(*session_mod.MU_SEARCH_RANGE, coarse_points)
@@ -413,9 +514,49 @@ class TestOptimizeMu:
             session_mod._binary_entropy_array(np.array([0.5, math.nan]))
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
-        evals = count_calls(monkeypatch, (session_mod,), ("wcs_infinite_decoy_rate",))
+        evals = count_calls(monkeypatch, (session_mod,), ("_wcs_scalar_rate",))
         optimize_mu(bench_channel())
         assert 0 < evals[0] <= 40
+
+    @given(
+        mu=st.floats(min_value=1e-6, max_value=2.0),
+        eta=st.floats(min_value=1e-12, max_value=1.0),
+        y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+        e_det=st.floats(min_value=0.0, max_value=0.5),
+        e0=st.floats(min_value=0.0, max_value=1.0),
+        q_sift=st.floats(min_value=0.01, max_value=1.0),
+        f_ec=st.floats(min_value=1.0, max_value=2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rate_equals_written_out_formula(
+        self, mu, eta, y0, e_det, e0, q_sift, f_ec
+    ):
+        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det, e0=e0)
+        protocol = ProtocolParams(q_sift=q_sift, f_ec=f_ec)
+        if y0 == 0.0 and math.exp(-eta * mu) == 1.0:
+            return  # zero gain: the QBER of the formula is undefined
+        assert wcs_infinite_decoy_rate(mu, ch, protocol) == (
+            ref_wcs_infinite_decoy_rate(mu, ch, protocol)
+        )
+
+    def test_single_channel_equals_its_entry_on_the_loss_axis(self):
+        # 40 channels span three blocks of the coarse-grid evaluation;
+        # they differ in every field, not just eta
+        protocol = ProtocolParams(q_sift=0.5, f_ec=1.16)
+        channels = [
+            ChannelParams(
+                eta=loss_db_to_eta(1.5 * k),
+                y0=(0.0, 1e-6, 3e-5, 1e-3)[k % 4],
+                e_det=0.005 * (k % 7),
+                e0=(0.5, 0.3)[k % 2],
+            )
+            for k in range(40)
+        ]
+        axis = session_mod._optimize_mu_axis(channels, protocol)
+        assert len(axis) == len(channels)
+        for ch, opt in zip(channels, axis):
+            assert optimize_mu(ch, protocol) == opt
+            assert opt == scalar_optimize_mu(ch, protocol)
 
 
 class TestScheme:
