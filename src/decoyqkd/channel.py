@@ -85,7 +85,7 @@ def error_n(ch: ChannelParams, n: int) -> float:
     y = yield_n(ch, n)
     if y == 0.0:
         raise ZeroDivisionError(
-            "error probability undefined at zero yield (y0=0, n=0)"
+            f"error probability undefined at zero yield (y0=0, n={n})"
         )
     signal = 1.0 - (1.0 - ch.eta) ** n
     return (ch.e0 * ch.y0 + ch.e_det * signal) / y

@@ -121,10 +121,6 @@ class BoundsResult:
             if not 0.0 <= v <= 1.0:
                 raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
 
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.flags)
-
 
 def _estimator_denominator(
     dist_signal: PhotonNumberDistribution,
@@ -307,7 +303,7 @@ def estimate_bounds(
     return BoundsResult(
         y1_lower=y1,
         e1_upper=e1,
-        g0=min(obs.y0_obs * dist_signal.p(0), 1.0),
+        g0=obs.y0_obs * dist_signal.p(0),
         g1_lower=y1 * dist_signal.p(1),
         flags=y1_flags + e1_flags,
     )
@@ -336,7 +332,7 @@ def no_decoy_bounds(
             raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
     p1 = _single_photon_weight(dist_signal)
     flags: tuple[str, ...] = ()
-    g0 = min(y0_obs * dist_signal.p(0), 1.0)
+    g0 = y0_obs * dist_signal.p(0)
     g1 = q_signal - g0 - dist_signal.p_at_least(2)
     if g1 < 0.0:
         flags = ("y1-negative-clamped",)
@@ -367,6 +363,6 @@ def infinite_decoy_exact(
     return BoundsResult(
         y1_lower=y1,
         e1_upper=error_n(ch, 1),
-        g0=min(ch.y0 * dist_signal.p(0), 1.0),
+        g0=ch.y0 * dist_signal.p(0),
         g1_lower=y1 * dist_signal.p(1),
     )

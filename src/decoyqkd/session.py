@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, gain, loss_db_to_eta, qber, yield_n, error_n
+from .channel import ChannelParams, loss_db_to_eta, qber, yield_n, error_n
 from .decoy import (
     BoundsResult,
     FluctuationPolicy,
@@ -44,7 +44,6 @@ from .keyrate import (
     key_rate,
 )
 from .sources import (
-    HspsParams,
     HspsSource,
     N_MAX_DEFAULT,
     PhotonNumberDistribution,
@@ -172,7 +171,6 @@ class SimulatedCounts:
 class PipelineResult:
     """Everything the analysis produced, for reporting and audit."""
 
-    mode: str
     observation: ThreeIntensityObservation
     expected: IntensityStatistics
     counts: SimulatedCounts | None
@@ -182,6 +180,12 @@ class PipelineResult:
     key: KeyRateResult
     y1_true: float
     e1_true: float
+
+    @property
+    def mode(self) -> str:
+        """'sampled' when the observation came from ``counts``, else
+        'analytic'."""
+        return "analytic" if self.counts is None else "sampled"
 
 
 # signal, decoy and vacuum photon-number distributions of one session
@@ -214,8 +218,11 @@ def _expected_statistics(
     dist_signal, dist_decoy, vac_dist = dists
     sig = qber(dist_signal, ch)
     dec = qber(dist_decoy, ch)
-    q_vac = gain(vac_dist, ch)
-    e_vac = qber(vac_dist, ch).qber if q_vac > 0.0 else ch.e0
+    try:
+        vac = qber(vac_dist, ch)
+        q_vac, e_vac = vac.q_gain, vac.qber
+    except UndefinedStatisticError:
+        q_vac, e_vac = 0.0, ch.e0
     return IntensityStatistics(
         q_signal=sig.q_gain,
         e_signal=sig.qber,
@@ -294,27 +301,16 @@ def run_pipeline(
     result rather than aborting: a degenerate bound simply yields zero
     key.
     """
-    return _analyse(cfg, _build_distributions(cfg), counts)
-
-
-def _analyse(
-    cfg: ExperimentConfig,
-    dists: SessionDistributions,
-    counts: SimulatedCounts | None = None,
-) -> PipelineResult:
-    """:func:`run_pipeline` on distributions already built from ``cfg``."""
+    dists = _build_distributions(cfg)
     expected = _expected_statistics(cfg.channel, dists)
     if counts is None:
         obs = observation_from_expected(expected, cfg.pulse_split())
-        mode = "analytic"
     else:
         obs = observation_from_counts(counts)
-        mode = "sampled"
 
     condition_ok = check_condition(dists[0], dists[1])
     fb, bounds, key = _estimate_key(cfg, cfg.channel, obs, dists)
     return PipelineResult(
-        mode=mode,
         observation=obs,
         expected=expected,
         counts=counts,
@@ -352,6 +348,10 @@ class SchemeKind(enum.Enum):
     IDEAL_SPS = "ideal-sps"
 
 
+# the Scheme field that a token's ':' argument sets, by kind
+_SCHEME_ARGUMENT = {SchemeKind.HSPS_DECOY: "p_cor", SchemeKind.WCS_NO_DECOY: "wcs_mu"}
+
+
 @dataclass(frozen=True)
 class Scheme:
     """A source/estimator combination for the loss-sweep comparison.
@@ -369,7 +369,8 @@ class Scheme:
         if self.kind is SchemeKind.HSPS_DECOY:
             if self.p_cor is None or not 0.0 <= self.p_cor <= 1.0:
                 raise InvalidParameterError(
-                    f"hsps-decoy scheme needs p_cor in [0, 1], got {self.p_cor!r}"
+                    "hsps-decoy needs a correlation p_cor in [0, 1], e.g. "
+                    f"hsps-decoy:0.40; got {self.p_cor!r}"
                 )
         elif self.p_cor is not None:
             raise InvalidParameterError(
@@ -393,7 +394,9 @@ class Scheme:
 
     @staticmethod
     def parse(token: str) -> "Scheme":
-        """Parse a scheme token such as 'ideal-sps' or 'hsps-decoy:0.40'."""
+        """Parse a scheme token such as 'ideal-sps' or 'hsps-decoy:0.40'.
+
+        The token only names the fields; :class:`Scheme` checks them."""
         name, _, arg = token.strip().partition(":")
         try:
             kind = SchemeKind(name)
@@ -402,27 +405,20 @@ class Scheme:
             raise InvalidParameterError(
                 f"unknown scheme {name!r} (valid: {valid})"
             ) from None
-        def numeric(value: str) -> float:
-            try:
-                return float(value)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"scheme argument {value!r} is not a number"
-                ) from None
-
-        if kind is SchemeKind.HSPS_DECOY:
-            if not arg:
-                raise InvalidParameterError(
-                    "hsps-decoy needs a correlation argument, e.g. hsps-decoy:0.40"
-                )
-            return Scheme(kind=kind, p_cor=numeric(arg))
-        if arg:
-            if kind is SchemeKind.WCS_NO_DECOY:
-                return Scheme(kind=kind, wcs_mu=numeric(arg))
+        if not arg:
+            return Scheme(kind=kind)
+        field = _SCHEME_ARGUMENT.get(kind)
+        if field is None:
             raise InvalidParameterError(
                 f"scheme {name!r} takes no argument, got {arg!r}"
             )
-        return Scheme(kind=kind)
+        try:
+            value = float(arg)
+        except ValueError:
+            raise InvalidParameterError(
+                f"scheme argument {arg!r} is not a number"
+            ) from None
+        return Scheme(kind=kind, **{field: value})
 
 
 @dataclass(frozen=True)
@@ -438,14 +434,13 @@ class LossCurve:
         return max(positive) if positive else None
 
 
-def _hsps_template_params(cfg: ExperimentConfig) -> tuple[HspsParams, HspsParams]:
+def _check_heralded_template(cfg: ExperimentConfig) -> None:
     if not isinstance(cfg.source_signal, HspsSource) or not isinstance(
         cfg.source_decoy, HspsSource
     ):
         raise InvalidParameterError(
             "this scheme needs heralded sources in the session template"
         )
-    return cfg.source_signal.params, cfg.source_decoy.params
 
 
 def _no_decoy_rate(dist, ch: ChannelParams, protocol: ProtocolParams) -> float:
@@ -483,19 +478,20 @@ def _scheme_rates(
         return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
 
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
-        signal_params, _ = _hsps_template_params(cfg)
-        dist = HspsSource(signal_params).distribution(cfg.n_max)
+        _check_heralded_template(cfg)
+        dist = cfg.source_signal.distribution(cfg.n_max)
         return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
 
     # HSPS_DECOY: three-intensity estimation at the template intensities.
     # Each point is the analytic run_pipeline at its channel, less the
     # applicability condition, whose verdict never reaches the rate (a
     # degenerate pair still raises, in estimate_bounds).
-    signal_params, decoy_params = _hsps_template_params(cfg)
+    _check_heralded_template(cfg)
+    p_cor = scheme.p_cor
     scan_cfg = replace(
         cfg,
-        source_signal=HspsSource(replace(signal_params, p_cor=scheme.p_cor)),
-        source_decoy=HspsSource(replace(decoy_params, p_cor=scheme.p_cor)),
+        source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=p_cor)),
+        source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=p_cor)),
         fluctuation=FluctuationPolicy(0.0),
     )
     dists = _build_distributions(scan_cfg)
@@ -569,7 +565,18 @@ def wcs_infinite_decoy_rate(
     """
     if not mu > 0.0:
         raise InvalidParameterError(f"mu={mu!r} must be > 0")
+    _check_wcs_gain(ch, mu)
     return _wcs_scalar_rate(mu, _wcs_channel_terms(ch), protocol)
+
+
+def _check_wcs_gain(ch: ChannelParams, mu: float) -> None:
+    """Raise where the coherent-state gain y0 + 1 - exp(-eta mu) rounds
+    to zero, which happens only without background: the QBER is then
+    undefined."""
+    if ch.y0 == 0.0 and math.exp(-ch.eta * mu) == 1.0:
+        raise UndefinedStatisticError(
+            f"QBER undefined: zero gain at mu={mu!r} (eta={ch.eta!r}, y0=0)"
+        )
 
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
@@ -665,14 +672,9 @@ def _optimize_mu_axis(
     channels: list[ChannelParams], protocol: ProtocolParams
 ) -> list[MuOptimum]:
     """:func:`optimize_mu` at each of ``channels``."""
-    lo = MU_SEARCH_RANGE[0]
-    # the gain y0 + 1 - exp(-eta mu) rounds to zero at the low end of the
-    # range only without background; the QBER is then undefined
+    # the gain is smallest at the low end of the range
     for ch in channels:
-        if ch.y0 == 0.0 and math.exp(-ch.eta * lo) == 1.0:
-            raise UndefinedStatisticError(
-                f"QBER undefined: zero gain at mu={lo!r} (eta={ch.eta!r}, y0=0)"
-            )
+        _check_wcs_gain(ch, MU_SEARCH_RANGE[0])
 
     grid = np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)
     mus = grid.tolist()

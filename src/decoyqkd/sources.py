@@ -39,6 +39,8 @@ DI_DEFAULT = 1e-3
 
 # absolute tolerance on sum(probs) == 1 and on per-bin range checks
 NORMALIZATION_ATOL = 1e-12
+# an inferred correlation this close outside [0, 1] is rounding noise
+CORRELATION_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -303,17 +305,15 @@ def infer_accidental_rate(m: MeasuredRates) -> float:
     return flux
 
 
-def infer_correlation(
-    m: MeasuredRates, r_s: float, tol: float = 1e-6
-) -> float:
+def infer_correlation(m: MeasuredRates, r_s: float) -> float:
     """Pair-correlation probability from the herald-gated coincidence rate.
 
     Inverts  r_c/R_0 = 1 - (1 - P_cor)(1 - P_acc)(1 - d_s/R_0):
 
         P_cor = 1 - (R_0 - r_c)/(R_0 - d_s) * exp(eta_s * R_s * gate).
 
-    Values within ``tol`` outside [0, 1] are clamped (rounding noise);
-    anything further signals inconsistent measurements.
+    Values within ``CORRELATION_ATOL`` outside [0, 1] are clamped
+    (rounding noise); anything further signals inconsistent measurements.
     """
     if not r_s >= 0.0:
         raise InvalidParameterError(f"r_s={r_s!r} must be >= 0")
@@ -322,7 +322,7 @@ def infer_correlation(
     p_cor = 1.0 - (m.r0_hz - m.rc_hz) / (m.r0_hz - m.ds_hz) * math.exp(
         m.eta_s * r_s * m.gate_time_s
     )
-    if p_cor < -tol or p_cor > 1.0 + tol:
+    if p_cor < -CORRELATION_ATOL or p_cor > 1.0 + CORRELATION_ATOL:
         raise InconsistentDataError(
             f"inferred correlation {p_cor!r} outside [0, 1]: the coincidence "
             "rate cannot be explained by accidentals plus dark counts"

