@@ -70,16 +70,16 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _rate_bracket(q_gain, e_signal, g0, g1_term, p: ProtocolParams, h2):
+def _rate_bracket(
+    q_gain: float, e_signal: float, g0: float, g1_term: float, p: ProtocolParams
+) -> tuple[float, float]:
     """The GLLP bracket ``q_sift * (-Q f H2(E) + G0 + g1_term)`` and the
     error-correction cost ``Q f H2(E)`` it subtracts, as a pair.
 
     ``g1_term`` is the privacy-amplified single-photon gain
-    G1^L (1 - H2(e1^U)). The arguments may be floats, or numpy arrays
-    with an elementwise ``h2``; the operations and their order are the
-    same either way.
+    G1^L (1 - H2(e1^U)).
     """
-    ec_cost = q_gain * p.f_ec * h2(e_signal)
+    ec_cost = q_gain * p.f_ec * binary_entropy(e_signal)
     return ec_cost, p.q_sift * (-ec_cost + g0 + g1_term)
 
 
@@ -104,9 +104,7 @@ def key_rate(
         raise InvalidParameterError(f"e_signal={e_signal!r} outside [0, 1]")
 
     g1_term = bounds.g1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    ec_cost, raw = _rate_bracket(
-        q_gain_signal, e_signal, bounds.g0, g1_term, p, binary_entropy
-    )
+    ec_cost, raw = _rate_bracket(q_gain_signal, e_signal, bounds.g0, g1_term, p)
 
     rate = max(raw, 0.0)
     bits = secure_bits(rate, n_signal) if n_signal is not None else 0

@@ -11,17 +11,19 @@ Ties the source, channel, estimator and key-rate pieces together:
   each scheme evaluated over the whole loss axis with its channel-
   independent setup done once per sweep;
 * optimization of the coherent-state signal intensity in the
-  infinite-decoy limit: a coarse grid evaluated with numpy for blocks of
-  channels, then scalar golden-section refinement.
+  infinite-decoy limit: a search over a coarse grid, then golden-section
+  refinement.
+
+Only the count sampling uses numpy, and imports it when first called.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .channel import ChannelParams, loss_db_to_eta, qber, yield_n, error_n
 from .decoy import (
@@ -241,6 +243,9 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     intensity uses a generator derived from (seed, intensity index), so
     results are reproducible and independent of evaluation order.
     """
+    # imported here so that analytic runs start without numpy
+    import numpy as np
+
     stats = expected_statistics(cfg)
     split = cfg.pulse_split()
     per_intensity = (
@@ -470,7 +475,7 @@ def _scheme_rates(
         return rates
 
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return [opt.rate for opt in _optimize_mu_axis(channels, protocol)]
+        return [optimize_mu(ch, protocol).rate for ch in channels]
 
     if scheme.kind is SchemeKind.WCS_NO_DECOY:
         mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
@@ -507,7 +512,7 @@ def _scheme_rates(
 def scan_loss(
     cfg_template: ExperimentConfig,
     scheme: Scheme,
-    loss_grid_db: "list[float] | tuple[float, ...] | np.ndarray",
+    loss_grid_db: Iterable[float],
 ) -> LossCurve:
     """Key rate of one scheme across an ascending total-loss grid.
 
@@ -523,12 +528,9 @@ def scan_loss(
     photon-number distributions and other channel-independent setup are
     built once per scan, and at each point the channel's signal
     detection terms 1 - (1 - eta)^n are computed once for all
-    distributions. ``wcs-decoy-opt`` searches the intensity at all
-    points together (see :func:`optimize_mu`). No vectorized ``pow``,
-    ``exp`` or ``log2`` computes a value that reaches the curve: numpy's
-    may round differently from ``math``'s in the last bit, so numpy only
-    ranks the coarse intensity grid, and every rate is computed by the
-    same scalar expressions as a point-by-point evaluation, bit for bit.
+    distributions. ``wcs-decoy-opt`` runs :func:`optimize_mu` at each
+    point. Every rate is computed by the same scalar expressions as a
+    point-by-point evaluation, bit for bit.
     """
     grid = [float(l) for l in loss_grid_db]
     if not grid:
@@ -570,28 +572,25 @@ def wcs_infinite_decoy_rate(
 
 
 def _check_wcs_gain(ch: ChannelParams, mu: float) -> None:
-    """Raise where the coherent-state gain y0 + 1 - exp(-eta mu) rounds
-    to zero, which happens only without background: the QBER is then
-    undefined."""
-    if ch.y0 == 0.0 and math.exp(-ch.eta * mu) == 1.0:
+    """Raise where the coherent-state rate is undefined, which happens
+    only without background: where the gain y0 + 1 - exp(-eta mu) rounds
+    to zero (no QBER), or where 1 - eta rounds to 1 (no Y1, so no e1)."""
+    if ch.y0 != 0.0:
+        return
+    if math.exp(-ch.eta * mu) == 1.0:
         raise UndefinedStatisticError(
             f"QBER undefined: zero gain at mu={mu!r} (eta={ch.eta!r}, y0=0)"
         )
-
-
-def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise H2, with the domain check and the H2(0) = H2(1) = 0
-    convention of :func:`binary_entropy`."""
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise InvalidParameterError("H2 argument outside [0, 1]")
-    inner = (x > 0.0) & (x < 1.0)
-    y = np.where(inner, x, 0.5)  # keeps log2 away from 0 at the endpoints
-    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+    if 1.0 - ch.eta == 1.0:
+        raise UndefinedStatisticError(
+            f"e1 undefined: zero single-photon yield (eta={ch.eta!r}, y0=0)"
+        )
 
 
 def _wcs_channel_terms(ch: ChannelParams) -> tuple[float, ...]:
-    """The constants of :func:`_wcs_rate` at one channel, the same for
-    every intensity: eta, y0, e0 y0, e_det, Y1 and 1 - H2(min(e1, 1))."""
+    """The constants of :func:`_wcs_scalar_rate` at one channel, the same
+    for every intensity: eta, y0, e0 y0, e_det, Y1 and
+    1 - H2(min(e1, 1))."""
     e1 = error_n(ch, 1)
     return (
         ch.eta,
@@ -603,29 +602,19 @@ def _wcs_channel_terms(ch: ChannelParams) -> tuple[float, ...]:
     )
 
 
-def _wcs_rate(mu, terms, protocol: ProtocolParams, exp, minimum, h2):
-    """The rate expression of :func:`wcs_infinite_decoy_rate`, written
-    once for a scalar ``mu`` and channel (``math.exp``, ``min``,
-    ``binary_entropy``) and for a block of channels over an intensity
-    grid (``mu`` a row, each of ``terms`` a column of
-    :func:`_wcs_channel_terms` values; ``np.exp``, ``np.minimum``,
-    ``_binary_entropy_array``)."""
-    eta, y0, e0_y0, e_det, y1, privacy = terms
-    signal = 1.0 - exp(-eta * mu)
-    q = minimum(y0 + signal, 1.0)
-    e = (e0_y0 + e_det * signal) / q
-    p0 = exp(-mu)
-    g0 = y0 * p0
-    g1 = y1 * mu * p0
-    return _rate_bracket(q, minimum(e, 1.0), g0, g1 * privacy, protocol, h2)[1]
-
-
 def _wcs_scalar_rate(
     mu: float, terms: tuple[float, ...], protocol: ProtocolParams
 ) -> float:
-    """:func:`_wcs_rate` at one intensity and channel: the scalar rate
-    that decides every intensity :func:`optimize_mu` returns."""
-    return _wcs_rate(mu, terms, protocol, math.exp, min, binary_entropy)
+    """The rate of :func:`wcs_infinite_decoy_rate` at intensity ``mu``,
+    with the channel constants ``terms`` of :func:`_wcs_channel_terms`."""
+    eta, y0, e0_y0, e_det, y1, privacy = terms
+    signal = 1.0 - math.exp(-eta * mu)
+    q = min(y0 + signal, 1.0)
+    e = (e0_y0 + e_det * signal) / q
+    p0 = math.exp(-mu)
+    g0 = y0 * p0
+    g1 = y1 * mu * p0
+    return _rate_bracket(q, min(e, 1.0), g0, g1 * privacy, protocol)[1]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -635,10 +624,43 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MU_SEARCH_RANGE = (1e-4, 1.0)
 MU_COARSE_POINTS = 512
 MU_TOL = 1e-7
-# channels whose coarse grids are evaluated as one 2-D array: enough to
-# spread numpy's per-call cost, few enough that each temporary stays
-# small (16 x 512 doubles) however long the loss axis
-MU_BLOCK_CHANNELS = 16
+
+
+def _coarse_mu(k: int) -> float:
+    """Intensity ``k`` of the coarse grid: the ``k``-th point of
+    ``np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)``, bit for bit."""
+    start, stop = MU_SEARCH_RANGE
+    if k == MU_COARSE_POINTS - 1:
+        return stop
+    return k * ((stop - start) / (MU_COARSE_POINTS - 1)) + start
+
+
+def _coarse_argmax(rate: Callable[[int], float]) -> int:
+    """First index of the largest ``rate(k)`` over the coarse grid, for a
+    rate that rises to one peak and then falls, or only falls.
+
+    A Fibonacci search narrows an open bracket of grid indices around the
+    peak, reading each probe twice (``rate`` should cache); the last four
+    candidates are compared one by one, and then with index 0, since the
+    grid rates can fall over the first few points before they rise to an
+    interior peak. Ties go to the first index, as in ``np.argmax``.
+    """
+
+    def at(k: int) -> float:
+        return rate(k) if k < MU_COARSE_POINTS else -math.inf
+
+    # the peak lies in (a, a + lo + hi), probed at a + lo and a + hi, for
+    # consecutive Fibonacci numbers lo < hi
+    lo, hi = 1, 2
+    while lo + hi <= MU_COARSE_POINTS:
+        lo, hi = hi, lo + hi
+    a = -1
+    while lo + hi > 5:
+        if at(a + lo) < at(a + hi):
+            a += lo
+        lo, hi = hi - lo, lo
+    best = max(range(a + 1, a + lo + hi), key=at)
+    return 0 if rate(0) >= rate(best) else best
 
 
 def optimize_mu(
@@ -647,69 +669,30 @@ def optimize_mu(
     """Maximize the infinite-decoy coherent-state rate over the signal
     intensity.
 
-    A coarse grid of ``MU_COARSE_POINTS`` intensities, evaluated with
-    numpy, brackets the maximum; golden-section refinement with the
-    scalar rate of :func:`wcs_infinite_decoy_rate` then narrows it to
-    ``MU_TOL``. The scalar rate also picks the best grid point among the
-    array maximum and its two neighbours, and decides between that point
-    and the refined one, so the result equals that of a grid evaluated
-    one scalar at a time unless the rate is flat to within rounding over
-    more than two grid points: numpy's vectorized ``exp`` and ``log2``
-    only rank the grid, and no value they compute is returned. When the
-    rate is non-positive everywhere the result is flagged infeasible
-    (rate 0 at the least-bad intensity).
-
-    This is the one-channel case of the loss-axis search of
-    :func:`scan_loss`, which evaluates the coarse grids of
-    ``MU_BLOCK_CHANNELS`` channels as one 2-D array. The constants of
-    the rate at a channel (Y1, 1 - H2(e1), e0 y0) are computed once per
-    channel, not once per evaluation.
+    A search over a coarse grid of ``MU_COARSE_POINTS`` intensities
+    finds its best point (see :func:`_coarse_argmax`); golden-section
+    refinement between that point's neighbours then narrows it to
+    ``MU_TOL``, and the better of the grid point and the refined one is
+    returned. Every value is the scalar rate of
+    :func:`wcs_infinite_decoy_rate`, with its constants at the channel
+    (Y1, 1 - H2(e1), e0 y0) computed once per call. When the rate is
+    non-positive everywhere the result is flagged infeasible (rate 0 at
+    the least-bad intensity).
     """
-    return _optimize_mu_axis([channel], protocol)[0]
-
-
-def _optimize_mu_axis(
-    channels: list[ChannelParams], protocol: ProtocolParams
-) -> list[MuOptimum]:
-    """:func:`optimize_mu` at each of ``channels``."""
     # the gain is smallest at the low end of the range
-    for ch in channels:
-        _check_wcs_gain(ch, MU_SEARCH_RANGE[0])
-
-    grid = np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)
-    mus = grid.tolist()
-    terms = [_wcs_channel_terms(ch) for ch in channels]
-    optima = []
-    for start in range(0, len(terms), MU_BLOCK_CHANNELS):
-        block = terms[start : start + MU_BLOCK_CHANNELS]
-        columns = np.array(block).T[:, :, np.newaxis]
-        values = _wcs_rate(
-            grid, columns, protocol, np.exp, np.minimum, _binary_entropy_array
-        )
-        optima.extend(
-            _refine_mu(mus, best, k, protocol)
-            for k, best in zip(block, values.argmax(axis=1).tolist())
-        )
-    return optima
-
-
-def _refine_mu(
-    mus: list[float], best: int, terms: tuple[float, ...], protocol: ProtocolParams
-) -> MuOptimum:
-    """Scalar confirmation of the coarse maximum ``mus[best]`` of one
-    channel, then golden-section refinement around it."""
+    _check_wcs_gain(channel, MU_SEARCH_RANGE[0])
+    terms = _wcs_channel_terms(channel)
 
     def rate(mu: float) -> float:
         return _wcs_scalar_rate(mu, terms, protocol)
 
-    # numpy's exp and log2 may round differently from math's in the last
-    # bit, which can swap two near-equal neighbours
-    near = range(max(best - 1, 0), min(best + 2, MU_COARSE_POINTS))
-    scalar = {k: rate(mus[k]) for k in near}
-    best = max(near, key=scalar.__getitem__)
+    @functools.cache
+    def grid_rate(k: int) -> float:
+        return rate(_coarse_mu(k))
 
-    a = mus[max(best - 1, 0)]
-    b = mus[min(best + 1, MU_COARSE_POINTS - 1)]
+    best = _coarse_argmax(grid_rate)
+    a = _coarse_mu(max(best - 1, 0))
+    b = _coarse_mu(min(best + 1, MU_COARSE_POINTS - 1))
     # golden-section interior points, keeping the better half each step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -725,8 +708,8 @@ def _refine_mu(
             fd = rate(d)
     mu_opt = (a + b) / 2.0
     r_opt = rate(mu_opt)
-    if r_opt < scalar[best]:
-        mu_opt, r_opt = mus[best], scalar[best]
+    if r_opt < grid_rate(best):
+        mu_opt, r_opt = _coarse_mu(best), grid_rate(best)
     if r_opt <= 0.0:
         return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
     return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -362,3 +366,44 @@ class TestInferCommand:
     def test_missing_rates_block(self, tmp_path):
         cfg = write_doc(tmp_path / "i.json", {"source": {"kind": "ideal"}})
         assert main(["infer", "--config", cfg]) == 2
+
+
+class TestNumpyImport:
+    def test_only_sampling_loads_numpy(self):
+        # a fresh interpreter: the suite itself has numpy loaded
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from decoyqkd.cli import main
+
+            configs = {str(CONFIGS)!r}
+            session = configs + "/session-36db.json"
+            schemes = (
+                "wcs-no-decoy,hsps-no-decoy,wcs-decoy-opt,"
+                "hsps-decoy:0.40,hsps-decoy:0.70,ideal-sps"
+            )
+            runs = [
+                ["curve", "--config", session, "--schemes", schemes,
+                 "--loss-from", "0", "--loss-to", "60", "--loss-step", "5"],
+                ["distribution", "--config", configs + "/source-hsps.json"],
+                ["infer", "--config", configs + "/rates.json"],
+            ]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["session", "--config", session]) == 0
+            assert "numpy" in sys.modules
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

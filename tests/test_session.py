@@ -553,12 +553,17 @@ class TestOptimizeMu:
         with pytest.raises(UndefinedStatisticError):
             optimize_mu(ChannelParams(eta=1e-14, y0=0.0, e_det=0.025))
 
-    # at 1e-14 only the gain rounds to zero; at 1e-17 Y1 does too
-    @pytest.mark.parametrize("eta", [1e-14, 1e-17])
-    def test_rate_at_zero_gain_is_undefined(self, eta):
+    # at eta 1e-14 only the gain rounds to zero; at 1e-17 Y1 does too, and
+    # at mu 10 only Y1 does
+    @pytest.mark.parametrize(
+        "mu, eta",
+        [(1e-4, 1e-14), (1e-4, 1e-17), (10.0, 1e-17)],
+        ids=["1e-14", "1e-17", "mu10-1e-17"],
+    )
+    def test_rate_at_zero_gain_is_undefined(self, mu, eta):
         ch = ChannelParams(eta=eta, y0=0.0, e_det=0.02)
         with pytest.raises(UndefinedStatisticError):
-            wcs_infinite_decoy_rate(1e-4, ch, ProtocolParams())
+            wcs_infinite_decoy_rate(mu, ch, ProtocolParams())
 
     def test_reference_covers_infeasible_region(self):
         ch = ChannelParams(eta=1e-7, y0=1e-3, e_det=0.1)
@@ -566,15 +571,14 @@ class TestOptimizeMu:
         assert not result.feasible
         assert result == scalar_optimize_mu(ch)
 
-    def test_array_entropy_matches_scalar_form(self):
-        x = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 1001)))
-        h2 = session_mod._binary_entropy_array(x)
-        # numpy's log2 may differ from math.log2 in the last bits
-        assert h2.tolist() == pytest.approx([binary_entropy(v) for v in x], rel=1e-14)
-        endpoints = session_mod._binary_entropy_array(np.array([0.0, 1.0]))
-        assert endpoints.tolist() == [0.0, 0.0]
-        with pytest.raises(InvalidParameterError):
-            session_mod._binary_entropy_array(np.array([0.5, math.nan]))
+    def test_coarse_grid_equals_linspace(self):
+        grid = [
+            session_mod._coarse_mu(k) for k in range(session_mod.MU_COARSE_POINTS)
+        ]
+        expected = np.linspace(
+            *session_mod.MU_SEARCH_RANGE, session_mod.MU_COARSE_POINTS
+        ).tolist()
+        assert grid == expected
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
         evals = count_calls(monkeypatch, (session_mod,), ("_wcs_scalar_rate",))
@@ -606,8 +610,7 @@ class TestOptimizeMu:
         )
 
     def test_single_channel_equals_its_entry_on_the_loss_axis(self):
-        # 40 channels span three blocks of the coarse-grid evaluation;
-        # they differ in every field, not just eta
+        # 40 channels of a loss axis that differ in every field, not just eta
         protocol = ProtocolParams(q_sift=0.5, f_ec=1.16)
         channels = [
             ChannelParams(
@@ -618,11 +621,8 @@ class TestOptimizeMu:
             )
             for k in range(40)
         ]
-        axis = session_mod._optimize_mu_axis(channels, protocol)
-        assert len(axis) == len(channels)
-        for ch, opt in zip(channels, axis):
-            assert optimize_mu(ch, protocol) == opt
-            assert opt == scalar_optimize_mu(ch, protocol)
+        for ch in channels:
+            assert optimize_mu(ch, protocol) == scalar_optimize_mu(ch, protocol)
 
 
 class TestScheme:
