@@ -248,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--option=--" as an empty list, not as a value
+    if [] in vars(args).values():
+        parser.error("an option was given '--' as its value")
     try:
         return args.func(args)
     except InconsistentDataError as exc:

@@ -17,10 +17,10 @@ return ``(value, flags)`` pairs. The derivation requires the
 distribution pair to satisfy a sign condition on every multi-photon
 coefficient, checked termwise by :func:`check_condition`.
 
-A pessimistic no-decoy bound (same e1 formula) and the infinite-decoy
-exact limit are provided for scheme comparisons. All bounds clamp into
+A pessimistic no-decoy bound (same e1 formula, exact for a source with
+P(1) = 1) is provided for scheme comparisons. All bounds clamp into
 [0, 1]; any clamp or degeneracy is reported through ``flags`` rather
-than silently.
+than silently. The estimators read observables, never the channel model.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelParams, E0_DEFAULT, error_n, yield_n
+from .channel import E0_DEFAULT
 from .errors import DegenerateDistributionError, InvalidParameterError
 from .sources import PhotonNumberDistribution
 
@@ -345,24 +345,4 @@ def no_decoy_bounds(
     e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, dist_signal, y1, e0)
     return BoundsResult(
         y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags + e1_flags
-    )
-
-
-def infinite_decoy_exact(
-    ch: ChannelParams, dist_signal: PhotonNumberDistribution
-) -> BoundsResult:
-    """Idealized estimator limit: the channel truth itself.
-
-    With unlimited decoy settings the single-photon yield and error are
-    identified exactly, so the bounds collapse onto Y1 and e1 of the
-    channel, and the gain components onto those of the signal
-    distribution. Only meaningful in simulation, where the channel is
-    known.
-    """
-    y1 = yield_n(ch, 1)
-    return BoundsResult(
-        y1_lower=y1,
-        e1_upper=error_n(ch, 1),
-        g0=ch.y0 * dist_signal.p(0),
-        g1_lower=y1 * dist_signal.p(1),
     )

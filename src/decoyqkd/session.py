@@ -34,7 +34,6 @@ from .decoy import (
     check_condition,
     estimate_bounds,
     fluctuation_bounds,
-    infinite_decoy_exact,
     no_decoy_bounds,
 )
 from .errors import InvalidParameterError, UndefinedStatisticError
@@ -448,63 +447,57 @@ def _check_heralded_template(cfg: ExperimentConfig) -> None:
         )
 
 
-def _no_decoy_rate(dist, ch: ChannelParams, protocol: ProtocolParams) -> float:
-    point = qber(dist, ch)
-    bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
-    return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
-
-
 def _scheme_rates(
     scheme: Scheme, cfg: ExperimentConfig, channels: list[ChannelParams]
 ) -> list[float]:
-    """Key rate of ``scheme`` at each of ``channels``.
+    """Key rate of ``scheme`` at each of ``channels``, by one of three
+    estimators: the infinite-decoy coherent-state rate at its best
+    intensity, the three-intensity bounds, or the no-decoy bound on one
+    distribution (exact for the ideal source: G0 = 0 and G1 = Q).
 
     Everything that does not depend on the channel is set up here once
     per scan: the photon-number distributions, and for the heralded
     three-intensity scheme the gate split and the scan configuration.
     """
     protocol = cfg.protocol
-    if scheme.kind is SchemeKind.IDEAL_SPS:
-        dist = ideal_sps_distribution()
-        rates = []
-        for ch in channels:
-            point = qber(dist, ch)
-            bounds = infinite_decoy_exact(ch, dist)
-            key = key_rate(point.q_gain, point.qber, bounds, protocol)
-            rates.append(key.rate_per_pulse)
-        return rates
-
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
         return [optimize_mu(ch, protocol).rate for ch in channels]
 
-    if scheme.kind is SchemeKind.WCS_NO_DECOY:
+    if scheme.kind is SchemeKind.HSPS_DECOY:
+        # three-intensity estimation at the template intensities. Each
+        # point is the analytic run_pipeline at its channel, less the
+        # applicability condition, whose verdict never reaches the rate
+        # (a degenerate pair still raises, in estimate_bounds).
+        _check_heralded_template(cfg)
+        p_cor = scheme.p_cor
+        scan_cfg = replace(
+            cfg,
+            source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=p_cor)),
+            source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=p_cor)),
+            fluctuation=FluctuationPolicy(0.0),
+        )
+        dists = _build_distributions(scan_cfg)
+        split = scan_cfg.pulse_split()
+        rates = []
+        for ch in channels:
+            obs = observation_from_expected(_expected_statistics(ch, dists), split)
+            _, _, key = _estimate_key(scan_cfg, ch, obs, dists)
+            rates.append(key.rate_per_pulse)
+        return rates
+
+    if scheme.kind is SchemeKind.IDEAL_SPS:
+        dist = ideal_sps_distribution()
+    elif scheme.kind is SchemeKind.WCS_NO_DECOY:
         mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
         dist = wcs_distribution(mu, cfg.n_max)
-        return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
-
-    if scheme.kind is SchemeKind.HSPS_NO_DECOY:
+    else:
         _check_heralded_template(cfg)
         dist = cfg.source_signal.distribution(cfg.n_max)
-        return [_no_decoy_rate(dist, ch, protocol) for ch in channels]
-
-    # HSPS_DECOY: three-intensity estimation at the template intensities.
-    # Each point is the analytic run_pipeline at its channel, less the
-    # applicability condition, whose verdict never reaches the rate (a
-    # degenerate pair still raises, in estimate_bounds).
-    _check_heralded_template(cfg)
-    p_cor = scheme.p_cor
-    scan_cfg = replace(
-        cfg,
-        source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=p_cor)),
-        source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=p_cor)),
-        fluctuation=FluctuationPolicy(0.0),
-    )
-    dists = _build_distributions(scan_cfg)
-    split = scan_cfg.pulse_split()
     rates = []
     for ch in channels:
-        obs = observation_from_expected(_expected_statistics(ch, dists), split)
-        _, _, key = _estimate_key(scan_cfg, ch, obs, dists)
+        point = qber(dist, ch)
+        bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
+        key = key_rate(point.q_gain, point.qber, bounds, protocol)
         rates.append(key.rate_per_pulse)
     return rates
 
@@ -521,8 +514,9 @@ def scan_loss(
     three-intensity schemes honor the template's ``vacuum_mu`` (their
     background estimate comes from the leaky vacuum setting, as in a
     real session); set it to zero for a pure-theory comparison. The
-    no-decoy and infinite-decoy schemes use the channel background
-    directly.
+    other schemes use the channel background directly: ``wcs-decoy-opt``
+    in the infinite-decoy rate, the rest in the no-decoy bound, which is
+    exact for ``ideal-sps``.
 
     Each scheme is evaluated over the whole loss axis at once: its
     photon-number distributions and other channel-independent setup are
@@ -553,7 +547,10 @@ class MuOptimum:
 
     mu: float
     rate: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.rate > 0.0
 
 
 def wcs_infinite_decoy_rate(
@@ -711,5 +708,5 @@ def optimize_mu(
     if r_opt < grid_rate(best):
         mu_opt, r_opt = _coarse_mu(best), grid_rate(best)
     if r_opt <= 0.0:
-        return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
-    return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)
+        return MuOptimum(mu=mu_opt, rate=0.0)
+    return MuOptimum(mu=mu_opt, rate=r_opt)

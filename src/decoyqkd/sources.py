@@ -359,7 +359,7 @@ class IdealSpsSource:
     """Ideal single-photon emitter."""
 
     def distribution(self, n_max: int = N_MAX_DEFAULT) -> PhotonNumberDistribution:
-        return ideal_sps_distribution(max(n_max, 2))
+        return ideal_sps_distribution(n_max)
 
 
 SourceModel = WcsSource | HspsSource | IdealSpsSource

@@ -5,11 +5,11 @@ The benchmark session is a 36 dB heralded-source link with a 40%
 heralding correlation; the reference observables are the measured
 values the analysis chain is validated against.
 
-The reference formulas evaluate the channel sums and the infinite-decoy
-coherent-state rate term by term from :func:`yield_n` and
-:func:`error_n`, independently of the shared per-channel terms and the
-loss-axis evaluation the package uses; tests compare the package with
-them for exact equality.
+The reference formulas evaluate the channel sums, the infinite-decoy
+bounds and the infinite-decoy coherent-state rate term by term from
+:func:`yield_n` and :func:`error_n`, independently of the shared
+per-channel terms, the estimators and the loss-axis evaluation the
+package uses; tests compare the package with them for exact equality.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from decoyqkd import (
+    BoundsResult,
     ChannelParams,
     ExperimentConfig,
     FluctuationPolicy,
@@ -107,6 +108,18 @@ def ref_qber(dist, ch) -> GainErrorPoint:
         if p > 0.0
     )
     return GainErrorPoint(q_gain=q, qber=min(err / q, 1.0))
+
+
+def ref_infinite_decoy_bounds(ch, dist) -> BoundsResult:
+    """The infinite-decoy limit: the channel's own Y1 and e1, with the
+    gain components y0 P(0) and Y1 P(1) of ``dist``."""
+    y1 = yield_n(ch, 1)
+    return BoundsResult(
+        y1_lower=y1,
+        e1_upper=error_n(ch, 1),
+        g0=ch.y0 * dist.p(0),
+        g1_lower=y1 * dist.p(1),
+    )
 
 
 def ref_wcs_infinite_decoy_rate(mu, ch, protocol) -> float:

@@ -1,9 +1,10 @@
 """The CLI contract on outside input: exit 0, 2 or 3, never a traceback.
 
 Fixed reproductions of inputs that once crashed, printed invalid JSON or
-were read with a misspelled key silently dropped, and a Hypothesis
-property that swaps leaves of the shipped configs for arbitrary JSON
-values and renames or inserts keys.
+were read with a misspelled key silently dropped; a Hypothesis property
+that swaps leaves of the shipped configs for arbitrary JSON values and
+renames or inserts keys; and one that runs ``curve`` on extreme scheme
+arguments, loss grids and session leaves.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class TestOutsideInput:
         code, out = run(["distribution", "--config", str(path)])
         assert code == 0
         assert strict_loads(out)["distribution"]["n_max"] == N_MAX_LIMIT
+        for n_max in (0, 1):
+            doc = {"source": {"kind": "ideal", "n_max": n_max}}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert run(["distribution", "--config", str(path)])[0] == 2
 
     @pytest.mark.parametrize(
         "grid",
@@ -120,6 +125,21 @@ class TestOutsideInput:
         argv += ["--schemes", "ideal-sps", "--loss-from", loss_from]
         argv += ["--loss-to", loss_to, "--loss-step", step]
         assert run(argv)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["session", "--config=--"],
+            ["session", "--config", str(CONFIGS / SESSION), "--sigma=--"],
+            ["curve", "--config", str(CONFIGS / SESSION), "--schemes=--"]
+            + ["--loss-from", "0", "--loss-to", "1", "--loss-step", "1"],
+        ],
+        ids=["session-config", "session-sigma", "curve-schemes"],
+    )
+    def test_double_dash_is_no_option_value(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
     def test_near_vacuum_source_has_no_g2(self, tmp_path):
         path = tmp_path / "source.json"
@@ -286,3 +306,81 @@ def test_mutated_shipped_configs_keep_the_contract(workdir, target):
     if code == 0:
         report = strict_loads(out)
         assert report["report"] == command
+
+
+# numbers at and past the edges of every range, and text that is none
+EXTREMES = ("0", "5e-324", "1e-310", "1e308", "inf", "-inf", "nan", "-1", "-1e-300")
+EXTREMES += ("", "abc", "1e", "--")
+SCHEME_TOKENS = (
+    "wcs-no-decoy",
+    "wcs-no-decoy:0.3",
+    "hsps-no-decoy",
+    "wcs-decoy-opt",
+    "hsps-decoy:0.40",
+    "hsps-decoy:1",
+    "ideal-sps",
+)
+# every kind, and a name of none
+SCHEME_NAMES = (
+    "wcs-no-decoy",
+    "hsps-no-decoy",
+    "wcs-decoy-opt",
+    "hsps-decoy",
+    "ideal-sps",
+    "coherent",
+)
+
+
+@st.composite
+def curve_runs(draw):
+    """``curve`` arguments and a session config with one channel or
+    source leaf swapped: ordinary scheme tokens and a grid of at most 201
+    points, then up to three of the scheme arguments and loss arguments
+    replaced by extremes. An extreme grid exits 2 before any rate is
+    computed, at the latest once it passes ``CURVE_POINTS_MAX``."""
+    doc = shipped(SESSION)
+    leaves = [p for p in leaf_paths(doc) if p[0] in ("channel", "source")]
+    path = draw(st.sampled_from(leaves))
+    at(doc, path[:-1])[path[-1]] = draw(
+        st.floats(min_value=0.0, max_value=1.0)
+        | st.integers(min_value=0, max_value=40)
+        | json_values
+    )
+    tokens = draw(st.lists(st.sampled_from(SCHEME_TOKENS), min_size=1, max_size=4))
+    grid = [
+        draw(st.sampled_from(["0", "10", "36"])),
+        draw(st.sampled_from(["36", "60", "100"])),
+        draw(st.sampled_from(["0.5", "1", "5", "20"])),
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        extreme = draw(st.sampled_from(EXTREMES))
+        slot = draw(st.integers(min_value=0, max_value=len(tokens) + 2))
+        if slot < 3:
+            grid[slot] = extreme
+        else:
+            tokens[slot - 3] = f"{draw(st.sampled_from(SCHEME_NAMES))}:{extreme}"
+    return doc, tokens, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=curve_runs())
+def test_curve_keeps_the_contract(workdir, target):
+    doc, tokens, (loss_from, loss_to, step) = target
+    path = workdir / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["curve", "--config", str(path), "--schemes", ",".join(tokens)]
+    argv += [f"--loss-from={loss_from}", f"--loss-to={loss_to}"]
+    argv += [f"--loss-step={step}"]
+    try:
+        code, out = run(argv)
+    except SystemExit as exc:
+        # argparse exits 2 itself on an argument that is not a number
+        code, out = exc.code, ""
+    assert code in (0, 2, 3)
+    if code == 0:
+        rows = [line.split(",") for line in out.splitlines() if line[:1] != "#"]
+        assert len(rows[0]) == 1 + len(tokens)
+        for row in rows[1:]:
+            assert len(row) == 1 + len(tokens)
+            rates = [float(v) for v in row[1:]]
+            assert all(math.isfinite(r) and r >= 0.0 for r in rates)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decoyqkd import (
     ChannelParams,
@@ -19,7 +21,6 @@ from decoyqkd import (
     gain,
     hsps_distribution,
     ideal_sps_distribution,
-    infinite_decoy_exact,
     no_decoy_bounds,
     qber,
     wcs_distribution,
@@ -322,14 +323,22 @@ class TestNoDecoy:
 
 
 class TestInfiniteDecoy:
+    """The ideal source's no-decoy bound is the infinite-decoy limit:
+    the channel's own Y1 and e1."""
+
+    @staticmethod
+    def ideal_bounds(ch):
+        dist = ideal_sps_distribution()
+        point = qber(dist, ch)
+        return no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
+
     def test_lossless_channel(self):
-        ch = ChannelParams(eta=1.0, y0=0.0, e_det=0.025)
-        bounds = infinite_decoy_exact(ch, bench_distributions()[0])
+        bounds = self.ideal_bounds(ChannelParams(eta=1.0, y0=0.0, e_det=0.025))
         assert bounds.y1_lower == 1.0
         assert bounds.e1_upper == pytest.approx(0.025, abs=1e-15)
 
     def test_benchmark_channel(self):
-        bounds = infinite_decoy_exact(bench_channel(), bench_distributions()[0])
+        bounds = self.ideal_bounds(bench_channel())
         assert bounds.y1_lower == pytest.approx(2.59189e-4, rel=1e-5)
 
     def test_three_intensity_bound_never_exceeds_truth(self):
@@ -339,14 +348,28 @@ class TestInfiniteDecoy:
         three = estimate_bounds(
             obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
         )
-        exact = infinite_decoy_exact(ch, bench_distributions()[0])
-        assert three.y1_lower <= exact.y1_lower
+        assert three.y1_lower <= yield_n(ch, 1)
 
-    def test_gain_components_from_distribution(self):
-        ch = bench_channel()
-        ds, _ = bench_distributions()
-        bounds = infinite_decoy_exact(ch, ds)
-        assert bounds.g0 == pytest.approx(ch.y0 * ds.p(0), rel=1e-12)
-        assert bounds.g1_lower == pytest.approx(
-            yield_n(ch, 1) * ds.p(1), rel=1e-12
+    @given(
+        ch=st.builds(
+            ChannelParams,
+            eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            y0=st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=0.99),
+                st.floats(min_value=1e-9, max_value=1e-3),
+            ),
+            e_det=st.floats(min_value=0.0, max_value=0.5),
+            e0=st.floats(min_value=0.0, max_value=1.0),
         )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_decoy_bound_is_exact_for_ideal_source(self, ch):
+        y1 = yield_n(ch, 1)
+        assume(y1 > 0.0 and error_n(ch, 1) <= 1.0)
+        bounds = self.ideal_bounds(ch)
+        assert bounds.y1_lower == y1
+        assert bounds.e1_upper == error_n(ch, 1)
+        assert bounds.g0 == 0.0
+        assert bounds.g1_lower == y1
+        assert bounds.flags == ()

@@ -27,7 +27,6 @@ from decoyqkd import (
     binary_entropy,
     expected_statistics,
     ideal_sps_distribution,
-    infinite_decoy_exact,
     key_rate,
     loss_db_to_eta,
     no_decoy_bounds,
@@ -46,6 +45,7 @@ from helpers import (
     BENCH_Y0,
     bench_channel,
     bench_config,
+    ref_infinite_decoy_bounds,
     ref_qber,
     ref_wcs_infinite_decoy_rate,
 )
@@ -435,7 +435,7 @@ def per_point_rate(scheme, cfg, ch):
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
         point = ref_qber(dist, ch)
-        bounds = infinite_decoy_exact(ch, dist)
+        bounds = ref_infinite_decoy_bounds(ch, dist)
         return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
         return scalar_optimize_mu(ch, protocol).rate
@@ -492,8 +492,8 @@ def scalar_optimize_mu(channel, protocol=ProtocolParams()):
     if r_opt < values[best]:
         mu_opt, r_opt = float(grid[best]), values[best]
     if r_opt <= 0.0:
-        return MuOptimum(mu=mu_opt, rate=0.0, feasible=False)
-    return MuOptimum(mu=mu_opt, rate=r_opt, feasible=True)
+        return MuOptimum(mu=mu_opt, rate=0.0)
+    return MuOptimum(mu=mu_opt, rate=r_opt)
 
 
 class TestOptimizeMu:
