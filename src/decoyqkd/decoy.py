@@ -26,7 +26,8 @@ than silently. The estimators read observables, never the channel model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 from .channel import E0_DEFAULT
 from .errors import DegenerateDistributionError, InvalidParameterError
@@ -122,29 +123,43 @@ class BoundsResult:
                 raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
 
 
-def _estimator_denominator(
-    dist_signal: PhotonNumberDistribution,
-    dist_decoy: PhotonNumberDistribution,
-) -> float:
-    """P'(2) P_d(1) - P_d(2) P'(1), validated strictly positive.
+# the channel-independent part of the three-intensity bounds: P'(0), P'(1),
+# P'(2) and P_d(2), the background coefficient c0 = P'(2) P_d(0) - P_d(2) P'(0)
+# and the denominator P'(2) P_d(1) - P_d(2) P'(1)
+Pair = tuple[float, float, float, float, float, float]
+# the widened observables: the fields of ObservableBounds but ``clamped``
+Widened = tuple[float, float, float, float, float]
+# a signal distribution's P(0), P(1) and P(m >= 2)
+Weights = tuple[float, float, float]
+# the bounds: the fields of BoundsResult, in order
+Bounds = tuple[float, float, float, float, tuple[str, ...]]
 
-    Raises :class:`DegenerateDistributionError` when both two-photon
-    weights vanish or the pair cannot separate the single-photon yield
-    (identical distributions land here).
-    """
-    p2s = dist_signal.p(2)
+
+def _pair(
+    dist_signal: PhotonNumberDistribution, dist_decoy: PhotonNumberDistribution
+) -> Pair:
+    """The :data:`Pair` terms of a distribution pair, checked by
+    :func:`_check_denominator` where they are used."""
+    p0, p1, p2s = dist_signal.p(0), dist_signal.p(1), dist_signal.p(2)
     p2d = dist_decoy.p(2)
+    c0 = p2s * dist_decoy.p(0) - p2d * p0
+    return p0, p1, p2s, p2d, c0, p2s * dist_decoy.p(1) - p2d * p1
+
+
+def _check_denominator(pair: Pair) -> None:
+    """Raise :class:`DegenerateDistributionError` when both two-photon
+    weights vanish or the pair cannot separate the single-photon yield
+    (identical distributions land here)."""
+    _, _, p2s, p2d, _, den = pair
     if p2s == 0.0 and p2d == 0.0:
         raise DegenerateDistributionError(
             "both distributions have zero two-photon probability"
         )
-    den = p2s * dist_decoy.p(1) - p2d * dist_signal.p(1)
     if den <= 0.0:
         raise DegenerateDistributionError(
             "signal/decoy pair cannot separate the single-photon yield "
             f"(estimator denominator {den!r} is not positive)"
         )
-    return den
 
 
 def check_condition(
@@ -162,14 +177,47 @@ def check_condition(
     Also validates the estimator denominator, so degenerate pairs raise
     here instead of deep inside the estimate.
     """
-    _estimator_denominator(dist_signal, dist_decoy)
-    p2s = dist_signal.p(2)
-    p2d = dist_decoy.p(2)
+    pair = _pair(dist_signal, dist_decoy)
+    _check_denominator(pair)
+    _, _, p2s, p2d, _, _ = pair
     top = max(dist_signal.n_max, dist_decoy.n_max)
     return all(
         p2s * dist_decoy.p(n) - p2d * dist_signal.p(n) <= 0.0
         for n in range(2, top + 1)
     )
+
+
+def _half_width(value: float, n_pulses: int, n_sigma: float) -> float:
+    if n_sigma == 0.0:
+        return 0.0
+    return n_sigma / math.sqrt(n_pulses * value) if value > 0.0 else math.inf
+
+
+def _high(value: float, n_pulses: int, n_sigma: float) -> float:
+    if value <= 0.0:
+        return 0.0
+    return min(value * (1.0 + _half_width(value, n_pulses, n_sigma)), 1.0)
+
+
+def _envelope(
+    observed: tuple[float, float, float, float],
+    gates: tuple[int, int, int],
+    n_sigma: float,
+) -> tuple[Widened, tuple[str, ...]]:
+    """Kernel of :func:`fluctuation_bounds`: the widened observables and
+    the names of the lower bounds clamped at zero, from the ``observed``
+    Q_s, Q_d, E_s and Y0 over the signal, decoy and vacuum ``gates``."""
+    q_signal, q_decoy, e_signal, y0_obs = observed
+    n_signal, n_decoy, n_vacuum = gates
+    w_decoy = _half_width(q_decoy, n_decoy, n_sigma)
+    w_vacuum = _half_width(y0_obs, n_vacuum, n_sigma)
+    return (
+        q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
+        _high(q_signal, n_signal, n_sigma),
+        _high(q_signal * e_signal, n_signal, n_sigma),
+        y0_obs * (1.0 - w_vacuum) if w_vacuum < 1.0 else 0.0,
+        _high(y0_obs, n_vacuum, n_sigma),
+    ), ("q_decoy_low",) * (w_decoy >= 1.0) + ("y0_low",) * (w_vacuum >= 1.0)
 
 
 def fluctuation_bounds(
@@ -182,36 +230,27 @@ def fluctuation_bounds(
     returned unchanged. Lower bounds clamp at zero (flagged) when the
     half-width reaches one.
     """
-    ns = pol.n_sigma
-    clamped: list[str] = []
+    observed = (obs.q_signal, obs.q_decoy, obs.e_signal, obs.y0_obs)
+    gates = (obs.n_signal, obs.n_decoy, obs.n_vacuum)
+    widened, clamped = _envelope(observed, gates, pol.n_sigma)
+    return ObservableBounds(*widened, clamped=clamped)
 
-    def half_width(value: float, n_pulses: int) -> float:
-        if ns == 0.0:
-            return 0.0
-        if value <= 0.0:
-            return math.inf
-        return ns / math.sqrt(n_pulses * value)
 
-    def low(name: str, value: float, n_pulses: int) -> float:
-        w = half_width(value, n_pulses)
-        if w >= 1.0:
-            clamped.append(name)
-            return 0.0
-        return value * (1.0 - w)
+# the Widened fields of an ObservableBounds
+_widened = operator.attrgetter(*(f.name for f in fields(ObservableBounds)[:5]))
 
-    def high(value: float, n_pulses: int) -> float:
-        if value <= 0.0:
-            return 0.0
-        return value * (1.0 + half_width(value, n_pulses))
 
-    return ObservableBounds(
-        q_decoy_low=low("q_decoy_low", obs.q_decoy, obs.n_decoy),
-        q_signal_high=min(high(obs.q_signal, obs.n_signal), 1.0),
-        eq_signal_high=min(high(obs.q_signal * obs.e_signal, obs.n_signal), 1.0),
-        y0_low=low("y0_low", obs.y0_obs, obs.n_vacuum),
-        y0_high=min(high(obs.y0_obs, obs.n_vacuum), 1.0),
-        clamped=tuple(clamped),
-    )
+def _y1_lower(widened: Widened, pair: Pair) -> tuple[float, tuple[str, ...]]:
+    """Kernel of :func:`estimate_y1_lower`."""
+    _check_denominator(pair)
+    q_decoy_low, q_signal_high, _, _, y0_high = widened
+    _, _, p2s, p2d, c0, den = pair
+    y1 = (p2s * q_decoy_low - p2d * q_signal_high - y0_high * c0) / den
+    if y1 < 0.0:
+        return 0.0, ("y1-negative-clamped",)
+    if y1 > 1.0:
+        return 1.0, ("y1-clamped-high",)
+    return y1, ()
 
 
 def estimate_y1_lower(
@@ -227,44 +266,25 @@ def estimate_y1_lower(
     that condition is the caller's responsibility (degenerate pairs
     still raise here).
     """
-    den = _estimator_denominator(dist_signal, dist_decoy)
-    p2s, p2d = dist_signal.p(2), dist_decoy.p(2)
-    num = (
-        p2s * fb.q_decoy_low
-        - p2d * fb.q_signal_high
-        - fb.y0_high * (p2s * dist_decoy.p(0) - p2d * dist_signal.p(0))
-    )
-    y1 = num / den
-    if y1 < 0.0:
-        return 0.0, ("y1-negative-clamped",)
-    if y1 > 1.0:
-        return 1.0, ("y1-clamped-high",)
-    return y1, ()
+    return _y1_lower(_widened(fb), _pair(dist_signal, dist_decoy))
 
 
-def _single_photon_weight(dist_signal: PhotonNumberDistribution) -> float:
-    p1 = dist_signal.p(1)
+def _check_single_photon_weight(p1: float) -> None:
     if p1 <= 0.0:
         raise DegenerateDistributionError(
             "signal distribution has no single-photon weight"
         )
-    return p1
 
 
 def _e1_upper(
-    eq_signal: float,
-    y0: float,
-    dist_signal: PhotonNumberDistribution,
-    y1: float,
-    e0: float,
+    eq_signal: float, y0: float, p0: float, p1: float, y1: float, e0: float
 ) -> tuple[float, tuple[str, ...]]:
     """The e1 bound of :func:`estimate_e1_upper` and :func:`no_decoy_bounds`:
     (E_s Q_s - e0 Y0 P'(0)) / (Y1 P'(1)), clamped into [0, 1]."""
     if y1 <= 0.0:
         return 1.0, ("e1-unbounded",)
-    e1 = (eq_signal - e0 * y0 * dist_signal.p(0)) / (
-        y1 * _single_photon_weight(dist_signal)
-    )
+    _check_single_photon_weight(p1)
+    e1 = (eq_signal - e0 * y0 * p0) / (y1 * p1)
     if e1 < 0.0:
         return 0.0, ("e1-clamped-low",)
     if e1 > 1.0:
@@ -285,7 +305,17 @@ def estimate_e1_upper(
     and flagged. On noiseless observables the bound is guaranteed not
     to fall below the true e1.
     """
-    return _e1_upper(fb.eq_signal_high, fb.y0_low, dist_signal, y1_lower, e0)
+    p0, p1 = dist_signal.p(0), dist_signal.p(1)
+    return _e1_upper(fb.eq_signal_high, fb.y0_low, p0, p1, y1_lower, e0)
+
+
+def _estimate_bounds(widened: Widened, y0_obs: float, pair: Pair, e0: float) -> Bounds:
+    """Kernel of :func:`estimate_bounds`."""
+    y1, y1_flags = _y1_lower(widened, pair)
+    _, _, eq_signal_high, y0_low, _ = widened
+    p0, p1, _, _, _, _ = pair
+    e1, e1_flags = _e1_upper(eq_signal_high, y0_low, p0, p1, y1, e0)
+    return y1, e1, y0_obs * p0, y1 * p1, y1_flags + e1_flags
 
 
 def estimate_bounds(
@@ -298,15 +328,30 @@ def estimate_bounds(
     """Full three-intensity estimate from the envelope ``fb`` of ``obs``:
     Y1 lower bound, then e1 upper bound. The background gain g0 uses the
     central ``obs.y0_obs``."""
-    y1, y1_flags = estimate_y1_lower(fb, dist_signal, dist_decoy)
-    e1, e1_flags = estimate_e1_upper(fb, dist_signal, y1, e0)
-    return BoundsResult(
-        y1_lower=y1,
-        e1_upper=e1,
-        g0=obs.y0_obs * dist_signal.p(0),
-        g1_lower=y1 * dist_signal.p(1),
-        flags=y1_flags + e1_flags,
-    )
+    pair = _pair(dist_signal, dist_decoy)
+    return BoundsResult(*_estimate_bounds(_widened(fb), obs.y0_obs, pair, e0))
+
+
+def _no_decoy_bounds(
+    q_signal: float, e_signal: float, y0_obs: float, weights: Weights, e0: float
+) -> Bounds:
+    """Kernel of :func:`no_decoy_bounds`, on the signal's ``weights``
+    P(0), P(1) and P(m >= 2)."""
+    p0, p1, p_multi = weights
+    _check_single_photon_weight(p1)
+    flags: tuple[str, ...] = ()
+    g0 = y0_obs * p0
+    g1 = q_signal - g0 - p_multi
+    if g1 < 0.0:
+        flags = ("y1-negative-clamped",)
+        g1 = 0.0
+    y1 = g1 / p1
+    if y1 > 1.0:
+        flags = ("y1-clamped-high",)
+        y1 = 1.0
+        g1 = y1 * p1
+    e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, p0, p1, y1, e0)
+    return y1, e1, g0, g1, flags + e1_flags
 
 
 def no_decoy_bounds(
@@ -330,19 +375,5 @@ def no_decoy_bounds(
     for name, v in (("q_signal", q_signal), ("e_signal", e_signal), ("y0_obs", y0_obs)):
         if not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
-    p1 = _single_photon_weight(dist_signal)
-    flags: tuple[str, ...] = ()
-    g0 = y0_obs * dist_signal.p(0)
-    g1 = q_signal - g0 - dist_signal.p_at_least(2)
-    if g1 < 0.0:
-        flags = ("y1-negative-clamped",)
-        g1 = 0.0
-    y1 = g1 / p1
-    if y1 > 1.0:
-        flags = ("y1-clamped-high",)
-        y1 = 1.0
-        g1 = y1 * p1
-    e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, dist_signal, y1, e0)
-    return BoundsResult(
-        y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags + e1_flags
-    )
+    weights = (dist_signal.p(0), dist_signal.p(1), dist_signal.p_at_least(2))
+    return BoundsResult(*_no_decoy_bounds(q_signal, e_signal, y0_obs, weights, e0))

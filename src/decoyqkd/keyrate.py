@@ -83,6 +83,16 @@ def _rate_bracket(
     return ec_cost, p.q_sift * (-ec_cost + g0 + g1_term)
 
 
+def _key_rate(
+    q_gain: float, e_signal: float, e1: float, g0: float, g1: float, p: ProtocolParams
+) -> tuple[float, float, float, float]:
+    """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
+    g1_term and raw_rate of :class:`KeyRateComponents`."""
+    g1_term = g1 * (1.0 - binary_entropy(e1))
+    ec_cost, raw = _rate_bracket(q_gain, e_signal, g0, g1_term, p)
+    return max(raw, 0.0), ec_cost, g1_term, raw
+
+
 def key_rate(
     q_gain_signal: float,
     e_signal: float,
@@ -103,10 +113,9 @@ def key_rate(
     if not 0.0 <= e_signal <= 1.0:
         raise InvalidParameterError(f"e_signal={e_signal!r} outside [0, 1]")
 
-    g1_term = bounds.g1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    ec_cost, raw = _rate_bracket(q_gain_signal, e_signal, bounds.g0, g1_term, p)
-
-    rate = max(raw, 0.0)
+    rate, ec_cost, g1_term, raw = _key_rate(
+        q_gain_signal, e_signal, bounds.e1_upper, bounds.g0, bounds.g1_lower, p
+    )
     bits = secure_bits(rate, n_signal) if n_signal is not None else 0
     return KeyRateResult(
         rate_per_pulse=rate,

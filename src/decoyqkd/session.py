@@ -14,6 +14,12 @@ Ties the source, channel, estimator and key-rate pieces together:
   infinite-decoy limit: a search over a coarse grid, then golden-section
   refinement.
 
+Each step of the chain is a private float kernel behind a public
+wrapper, which validates the inputs and puts the kernel's numbers and
+flags in a record. The pipeline goes through the wrappers. A loss sweep
+checks its grid once and runs the kernels at each point, on floats and
+without records; the kernels keep the checks that can fire there.
+
 Only the count sampling uses numpy, and imports it when first called.
 """
 
@@ -25,7 +31,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, loss_db_to_eta, qber, yield_n, error_n
+from .channel import ChannelParams, error_n, loss_db_to_eta, qber, yield_n
 from .decoy import (
     BoundsResult,
     FluctuationPolicy,
@@ -34,25 +40,24 @@ from .decoy import (
     check_condition,
     estimate_bounds,
     fluctuation_bounds,
-    no_decoy_bounds,
 )
 from .errors import InvalidParameterError, UndefinedStatisticError
-from .keyrate import (
-    KeyRateResult,
-    ProtocolParams,
-    _rate_bracket,
-    binary_entropy,
-    key_rate,
-)
+from .keyrate import KeyRateResult, ProtocolParams, binary_entropy, key_rate
 from .sources import (
     HspsSource,
     N_MAX_DEFAULT,
     PhotonNumberDistribution,
     SourceModel,
     _check_n_max,
+    hsps_distribution,
     ideal_sps_distribution,
     wcs_distribution,
 )
+
+# the float kernels of the chain, which loss sweeps run at each point
+from .channel import _channel_terms, _gain, _qber
+from .decoy import _envelope, _estimate_bounds, _no_decoy_bounds, _pair
+from .keyrate import _key_rate, _rate_bracket
 
 # conventional signal intensity for a coherent-state link run without
 # decoy states (attenuation to ~0.1 photons/pulse keeps the multiphoton
@@ -312,8 +317,13 @@ def run_pipeline(
     else:
         obs = observation_from_counts(counts)
 
-    condition_ok = check_condition(dists[0], dists[1])
-    fb, bounds, key = _estimate_key(cfg, cfg.channel, obs, dists)
+    dist_signal, dist_decoy, _ = dists
+    condition_ok = check_condition(dist_signal, dist_decoy)
+    fb = fluctuation_bounds(obs, cfg.fluctuation)
+    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=cfg.channel.e0)
+    key = key_rate(
+        obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
+    )
     return PipelineResult(
         observation=obs,
         expected=expected,
@@ -325,23 +335,6 @@ def run_pipeline(
         y1_true=yield_n(cfg.channel, 1),
         e1_true=error_n(cfg.channel, 1),
     )
-
-
-def _estimate_key(
-    cfg: ExperimentConfig,
-    ch: ChannelParams,
-    obs: ThreeIntensityObservation,
-    dists: SessionDistributions,
-) -> tuple[ObservableBounds, BoundsResult, KeyRateResult]:
-    """Fluctuation envelope, single-photon bounds and key rate of ``obs``,
-    seen through ``ch`` with the policy and protocol of ``cfg``."""
-    dist_signal, dist_decoy, _ = dists
-    fb = fluctuation_bounds(obs, cfg.fluctuation)
-    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=ch.e0)
-    key = key_rate(
-        obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
-    )
-    return fb, bounds, key
 
 
 class SchemeKind(enum.Enum):
@@ -448,41 +441,53 @@ def _check_heralded_template(cfg: ExperimentConfig) -> None:
 
 
 def _scheme_rates(
-    scheme: Scheme, cfg: ExperimentConfig, channels: list[ChannelParams]
+    scheme: Scheme, cfg: ExperimentConfig, etas: list[float]
 ) -> list[float]:
-    """Key rate of ``scheme`` at each of ``channels``, by one of three
-    estimators: the infinite-decoy coherent-state rate at its best
-    intensity, the three-intensity bounds, or the no-decoy bound on one
-    distribution (exact for the ideal source: G0 = 0 and G1 = Q).
+    """Key rate of ``scheme`` at each transmittance ``etas`` of the
+    channel of ``cfg``, by one of three estimators: the infinite-decoy
+    coherent-state rate at its best intensity, the three-intensity
+    bounds, or the no-decoy bound on one distribution (exact for the
+    ideal source: G0 = 0 and G1 = Q).
 
-    Everything that does not depend on the channel is set up here once
-    per scan: the photon-number distributions, and for the heralded
-    three-intensity scheme the gate split and the scan configuration.
+    The distributions, their weights and the gate split are set up once
+    per scan. Each point runs the float kernels of the chain, whose
+    checks fire in the order of the public functions.
     """
-    protocol = cfg.protocol
+    protocol, ch = cfg.protocol, cfg.channel
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return [optimize_mu(ch, protocol).rate for ch in channels]
+        return [optimize_mu(replace(ch, eta=eta), protocol).rate for eta in etas]
 
+    y0, e0, e_det = ch.y0, ch.e0, ch.e_det
+    e0_y0 = e0 * y0
+    rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
         # three-intensity estimation at the template intensities. Each
         # point is the analytic run_pipeline at its channel, less the
         # applicability condition, whose verdict never reaches the rate
-        # (a degenerate pair still raises, in estimate_bounds).
+        # (a degenerate pair still raises, in _estimate_bounds).
         _check_heralded_template(cfg)
-        p_cor = scheme.p_cor
-        scan_cfg = replace(
-            cfg,
-            source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=p_cor)),
-            source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=p_cor)),
-            fluctuation=FluctuationPolicy(0.0),
+        dist_signal, dist_decoy = (
+            hsps_distribution(replace(source.params, p_cor=scheme.p_cor), cfg.n_max)
+            for source in (cfg.source_signal, cfg.source_decoy)
         )
-        dists = _build_distributions(scan_cfg)
-        split = scan_cfg.pulse_split()
-        rates = []
-        for ch in channels:
-            obs = observation_from_expected(_expected_statistics(ch, dists), split)
-            _, _, key = _estimate_key(scan_cfg, ch, obs, dists)
-            rates.append(key.rate_per_pulse)
+        dist_vacuum = wcs_distribution(cfg.vacuum_mu, cfg.n_max)
+        gates = cfg.pulse_split()
+        pair = _pair(dist_signal, dist_decoy)
+        for eta in etas:
+            yields, numerators = _channel_terms(eta, y0, e0_y0, e_det, cfg.n_max)
+            q_signal = _gain(dist_signal.probs, yields)
+            e_signal = _qber(q_signal, dist_signal.probs, numerators)
+            q_decoy = _gain(dist_decoy.probs, yields)
+            _qber(q_decoy, dist_decoy.probs, numerators)
+            y0_obs = _gain(dist_vacuum.probs, yields)
+            try:
+                _qber(y0_obs, dist_vacuum.probs, numerators)
+            except UndefinedStatisticError:
+                y0_obs = 0.0
+            observed = (q_signal, q_decoy, e_signal, y0_obs)
+            widened, _ = _envelope(observed, gates, 0.0)
+            _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair, e0)
+            rates.append(_key_rate(q_signal, e_signal, e1, g0, g1, protocol)[0])
         return rates
 
     if scheme.kind is SchemeKind.IDEAL_SPS:
@@ -493,12 +498,13 @@ def _scheme_rates(
     else:
         _check_heralded_template(cfg)
         dist = cfg.source_signal.distribution(cfg.n_max)
-    rates = []
-    for ch in channels:
-        point = qber(dist, ch)
-        bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
-        key = key_rate(point.q_gain, point.qber, bounds, protocol)
-        rates.append(key.rate_per_pulse)
+    weights = (dist.p(0), dist.p(1), dist.p_at_least(2))
+    for eta in etas:
+        yields, numerators = _channel_terms(eta, y0, e0_y0, e_det, dist.n_max)
+        q = _gain(dist.probs, yields)
+        e = _qber(q, dist.probs, numerators)
+        _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights, e0)
+        rates.append(_key_rate(q, e, e1, g0, g1, protocol)[0])
     return rates
 
 
@@ -518,26 +524,26 @@ def scan_loss(
     in the infinite-decoy rate, the rest in the no-decoy bound, which is
     exact for ``ideal-sps``.
 
-    Each scheme is evaluated over the whole loss axis at once: its
-    photon-number distributions and other channel-independent setup are
-    built once per scan, and at each point the channel's signal
-    detection terms 1 - (1 - eta)^n are computed once for all
-    distributions. ``wcs-decoy-opt`` runs :func:`optimize_mu` at each
-    point. Every rate is computed by the same scalar expressions as a
-    point-by-point evaluation, bit for bit.
+    The grid is checked once, here. Each scheme is then evaluated over
+    the whole loss axis: its channel-independent setup is done once per
+    scan, and each point runs on its transmittance alone the float
+    kernels behind :func:`qber`, :func:`estimate_bounds`,
+    :func:`no_decoy_bounds` and :func:`key_rate`, which build no records
+    and compute the channel terms once for all distributions.
+    ``wcs-decoy-opt`` runs :func:`optimize_mu` at each point. Every rate
+    is that of a point-by-point evaluation, bit for bit, and a zero gain
+    or a degenerate distribution pair raises where that evaluation does.
     """
     grid = [float(l) for l in loss_grid_db]
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
-    channels = [
-        replace(cfg_template.channel, eta=loss_db_to_eta(loss)) for loss in grid
-    ]
-    rates = _scheme_rates(scheme, cfg_template, channels)
-    return LossCurve(
-        scheme_label=scheme.label, loss_db=tuple(grid), rate=tuple(rates)
-    )
+    etas = [loss_db_to_eta(loss) for loss in grid]
+    # every transmittance lies in (0, 1] when the smallest one does
+    replace(cfg_template.channel, eta=min(etas))
+    rates = tuple(_scheme_rates(scheme, cfg_template, etas))
+    return LossCurve(scheme_label=scheme.label, loss_db=tuple(grid), rate=rates)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decoyqkd.channel as channel_mod
 import decoyqkd.decoy as decoy_mod
+import decoyqkd.errors as errors_mod
+import decoyqkd.keyrate as keyrate_mod
 import decoyqkd.session as session_mod
 import decoyqkd.sources as sources_mod
 from decoyqkd import (
@@ -262,20 +264,35 @@ class TestScanLoss:
         assert 0 < builds[0] <= 3
 
 
+# every exception type the package defines
+PACKAGE_ERRORS = tuple(
+    v
+    for v in vars(errors_mod).values()
+    if isinstance(v, type) and issubclass(v, Exception)
+)
+
+
 def rates_or_error(fn):
     """The bits of each rate ``fn`` returns (signed zeros included), or
-    the type of the statistics error it raised."""
+    the type of the package error it raised."""
     try:
         return [float.hex(r) for r in fn()]
-    except UndefinedStatisticError as exc:
+    except PACKAGE_ERRORS as exc:
         return type(exc)
+
+
+# the benchmark channel and protocol without background
+EDGE_EXAMPLE = dict(
+    y0=0.0, e_det=0.025, e0=0.5, vacuum_mu=0.0, n_max=16, q_sift=0.5, f_ec=1.22
+)
 
 
 class TestScanLossAgainstReference:
     """``scan_loss`` evaluates each scheme over the whole loss axis; its
     rates must be those of a point-by-point evaluation on the reference
-    formulas, bit for bit, and a point with undefined statistics must
-    still raise."""
+    formulas, bit for bit, and where that evaluation raises (undefined
+    statistics, a degenerate distribution pair, a gain rounded above
+    one), the scan must raise the same error."""
 
     @given(
         y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
@@ -283,6 +300,14 @@ class TestScanLossAgainstReference:
         e0=st.floats(min_value=0.0, max_value=1.0),
         vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
         n_max=st.integers(min_value=2, max_value=40),
+        q_sift=st.floats(min_value=0.01, max_value=1.0),
+        f_ec=st.floats(min_value=1.0, max_value=3.0),
+        template=st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
+        ),
         losses=st.lists(
             st.one_of(
                 st.floats(min_value=0.0, max_value=60.0),
@@ -292,16 +317,49 @@ class TestScanLossAgainstReference:
             max_size=5,
             unique=True,
         ),
-        token=st.sampled_from(SCHEME_TOKENS),
+        token=st.one_of(
+            st.sampled_from(SCHEME_TOKENS),
+            st.floats(min_value=1e-4, max_value=50.0).map(
+                lambda mu: f"wcs-no-decoy:{mu!r}"
+            ),
+            st.floats(min_value=0.0, max_value=1.0).map(
+                lambda p_cor: f"hsps-decoy:{p_cor!r}"
+            ),
+        ),
     )
-    @settings(max_examples=150, deadline=None)
+    # without background: a degenerate pair (decoy brighter than signal)
+    # at zero gain, then at a point with gain before one without; and a
+    # decoy that is pure vacuum next to a signal with gain
+    @example(
+        **EDGE_EXAMPLE,
+        template=(0.4, 1e-3, 5e-3, 1e-3),
+        losses=[170.0, 180.0],
+        token="hsps-decoy:0.4",
+    )
+    @example(
+        **EDGE_EXAMPLE,
+        template=(0.4, 1e-3, 5e-3, 1e-3),
+        losses=[10.0, 180.0],
+        token="hsps-decoy:0.4",
+    )
+    @example(
+        **EDGE_EXAMPLE,
+        template=(0.4, 1e-3, 0.0, 1e-3),
+        losses=[10.0],
+        token="hsps-decoy:0.0",
+    )
+    @settings(max_examples=200, deadline=None)
     def test_matches_per_point_reference(
-        self, y0, e_det, e0, vacuum_mu, n_max, losses, token
+        self, y0, e_det, e0, vacuum_mu, n_max, q_sift, f_ec, template, losses, token
     ):
-        base = bench_config(q_sift=0.5, vacuum_mu=vacuum_mu)
+        p_cor, mu_signal, mu_decoy, d_i = template
+        base = bench_config(vacuum_mu=vacuum_mu)
         cfg = replace(
             base,
+            source_signal=HspsSource(HspsParams(p_cor, mu_signal, d_i)),
+            source_decoy=HspsSource(HspsParams(p_cor, mu_decoy, d_i)),
             channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det, e0=e0),
+            protocol=ProtocolParams(q_sift=q_sift, f_ec=f_ec),
             n_max=n_max,
         )
         scheme = Scheme.parse(token)
@@ -381,6 +439,36 @@ class TestMonotoneInLoss:
 
 
 class TestScanLossWork:
+    @pytest.mark.parametrize(
+        "token", [t for t in SCHEME_TOKENS if t != "wcs-decoy-opt"]
+    )
+    def test_no_records_per_point(self, monkeypatch, token):
+        # the scan checks the channel once, at its smallest transmittance,
+        # and runs the float kernels at each point
+        cfg = bench_config()
+        counts = {}
+        for cls in (
+            channel_mod.ChannelParams,
+            channel_mod.GainErrorPoint,
+            decoy_mod.BoundsResult,
+            keyrate_mod.KeyRateResult,
+        ):
+            counts[cls.__name__] = 0
+
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+                counts[_name] += 1
+                _init(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        grid = [0.5 * k for k in range(121)]
+        scan_loss(cfg, Scheme.parse(token), grid)
+        assert counts == {
+            "ChannelParams": 1,
+            "GainErrorPoint": 0,
+            "BoundsResult": 0,
+            "KeyRateResult": 0,
+        }
+
     def test_wcs_decoy_opt_channel_calls_per_point(self, monkeypatch):
         calls = count_calls(
             monkeypatch,
