@@ -18,7 +18,6 @@ average QBER observable at a given intensity setting.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -87,7 +86,7 @@ def error_n(ch: ChannelParams, n: int) -> float:
 
 
 def _channel_terms(
-    eta: float, y0: float, e0_y0: float, e_det: float, n_max: int
+    eta: float, y0: float, e0: float, e_det: float, n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The yields Y_n = min(y0 + s, 1) and the QBER numerators
     e0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
@@ -95,15 +94,8 @@ def _channel_terms(
     signal = [1.0 - (1.0 - eta) ** n for n in range(n_max + 1)]
     # min(y0 + s, 1.0), at a quarter of the cost of the builtin call
     yields = tuple([y0 + s if y0 + s < 1.0 else 1.0 for s in signal])
+    e0_y0 = e0 * y0
     return yields, tuple([e0_y0 + e_det * s for s in signal])
-
-
-# a session sends its signal, decoy and vacuum settings through one channel
-_cached_channel_terms = functools.lru_cache(maxsize=8)(_channel_terms)
-
-
-def _terms(dist: PhotonNumberDistribution, ch: ChannelParams):
-    return _cached_channel_terms(ch.eta, ch.y0, ch.e0 * ch.y0, ch.e_det, dist.n_max)
 
 
 def _gain(probs: tuple[float, ...], yields: tuple[float, ...]) -> float:
@@ -128,18 +120,20 @@ def gain(dist: PhotonNumberDistribution, ch: ChannelParams) -> float:
     The folded tail bin is weighted with the yield at the truncation
     order; the bias is bounded by the tail mass itself.
     """
-    return _gain(dist.probs, _terms(dist, ch)[0])
+    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e0, ch.e_det, dist.n_max)
+    return _gain(dist.probs, yields)
 
 
 def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
     """Gain and average QBER, E = sum_n Y_n P(n) e_n / Q.
 
     The float kernels :func:`_gain` and :func:`_qber` compute and check
-    the pair; this wrapper puts it in a record. Loss sweeps call the
-    kernels, with one set of channel terms per point.
+    the pair; this wrapper puts it in a record. Sessions and loss sweeps
+    call the kernels, with one set of channel terms for all settings.
     """
-    q = gain(dist, ch)
-    return GainErrorPoint(q_gain=q, qber=_qber(q, dist.probs, _terms(dist, ch)[1]))
+    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e0, ch.e_det, dist.n_max)
+    q = _gain(dist.probs, yields)
+    return GainErrorPoint(q_gain=q, qber=_qber(q, dist.probs, numerators))
 
 
 def loss_db_to_eta(loss_db: float) -> float:

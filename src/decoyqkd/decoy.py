@@ -26,8 +26,7 @@ than silently. The estimators read observables, never the channel model.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .channel import E0_DEFAULT
 from .errors import DegenerateDistributionError, InvalidParameterError
@@ -236,8 +235,8 @@ def fluctuation_bounds(
     return ObservableBounds(*widened, clamped=clamped)
 
 
-# the Widened fields of an ObservableBounds
-_widened = operator.attrgetter(*(f.name for f in fields(ObservableBounds)[:5]))
+def _widened(fb: ObservableBounds) -> Widened:
+    return fb.q_decoy_low, fb.q_signal_high, fb.eq_signal_high, fb.y0_low, fb.y0_high
 
 
 def _y1_lower(widened: Widened, pair: Pair) -> tuple[float, tuple[str, ...]]:

@@ -16,7 +16,9 @@ Ties the source, channel, estimator and key-rate pieces together:
 
 Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
-flags in a record. The pipeline goes through the wrappers. A loss sweep
+flags in a record. A session's expected statistics come from one kernel,
+:func:`_expected_statistics`, which the pipeline and every sweep point
+share; past them the pipeline goes through the wrappers. A loss sweep
 checks its grid once and runs the kernels at each point, on floats and
 without records; the kernels keep the checks that can fire there.
 
@@ -31,7 +33,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, error_n, loss_db_to_eta, qber, yield_n
+from .channel import ChannelParams, error_n, loss_db_to_eta, yield_n
 from .decoy import (
     BoundsResult,
     FluctuationPolicy,
@@ -215,28 +217,31 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     ``vacuum_mu`` through the same channel; at zero gain its error
     ratio defaults to the background value.
     """
-    return _expected_statistics(cfg.channel, _build_distributions(cfg))
+    dists = _build_distributions(cfg)
+    return IntensityStatistics(*_expected_statistics(cfg, dists, cfg.channel.eta))
 
 
 def _expected_statistics(
-    ch: ChannelParams, dists: SessionDistributions
-) -> IntensityStatistics:
-    dist_signal, dist_decoy, vac_dist = dists
-    sig = qber(dist_signal, ch)
-    dec = qber(dist_decoy, ch)
+    cfg: ExperimentConfig, dists: SessionDistributions, eta: float
+) -> tuple[float, float, float, float, float, float]:
+    """Kernel of :func:`expected_statistics` for the distributions
+    ``dists`` of ``cfg``, at transmittance ``eta`` and the rest of its
+    channel: the fields of :class:`IntensityStatistics`, in order, with
+    one set of channel terms for the three settings, checked in the
+    order of the settings."""
+    ch = cfg.channel
+    dist_signal, dist_decoy, dist_vacuum = dists
+    yields, numerators = _channel_terms(eta, ch.y0, ch.e0, ch.e_det, cfg.n_max)
+    q_signal = _gain(dist_signal.probs, yields)
+    e_signal = _qber(q_signal, dist_signal.probs, numerators)
+    q_decoy = _gain(dist_decoy.probs, yields)
+    e_decoy = _qber(q_decoy, dist_decoy.probs, numerators)
+    q_vacuum = _gain(dist_vacuum.probs, yields)
     try:
-        vac = qber(vac_dist, ch)
-        q_vac, e_vac = vac.q_gain, vac.qber
+        e_vacuum = _qber(q_vacuum, dist_vacuum.probs, numerators)
     except UndefinedStatisticError:
-        q_vac, e_vac = 0.0, ch.e0
-    return IntensityStatistics(
-        q_signal=sig.q_gain,
-        e_signal=sig.qber,
-        q_decoy=dec.q_gain,
-        e_decoy=dec.qber,
-        q_vacuum=q_vac,
-        e_vacuum=e_vac,
-    )
+        q_vacuum, e_vacuum = 0.0, ch.e0
+    return q_signal, e_signal, q_decoy, e_decoy, q_vacuum, e_vacuum
 
 
 def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
@@ -311,7 +316,7 @@ def run_pipeline(
     key.
     """
     dists = _build_distributions(cfg)
-    expected = _expected_statistics(cfg.channel, dists)
+    expected = IntensityStatistics(*_expected_statistics(cfg, dists, cfg.channel.eta))
     if counts is None:
         obs = observation_from_expected(expected, cfg.pulse_split())
     else:
@@ -458,7 +463,6 @@ def _scheme_rates(
         return [optimize_mu(replace(ch, eta=eta), protocol).rate for eta in etas]
 
     y0, e0, e_det = ch.y0, ch.e0, ch.e_det
-    e0_y0 = e0 * y0
     rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
         # three-intensity estimation at the template intensities. Each
@@ -470,20 +474,13 @@ def _scheme_rates(
             hsps_distribution(replace(source.params, p_cor=scheme.p_cor), cfg.n_max)
             for source in (cfg.source_signal, cfg.source_decoy)
         )
-        dist_vacuum = wcs_distribution(cfg.vacuum_mu, cfg.n_max)
+        dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))
         gates = cfg.pulse_split()
         pair = _pair(dist_signal, dist_decoy)
         for eta in etas:
-            yields, numerators = _channel_terms(eta, y0, e0_y0, e_det, cfg.n_max)
-            q_signal = _gain(dist_signal.probs, yields)
-            e_signal = _qber(q_signal, dist_signal.probs, numerators)
-            q_decoy = _gain(dist_decoy.probs, yields)
-            _qber(q_decoy, dist_decoy.probs, numerators)
-            y0_obs = _gain(dist_vacuum.probs, yields)
-            try:
-                _qber(y0_obs, dist_vacuum.probs, numerators)
-            except UndefinedStatisticError:
-                y0_obs = 0.0
+            q_signal, e_signal, q_decoy, _, y0_obs, _ = _expected_statistics(
+                cfg, dists, eta
+            )
             observed = (q_signal, q_decoy, e_signal, y0_obs)
             widened, _ = _envelope(observed, gates, 0.0)
             _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair, e0)
@@ -500,7 +497,7 @@ def _scheme_rates(
         dist = cfg.source_signal.distribution(cfg.n_max)
     weights = (dist.p(0), dist.p(1), dist.p_at_least(2))
     for eta in etas:
-        yields, numerators = _channel_terms(eta, y0, e0_y0, e_det, dist.n_max)
+        yields, numerators = _channel_terms(eta, y0, e0, e_det, dist.n_max)
         q = _gain(dist.probs, yields)
         e = _qber(q, dist.probs, numerators)
         _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights, e0)

@@ -97,7 +97,7 @@ class TestExpectedStatistics:
         assert stats.e_vacuum == 0.5
 
     def test_one_gain_sum_per_setting(self, monkeypatch):
-        sums = count_calls(monkeypatch, (channel_mod, session_mod), ("gain",))
+        sums = count_calls(monkeypatch, (channel_mod, session_mod), ("_gain",))
         expected_statistics(bench_config())
         assert sums[0] == 3
 
@@ -375,6 +375,54 @@ class TestScanLossAgainstReference:
 
         expected = rates_or_error(per_point)
         assert rates_or_error(lambda: scan_loss(cfg, scheme, grid).rate) == expected
+
+    # run_pipeline shares the bound and key-rate kernels with the scan,
+    # so the property above cannot see a change to them: these bits come
+    # from the chain as it was before the kernels were split out, at a
+    # heralded template unlike the canonical one
+    PINNED_TEMPLATE = dict(
+        source_signal=HspsSource(HspsParams(0.55, 0.05, 2e-5)),
+        source_decoy=HspsSource(HspsParams(0.55, 0.008, 2e-5)),
+        channel=ChannelParams(eta=0.5, y0=3e-6, e_det=0.04, e0=0.5),
+        protocol=ProtocolParams(q_sift=0.45, f_ec=1.16),
+        n_max=12,
+    )
+    PINNED_RATES = {
+        "hsps-decoy:0.7": [
+            "0x1.1c07c1ee7c57ep-3",
+            "0x1.e4ff4af7e2501p-8",
+            "0x1.0dda63dd484c4p-12",
+            "0x1.a186e3df1e869p-18",
+            "0x0.0p+0",
+        ],
+        "hsps-decoy:1.0": [
+            "0x1.8cdb9b9c76d11p-3",
+            "0x1.52a67656385f5p-7",
+            "0x1.79c1eda24715cp-12",
+            "0x1.3cc658b78d51ep-17",
+            "0x0.0p+0",
+        ],
+    }
+
+    @pytest.mark.parametrize("token", sorted(PINNED_RATES))
+    def test_hsps_decoy_matches_pinned_values(self, token):
+        cfg = replace(bench_config(vacuum_mu=2e-4), **self.PINNED_TEMPLATE)
+        grid = [0.0, 12.5, 27.0, 41.0, 55.0]
+        rates = scan_loss(cfg, Scheme.parse(token), grid).rate
+        assert [float.hex(r) for r in rates] == self.PINNED_RATES[token]
+
+    def test_pipeline_matches_pinned_values(self):
+        cfg = replace(bench_config(vacuum_mu=2e-4, n_sigma=3.0), **self.PINNED_TEMPLATE)
+        cfg = replace(cfg, channel=replace(cfg.channel, eta=loss_db_to_eta(27.0)))
+        result = run_pipeline(cfg)
+        assert [
+            float.hex(v)
+            for v in (
+                result.bounds.y1_lower,
+                result.bounds.e1_upper,
+                result.key.rate_per_pulse,
+            )
+        ] == ["0x1.04128a0daf3e1p-9", "0x1.76d0cd7fa16c5p-5", "0x1.a68950e9c0f5ep-13"]
 
     @pytest.mark.parametrize("token", SCHEME_TOKENS)
     def test_zero_gain_without_background_raises(self, token):
