@@ -25,7 +25,6 @@ from .decoy import (
     ThreeIntensityObservation,
     check_condition,
     estimate_bounds,
-    estimate_e1_upper,
     estimate_y1_lower,
     fluctuation_bounds,
     no_decoy_bounds,
@@ -79,63 +78,3 @@ from .sources import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsResult",
-    "ChannelParams",
-    "ConfigError",
-    "DegenerateDistributionError",
-    "ExperimentConfig",
-    "FluctuationPolicy",
-    "GainErrorPoint",
-    "HspsParams",
-    "HspsSource",
-    "IdealSpsSource",
-    "InconsistentDataError",
-    "IntensityCounts",
-    "IntensityStatistics",
-    "InvalidParameterError",
-    "KeyRateComponents",
-    "KeyRateResult",
-    "LossCurve",
-    "MeasuredRates",
-    "MuOptimum",
-    "ObservableBounds",
-    "PhotonNumberDistribution",
-    "PipelineResult",
-    "ProtocolParams",
-    "Scheme",
-    "SchemeKind",
-    "SimulatedCounts",
-    "SourceModel",
-    "ThreeIntensityObservation",
-    "UndefinedStatisticError",
-    "WcsSource",
-    "binary_entropy",
-    "check_condition",
-    "error_n",
-    "estimate_bounds",
-    "estimate_e1_upper",
-    "estimate_y1_lower",
-    "eta_to_loss_db",
-    "expected_statistics",
-    "fluctuation_bounds",
-    "g2_zero",
-    "gain",
-    "hsps_distribution",
-    "ideal_sps_distribution",
-    "infer_accidental_rate",
-    "infer_correlation",
-    "key_rate",
-    "loss_db_to_eta",
-    "no_decoy_bounds",
-    "optimize_mu",
-    "qber",
-    "run_pipeline",
-    "sample_counts",
-    "scan_loss",
-    "secure_bits",
-    "wcs_distribution",
-    "wcs_infinite_decoy_rate",
-    "yield_n",
-]

@@ -278,8 +278,11 @@ def _check_single_photon_weight(p1: float) -> None:
 def _e1_upper(
     eq_signal: float, y0: float, p0: float, p1: float, y1: float, e0: float
 ) -> tuple[float, tuple[str, ...]]:
-    """The e1 bound of :func:`estimate_e1_upper` and :func:`no_decoy_bounds`:
-    (E_s Q_s - e0 Y0 P'(0)) / (Y1 P'(1)), clamped into [0, 1]."""
+    """The e1 bound of :func:`estimate_bounds` and :func:`no_decoy_bounds`,
+    given a Y1 lower bound: (E_s Q_s - e0 Y0 P'(0)) / (Y1 P'(1)), clamped
+    into [0, 1]. A vanishing ``y1`` leaves the error unbounded (1,
+    flagged). On noiseless observables the bound is guaranteed not to
+    fall below the true e1."""
     if y1 <= 0.0:
         return 1.0, ("e1-unbounded",)
     _check_single_photon_weight(p1)
@@ -289,23 +292,6 @@ def _e1_upper(
     if e1 > 1.0:
         return 1.0, ("e1-clamped-high",)
     return e1, ()
-
-
-def estimate_e1_upper(
-    fb: ObservableBounds,
-    dist_signal: PhotonNumberDistribution,
-    y1_lower: float,
-    e0: float = E0_DEFAULT,
-) -> tuple[float, tuple[str, ...]]:
-    """Upper-bound the single-photon error rate given a Y1 lower bound.
-
-    Returns ``(e1_upper, flags)``. A vanishing ``y1_lower`` leaves the
-    error unbounded (1, flagged); results outside [0, 1] are clamped
-    and flagged. On noiseless observables the bound is guaranteed not
-    to fall below the true e1.
-    """
-    p0, p1 = dist_signal.p(0), dist_signal.p(1)
-    return _e1_upper(fb.eq_signal_high, fb.y0_low, p0, p1, y1_lower, e0)
 
 
 def _estimate_bounds(widened: Widened, y0_obs: float, pair: Pair, e0: float) -> Bounds:

@@ -70,6 +70,12 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _privacy(e1: float) -> float:
+    """The privacy-amplification factor 1 - H2(e1) of single-photon key,
+    with a bound e1 above one capped at one."""
+    return 1.0 - binary_entropy(min(e1, 1.0))
+
+
 def _rate_bracket(
     q_gain: float, e_signal: float, g0: float, g1_term: float, p: ProtocolParams
 ) -> tuple[float, float]:
@@ -88,7 +94,7 @@ def _key_rate(
 ) -> tuple[float, float, float, float]:
     """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
     g1_term and raw_rate of :class:`KeyRateComponents`."""
-    g1_term = g1 * (1.0 - binary_entropy(e1))
+    g1_term = g1 * _privacy(e1)
     ec_cost, raw = _rate_bracket(q_gain, e_signal, g0, g1_term, p)
     return max(raw, 0.0), ec_cost, g1_term, raw
 

@@ -44,7 +44,7 @@ from .decoy import (
     fluctuation_bounds,
 )
 from .errors import InvalidParameterError, UndefinedStatisticError
-from .keyrate import KeyRateResult, ProtocolParams, binary_entropy, key_rate
+from .keyrate import KeyRateResult, ProtocolParams, key_rate
 from .sources import (
     HspsSource,
     N_MAX_DEFAULT,
@@ -59,7 +59,7 @@ from .sources import (
 # the float kernels of the chain, which loss sweeps run at each point
 from .channel import _channel_terms, _gain, _qber
 from .decoy import _envelope, _estimate_bounds, _no_decoy_bounds, _pair
-from .keyrate import _key_rate, _rate_bracket
+from .keyrate import _key_rate, _privacy, _rate_bracket
 
 # conventional signal intensity for a coherent-state link run without
 # decoy states (attenuation to ~0.1 photons/pulse keeps the multiphoton
@@ -589,16 +589,15 @@ def _check_wcs_gain(ch: ChannelParams, mu: float) -> None:
 
 def _wcs_channel_terms(ch: ChannelParams) -> tuple[float, ...]:
     """The constants of :func:`_wcs_scalar_rate` at one channel, the same
-    for every intensity: eta, y0, e0 y0, e_det, Y1 and
-    1 - H2(min(e1, 1))."""
-    e1 = error_n(ch, 1)
+    for every intensity: eta, y0, e0 y0, e_det, Y1 and the privacy factor
+    of e1."""
     return (
         ch.eta,
         ch.y0,
         ch.e0 * ch.y0,
         ch.e_det,
         yield_n(ch, 1),
-        1.0 - binary_entropy(min(e1, 1.0)),
+        _privacy(error_n(ch, 1)),
     )
 
 

@@ -290,14 +290,10 @@ def infer_accidental_rate(m: MeasuredRates) -> float:
 
     The accidental mean per gate is then ``R_s * gate_time_s``.
     """
-    num = m.r0_hz - m.ds_hz
-    den = m.r0_hz - m.rs_hz
-    if den <= 0.0 or num < den:
-        raise InvalidParameterError(
-            "rates violate the detection model: need ds_hz <= rs_hz < r0_hz"
-        )
     scale = m.eta_s * m.gate_time_s
-    flux = math.log(num / den) / scale if scale > 0.0 else math.inf
+    # MeasuredRates keeps ds_hz <= rs_hz < r0_hz, so the ratio is >= 1
+    ratio = (m.r0_hz - m.ds_hz) / (m.r0_hz - m.rs_hz)
+    flux = math.log(ratio) / scale if scale > 0.0 else math.inf
     if not math.isfinite(flux):
         raise InvalidParameterError(
             f"eta_s * gate_time_s = {scale!r} is too small to infer a finite flux"
@@ -317,8 +313,6 @@ def infer_correlation(m: MeasuredRates, r_s: float) -> float:
     """
     if not r_s >= 0.0:
         raise InvalidParameterError(f"r_s={r_s!r} must be >= 0")
-    if m.r0_hz <= m.ds_hz:
-        raise InvalidParameterError("need r0_hz > ds_hz")
     p_cor = 1.0 - (m.r0_hz - m.rc_hz) / (m.r0_hz - m.ds_hz) * math.exp(
         m.eta_s * r_s * m.gate_time_s
     )

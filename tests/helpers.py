@@ -6,28 +6,34 @@ heralding correlation; the reference observables are the measured
 values the analysis chain is validated against.
 
 The reference formulas evaluate the channel sums, the infinite-decoy
-bounds and the infinite-decoy coherent-state rate term by term from
-:func:`yield_n` and :func:`error_n`, independently of the shared
-per-channel terms, the estimators and the loss-axis evaluation the
-package uses; tests compare the package with them for exact equality.
+bounds, the three-intensity rate and the infinite-decoy coherent-state
+rate term by term from :func:`yield_n` and :func:`error_n`,
+independently of the shared per-channel terms, the estimators and the
+loss-axis evaluation the package uses; tests compare the package with
+them for exact equality.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from decoyqkd import (
     BoundsResult,
     ChannelParams,
+    DegenerateDistributionError,
     ExperimentConfig,
     FluctuationPolicy,
     GainErrorPoint,
     HspsParams,
     HspsSource,
+    InvalidParameterError,
     ProtocolParams,
     UndefinedStatisticError,
     binary_entropy,
     error_n,
+    hsps_distribution,
+    wcs_distribution,
     yield_n,
 )
 
@@ -102,6 +108,8 @@ def ref_qber(dist, ch) -> GainErrorPoint:
     q = ref_gain(dist, ch)
     if q <= 0.0:
         raise UndefinedStatisticError("QBER undefined at zero gain")
+    if q > 1.0:
+        raise InvalidParameterError(f"gain {q!r} rounded above one")
     err = math.fsum(
         p * (ch.e0 * ch.y0 + ch.e_det * (1.0 - (1.0 - ch.eta) ** n))
         for n, p in enumerate(dist.probs)
@@ -137,3 +145,47 @@ def ref_wcs_infinite_decoy_rate(mu, ch, protocol) -> float:
         + g0
         + g1 * (1.0 - binary_entropy(min(e1, 1.0)))
     )
+
+
+def ref_three_intensity_rate(cfg, ch, p_cor) -> float:
+    """The three-intensity rate of the heralded template ``cfg`` at
+    correlation ``p_cor`` and channel ``ch``, on noiseless observables
+    (n_sigma 0): the Y1 and e1 bounds of the :mod:`decoyqkd.decoy`
+    docstring on the :func:`ref_qber` sums, each clamped into [0, 1],
+    then the GLLP bracket floored at zero."""
+    ds, dd = (
+        hsps_distribution(replace(source.params, p_cor=p_cor), cfg.n_max)
+        for source in (cfg.source_signal, cfg.source_decoy)
+    )
+    signal = ref_qber(ds, ch)
+    q_decoy = ref_qber(dd, ch).q_gain
+    vacuum = wcs_distribution(cfg.vacuum_mu, cfg.n_max)
+    try:
+        y0 = ref_qber(vacuum, ch).q_gain
+    except UndefinedStatisticError:
+        y0 = 0.0  # a vacuum setting that never clicks
+    q, e = signal.q_gain, signal.qber
+
+    if ds.p(2) == 0.0 and dd.p(2) == 0.0:
+        raise DegenerateDistributionError("no two-photon weight")
+    den = ds.p(2) * dd.p(1) - dd.p(2) * ds.p(1)
+    if den <= 0.0:
+        raise DegenerateDistributionError("pair cannot separate Y1")
+    c0 = ds.p(2) * dd.p(0) - dd.p(2) * ds.p(0)
+    y1 = (ds.p(2) * q_decoy - dd.p(2) * q - y0 * c0) / den
+    y1 = min(max(y1, 0.0), 1.0)
+    if y1 <= 0.0:
+        e1 = 1.0
+    elif ds.p(1) <= 0.0:
+        raise DegenerateDistributionError("no single-photon weight")
+    else:
+        e1 = (q * e - ch.e0 * y0 * ds.p(0)) / (y1 * ds.p(1))
+        e1 = min(max(e1, 0.0), 1.0)
+
+    protocol = cfg.protocol
+    raw = protocol.q_sift * (
+        -q * protocol.f_ec * binary_entropy(e)
+        + y0 * ds.p(0)
+        + y1 * ds.p(1) * (1.0 - binary_entropy(e1))
+    )
+    return max(raw, 0.0)

@@ -15,7 +15,6 @@ import decoyqkd.sources as sources_mod
 from decoyqkd import (
     ChannelParams,
     ExperimentConfig,
-    FluctuationPolicy,
     HspsParams,
     HspsSource,
     IdealSpsSource,
@@ -49,6 +48,7 @@ from helpers import (
     bench_config,
     ref_infinite_decoy_bounds,
     ref_qber,
+    ref_three_intensity_rate,
     ref_wcs_infinite_decoy_rate,
 )
 
@@ -348,6 +348,20 @@ class TestScanLossAgainstReference:
         losses=[10.0],
         token="hsps-decoy:0.0",
     )
+    # positive rates at a heralded template unlike the canonical one, which
+    # the random draws above seldom reach for hsps-decoy
+    @example(
+        y0=3e-6,
+        e_det=0.04,
+        e0=0.5,
+        vacuum_mu=2e-4,
+        n_max=12,
+        q_sift=0.45,
+        f_ec=1.16,
+        template=(0.55, 0.05, 0.008, 2e-5),
+        losses=[0.0, 12.5, 27.0, 41.0, 55.0],
+        token="hsps-decoy:0.7",
+    )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_point_reference(
         self, y0, e_det, e0, vacuum_mu, n_max, q_sift, f_ec, template, losses, token
@@ -376,10 +390,8 @@ class TestScanLossAgainstReference:
         expected = rates_or_error(per_point)
         assert rates_or_error(lambda: scan_loss(cfg, scheme, grid).rate) == expected
 
-    # run_pipeline shares the bound and key-rate kernels with the scan,
-    # so the property above cannot see a change to them: these bits come
-    # from the chain as it was before the kernels were split out, at a
-    # heralded template unlike the canonical one
+    # bits from the chain as it was before the kernels were split out, at
+    # a heralded template unlike the canonical one
     PINNED_TEMPLATE = dict(
         source_signal=HspsSource(HspsParams(0.55, 0.05, 2e-5)),
         source_decoy=HspsSource(HspsParams(0.55, 0.008, 2e-5)),
@@ -565,8 +577,9 @@ def no_decoy_rate(dist, ch, protocol):
 
 def per_point_rate(scheme, cfg, ch):
     """One scheme's rate at one channel, every distribution built anew,
-    the channel sums and the coherent-state rate taken from the reference
-    formulas and the intensity optimized by the scalar reference search."""
+    the channel sums, the three-intensity rate and the coherent-state
+    rate taken from the reference formulas and the intensity optimized by
+    the scalar reference search."""
     protocol = cfg.protocol
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
@@ -580,14 +593,7 @@ def per_point_rate(scheme, cfg, ch):
         return no_decoy_rate(wcs_distribution(mu, cfg.n_max), ch, protocol)
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
         return no_decoy_rate(cfg.source_signal.distribution(cfg.n_max), ch, protocol)
-    point_cfg = replace(
-        cfg,
-        source_signal=HspsSource(replace(cfg.source_signal.params, p_cor=scheme.p_cor)),
-        source_decoy=HspsSource(replace(cfg.source_decoy.params, p_cor=scheme.p_cor)),
-        channel=ch,
-        fluctuation=FluctuationPolicy(0.0),
-    )
-    return run_pipeline(point_cfg).key.rate_per_pulse
+    return ref_three_intensity_rate(cfg, ch, scheme.p_cor)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
