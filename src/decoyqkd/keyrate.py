@@ -77,16 +77,22 @@ def _privacy(e1: float) -> float:
 
 
 def _rate_bracket(
-    q_gain: float, e_signal: float, g0: float, g1_term: float, p: ProtocolParams
+    q_gain: float,
+    e_signal: float,
+    g0: float,
+    g1_term: float,
+    f_ec: float,
+    q_sift: float,
 ) -> tuple[float, float]:
     """The GLLP bracket ``q_sift * (-Q f H2(E) + G0 + g1_term)`` and the
-    error-correction cost ``Q f H2(E)`` it subtracts, as a pair.
+    error-correction cost ``Q f H2(E)`` it subtracts, as a pair, for the
+    ``f_ec`` and ``q_sift`` of a :class:`ProtocolParams`.
 
     ``g1_term`` is the privacy-amplified single-photon gain
     G1^L (1 - H2(e1^U)).
     """
-    ec_cost = q_gain * p.f_ec * binary_entropy(e_signal)
-    return ec_cost, p.q_sift * (-ec_cost + g0 + g1_term)
+    ec_cost = q_gain * f_ec * binary_entropy(e_signal)
+    return ec_cost, q_sift * (-ec_cost + g0 + g1_term)
 
 
 def _key_rate(
@@ -95,7 +101,7 @@ def _key_rate(
     """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
     g1_term and raw_rate of :class:`KeyRateComponents`."""
     g1_term = g1 * _privacy(e1)
-    ec_cost, raw = _rate_bracket(q_gain, e_signal, g0, g1_term, p)
+    ec_cost, raw = _rate_bracket(q_gain, e_signal, g0, g1_term, p.f_ec, p.q_sift)
     return max(raw, 0.0), ec_cost, g1_term, raw
 
 

@@ -28,7 +28,6 @@ Only the count sampling uses numpy, and imports it when first called.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
@@ -459,10 +458,10 @@ def _scheme_rates(
     checks fire in the order of the public functions.
     """
     protocol, ch = cfg.protocol, cfg.channel
-    if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return [optimize_mu(replace(ch, eta=eta), protocol).rate for eta in etas]
-
     y0, e0, e_det = ch.y0, ch.e0, ch.e_det
+    if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
+        return [_optimize_mu(eta, y0, e0, e_det, protocol)[1] for eta in etas]
+
     rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
         # three-intensity estimation at the template intensities. Each
@@ -527,7 +526,9 @@ def scan_loss(
     kernels behind :func:`qber`, :func:`estimate_bounds`,
     :func:`no_decoy_bounds` and :func:`key_rate`, which build no records
     and compute the channel terms once for all distributions.
-    ``wcs-decoy-opt`` runs :func:`optimize_mu` at each point. Every rate
+    ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
+    point, with no channel record, and computes the constants of its rate
+    once per point. Every rate
     is that of a point-by-point evaluation, bit for bit, and a zero gain
     or a degenerate distribution pair raises where that evaluation does.
     """
@@ -567,53 +568,54 @@ def wcs_infinite_decoy_rate(
     """
     if not mu > 0.0:
         raise InvalidParameterError(f"mu={mu!r} must be > 0")
-    _check_wcs_gain(ch, mu)
-    return _wcs_scalar_rate(mu, _wcs_channel_terms(ch), protocol)
+    _check_wcs_gain(ch.eta, ch.y0, mu)
+    return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu)
 
 
-def _check_wcs_gain(ch: ChannelParams, mu: float) -> None:
+def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
     """Raise where the coherent-state rate is undefined, which happens
     only without background: where the gain y0 + 1 - exp(-eta mu) rounds
     to zero (no QBER), or where 1 - eta rounds to 1 (no Y1, so no e1)."""
-    if ch.y0 != 0.0:
+    if y0 != 0.0:
         return
-    if math.exp(-ch.eta * mu) == 1.0:
+    if math.exp(-eta * mu) == 1.0:
         raise UndefinedStatisticError(
-            f"QBER undefined: zero gain at mu={mu!r} (eta={ch.eta!r}, y0=0)"
+            f"QBER undefined: zero gain at mu={mu!r} (eta={eta!r}, y0=0)"
         )
-    if 1.0 - ch.eta == 1.0:
+    if 1.0 - eta == 1.0:
         raise UndefinedStatisticError(
-            f"e1 undefined: zero single-photon yield (eta={ch.eta!r}, y0=0)"
+            f"e1 undefined: zero single-photon yield (eta={eta!r}, y0=0)"
         )
 
 
-def _wcs_channel_terms(ch: ChannelParams) -> tuple[float, ...]:
-    """The constants of :func:`_wcs_scalar_rate` at one channel, the same
-    for every intensity: eta, y0, e0 y0, e_det, Y1 and the privacy factor
-    of e1."""
-    return (
-        ch.eta,
-        ch.y0,
-        ch.e0 * ch.y0,
-        ch.e_det,
-        yield_n(ch, 1),
-        _privacy(error_n(ch, 1)),
-    )
+def _wcs_rate(
+    eta: float, y0: float, e0: float, e_det: float, protocol: ProtocolParams
+) -> Callable[[float], float]:
+    """The rate of :func:`wcs_infinite_decoy_rate` as a function of the
+    intensity alone, on a channel that :func:`_check_wcs_gain` passed.
+    Its constants (Y1 and e1 from the channel terms of n = 1, the privacy
+    factor of e1, e0 y0 and the protocol's f_ec and q_sift) are computed
+    once, here."""
+    yields, numerators = _channel_terms(eta, y0, e0, e_det, 1)
+    y1 = yields[1]
+    privacy = _privacy(numerators[1] / y1)
+    e0_y0 = e0 * y0
+    f_ec, q_sift = protocol.f_ec, protocol.q_sift
+    exp = math.exp
 
+    def rate(mu: float) -> float:
+        signal = 1.0 - exp(-eta * mu)
+        # min(x, 1.0), at a quarter of the cost of the builtin call
+        q = y0 + signal
+        q = 1.0 if 1.0 < q else q
+        e = (e0_y0 + e_det * signal) / q
+        p0 = exp(-mu)
+        g1 = y1 * mu * p0
+        return _rate_bracket(
+            q, 1.0 if 1.0 < e else e, y0 * p0, g1 * privacy, f_ec, q_sift
+        )[1]
 
-def _wcs_scalar_rate(
-    mu: float, terms: tuple[float, ...], protocol: ProtocolParams
-) -> float:
-    """The rate of :func:`wcs_infinite_decoy_rate` at intensity ``mu``,
-    with the channel constants ``terms`` of :func:`_wcs_channel_terms`."""
-    eta, y0, e0_y0, e_det, y1, privacy = terms
-    signal = 1.0 - math.exp(-eta * mu)
-    q = min(y0 + signal, 1.0)
-    e = (e0_y0 + e_det * signal) / q
-    p0 = math.exp(-mu)
-    g0 = y0 * p0
-    g1 = y1 * mu * p0
-    return _rate_bracket(q, min(e, 1.0), g0, g1 * privacy, protocol)[1]
+    return rate
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -677,17 +679,30 @@ def optimize_mu(
     (Y1, 1 - H2(e1), e0 y0) computed once per call. When the rate is
     non-positive everywhere the result is flagged infeasible (rate 0 at
     the least-bad intensity).
+
+    The search is the float kernel :func:`_optimize_mu` on the fields of
+    ``channel``; a loss sweep runs it at each point, with no channel
+    record, so the constants are computed once per point.
     """
+    return MuOptimum(
+        *_optimize_mu(channel.eta, channel.y0, channel.e0, channel.e_det, protocol)
+    )
+
+
+def _optimize_mu(
+    eta: float, y0: float, e0: float, e_det: float, protocol: ProtocolParams
+) -> tuple[float, float]:
+    """Kernel of :func:`optimize_mu`: the best intensity and its rate."""
     # the gain is smallest at the low end of the range
-    _check_wcs_gain(channel, MU_SEARCH_RANGE[0])
-    terms = _wcs_channel_terms(channel)
+    _check_wcs_gain(eta, y0, MU_SEARCH_RANGE[0])
+    rate = _wcs_rate(eta, y0, e0, e_det, protocol)
+    grid: dict[int, float] = {}
 
-    def rate(mu: float) -> float:
-        return _wcs_scalar_rate(mu, terms, protocol)
-
-    @functools.cache
     def grid_rate(k: int) -> float:
-        return rate(_coarse_mu(k))
+        r = grid.get(k)
+        if r is None:
+            r = grid[k] = rate(_coarse_mu(k))
+        return r
 
     best = _coarse_argmax(grid_rate)
     a = _coarse_mu(max(best - 1, 0))
@@ -709,6 +724,4 @@ def optimize_mu(
     r_opt = rate(mu_opt)
     if r_opt < grid_rate(best):
         mu_opt, r_opt = _coarse_mu(best), grid_rate(best)
-    if r_opt <= 0.0:
-        return MuOptimum(mu=mu_opt, rate=0.0)
-    return MuOptimum(mu=mu_opt, rate=r_opt)
+    return mu_opt, (0.0 if r_opt <= 0.0 else r_opt)

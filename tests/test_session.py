@@ -15,6 +15,7 @@ import decoyqkd.sources as sources_mod
 from decoyqkd import (
     ChannelParams,
     ExperimentConfig,
+    FluctuationPolicy,
     HspsParams,
     HspsSource,
     IdealSpsSource,
@@ -46,6 +47,8 @@ from helpers import (
     BENCH_Y0,
     bench_channel,
     bench_config,
+    bench_decoy_source,
+    bench_signal_source,
     ref_infinite_decoy_bounds,
     ref_qber,
     ref_three_intensity_rate,
@@ -176,6 +179,55 @@ class TestRunPipeline:
         assert covered >= 99
 
 
+def binomial_upper(n: int, p: float, alpha: float) -> int:
+    """The smallest c with P(Binomial(n, p) > c) <= alpha."""
+    cdf = 0.0
+    for c in range(n + 1):
+        cdf += math.comb(n, c) * p**c * (1.0 - p) ** (n - c)
+        if 1.0 - cdf <= alpha:
+            return c
+    return n
+
+
+class TestEnvelopeCoverage:
+    """Each observable is widened by n_sigma counting standard deviations,
+    in the direction that loosens the bound, so over sampled sessions
+    ``y1_lower > Y1`` and ``e1_upper < e1`` happen at most about as often
+    as a one-sided Gaussian tail beyond n_sigma (the counting-statistics
+    envelope of Ma et al., PRA 72, 012326 (2005))."""
+
+    SEEDS = 300
+    N_SIGMAS = (0.0, 1.0, 3.0)
+    # coherent-state, heralded and mixed signal/decoy pairs that pass
+    # check_condition
+    PAIRS = {
+        "wcs": (WcsSource(0.5), WcsSource(0.1)),
+        "hsps": (bench_signal_source(), bench_decoy_source()),
+        "wcs-hsps": (WcsSource(0.3), bench_decoy_source()),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_violations_within_gaussian_tail(self, pair):
+        signal, decoy = self.PAIRS[pair]
+        base = replace(bench_config(), source_signal=signal, source_decoy=decoy)
+        violations = {k: [0, 0] for k in self.N_SIGMAS}
+        for seed in range(self.SEEDS):
+            cfg = replace(base, rng_seed=seed)
+            counts = sample_counts(cfg)
+            for k, seen in violations.items():
+                result = run_pipeline(
+                    replace(cfg, fluctuation=FluctuationPolicy(k)), counts
+                )
+                assert result.condition_ok
+                seen[0] += result.bounds.y1_lower > result.y1_true
+                seen[1] += result.bounds.e1_upper < result.e1_true
+        for k, seen in violations.items():
+            tail = 0.5 * math.erfc(k / math.sqrt(2.0))
+            assert max(seen) <= binomial_upper(self.SEEDS, tail, 1e-6), (k, seen)
+        # the sessions are noisy enough for the unwidened bound to fail
+        assert violations[0.0][0] > 0
+
+
 class TestScanLoss:
     def test_ideal_scheme_strictly_decreasing(self):
         curve = scan_loss(bench_config(), Scheme(SchemeKind.IDEAL_SPS), [0.0, 10.0, 20.0])
@@ -296,22 +348,30 @@ class TestScanLossAgainstReference:
 
     @given(
         y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
-        e_det=st.floats(min_value=0.0, max_value=0.5),
+        # half the draws at e_det <= 0.1, where key is common
+        e_det=st.one_of(
+            st.floats(min_value=0.0, max_value=0.1),
+            st.floats(min_value=0.0, max_value=0.5),
+        ),
         e0=st.floats(min_value=0.0, max_value=1.0),
         vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
         n_max=st.integers(min_value=2, max_value=40),
         q_sift=st.floats(min_value=0.01, max_value=1.0),
         f_ec=st.floats(min_value=1.0, max_value=3.0),
+        # (p_cor, signal mu_acc, decoy mu_acc, d_i), with the decoy a
+        # fraction of the signal as in tests/test_decoy.py::source_pairs;
+        # the examples below cover the degenerate pairs
         template=st.tuples(
             st.floats(min_value=0.0, max_value=1.0),
-            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
-            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
+            st.floats(min_value=-4.0, max_value=0.3).map(lambda x: 10.0**x),
+            st.floats(min_value=0.02, max_value=0.5),
             st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
-        ),
+        ).map(lambda t: (t[0], t[1], t[1] * t[2], t[3])),
+        # about two losses in three below 60 dB, where key is possible
         losses=st.lists(
             st.one_of(
                 st.floats(min_value=0.0, max_value=60.0),
-                st.floats(min_value=60.0, max_value=200.0),
+                st.floats(min_value=0.0, max_value=200.0),
             ),
             min_size=1,
             max_size=5,
@@ -423,6 +483,47 @@ class TestScanLossAgainstReference:
         rates = scan_loss(cfg, Scheme.parse(token), grid).rate
         assert [float.hex(r) for r in rates] == self.PINNED_RATES[token]
 
+    # bits of the coherent-state intensity search before it ran as a float
+    # kernel: without background, and with a background that clamps Y1 at
+    # 0 dB, e0 other than 1/2 and no feasible intensity from 27 dB on
+    PINNED_WCS_GRID = [0.0, 12.5, 27.0, 41.0, 60.0]
+    PINNED_WCS_PROTOCOL = ProtocolParams(q_sift=0.45, f_ec=1.16)
+    PINNED_WCS = {
+        "y0-0": (
+            ChannelParams(eta=0.5, y0=0.0, e_det=0.03, e0=0.5),
+            [
+                ("0x1.70b029a164ca5p-1", "0x1.3313d270d2534p-4"),
+                ("0x1.125c7f356f80ap-1", "0x1.bb109155f9a17p-9"),
+                ("0x1.0d9be42ddfbb6p-1", "0x1.f0a015c9630ffp-14"),
+                ("0x1.0d715827f1d5dp-1", "0x1.3c31507b74ce8p-18"),
+                ("0x1.0d6f9633ded4ap-1", "0x1.fd82d771df6fdp-25"),
+            ],
+        ),
+        "y0-1e-3": (
+            ChannelParams(eta=0.5, y0=1e-3, e_det=0.02, e0=0.3),
+            [
+                ("0x1.9d5c597c76b76p-1", "0x1.8e660434cfe83p-4"),
+                ("0x1.3ffbc66775eeep-1", "0x1.0649d5ca10962p-8"),
+                ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
+                ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
+                ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_WCS))
+    def test_wcs_decoy_opt_matches_pinned_values(self, name):
+        ch, pinned = self.PINNED_WCS[name]
+        protocol, grid = self.PINNED_WCS_PROTOCOL, self.PINNED_WCS_GRID
+        optima = [
+            optimize_mu(replace(ch, eta=loss_db_to_eta(loss)), protocol)
+            for loss in grid
+        ]
+        assert [(float.hex(o.mu), float.hex(o.rate)) for o in optima] == pinned
+        cfg = replace(bench_config(), channel=ch, protocol=protocol)
+        rates = scan_loss(cfg, Scheme(SchemeKind.WCS_DECOY_INF_OPT), grid).rate
+        assert [float.hex(r) for r in rates] == [rate for _, rate in pinned]
+
     def test_pipeline_matches_pinned_values(self):
         cfg = replace(bench_config(vacuum_mu=2e-4, n_sigma=3.0), **self.PINNED_TEMPLATE)
         cfg = replace(cfg, channel=replace(cfg.channel, eta=loss_db_to_eta(27.0)))
@@ -533,7 +634,7 @@ class TestScanLossWork:
         calls = count_calls(
             monkeypatch,
             (channel_mod, decoy_mod, session_mod),
-            ("yield_n", "error_n"),
+            ("yield_n", "error_n", "_channel_terms"),
         )
         grid = [0.5 * k for k in range(121)]
         scan_loss(bench_config(), Scheme(SchemeKind.WCS_DECOY_INF_OPT), grid)
@@ -723,7 +824,20 @@ class TestOptimizeMu:
         assert grid == expected
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
-        evals = count_calls(monkeypatch, (session_mod,), ("_wcs_scalar_rate",))
+        # the rate is a closure built once per call; count its evaluations
+        evals = [0]
+        make_rate = session_mod._wcs_rate
+
+        def counting_rate(*args):
+            rate = make_rate(*args)
+
+            def counted(mu):
+                evals[0] += 1
+                return rate(mu)
+
+            return counted
+
+        monkeypatch.setattr(session_mod, "_wcs_rate", counting_rate)
         optimize_mu(bench_channel())
         assert 0 < evals[0] <= 40
 
