@@ -139,10 +139,10 @@ def _pair(
 ) -> Pair:
     """The :data:`Pair` terms of a distribution pair, checked by
     :func:`_check_denominator` where they are used."""
-    p0, p1, p2s = dist_signal.p(0), dist_signal.p(1), dist_signal.p(2)
-    p2d = dist_decoy.p(2)
-    c0 = p2s * dist_decoy.p(0) - p2d * p0
-    return p0, p1, p2s, p2d, c0, p2s * dist_decoy.p(1) - p2d * p1
+    # every distribution has bins 0..2
+    p0, p1, p2s = dist_signal.probs[:3]
+    d0, d1, p2d = dist_decoy.probs[:3]
+    return p0, p1, p2s, p2d, p2s * d0 - p2d * p0, p2s * d1 - p2d * p1
 
 
 def _check_denominator(pair: Pair) -> None:
@@ -179,11 +179,12 @@ def check_condition(
     pair = _pair(dist_signal, dist_decoy)
     _check_denominator(pair)
     _, _, p2s, p2d, _, _ = pair
-    top = max(dist_signal.n_max, dist_decoy.n_max)
-    return all(
-        p2s * dist_decoy.p(n) - p2d * dist_signal.p(n) <= 0.0
-        for n in range(2, top + 1)
-    )
+    # P(n) is zero beyond a distribution's truncation
+    signal, decoy = dist_signal.probs, dist_decoy.probs
+    top = max(len(signal), len(decoy))
+    signal += (0.0,) * (top - len(signal))
+    decoy += (0.0,) * (top - len(decoy))
+    return all(p2s * d - p2d * s <= 0.0 for s, d in zip(signal[2:], decoy[2:]))
 
 
 def _half_width(value: float, n_pulses: int, n_sigma: float) -> float:

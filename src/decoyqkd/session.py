@@ -18,9 +18,12 @@ Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
 flags in a record. A session's expected statistics come from one kernel,
 :func:`_expected_statistics`, which the pipeline and every sweep point
-share; past them the pipeline goes through the wrappers. A loss sweep
-checks its grid once and runs the kernels at each point, on floats and
-without records; the kernels keep the checks that can fire there.
+share. A session builds its distributions and runs that kernel once, in
+:func:`_session_model`, whose one-entry memo :func:`sample_counts` and
+:func:`run_pipeline` share; past them the pipeline goes through the
+wrappers. A loss sweep checks its grid once and runs the kernels at each
+point, on floats and without records; the kernels keep the checks that
+can fire there.
 
 Only the count sampling uses numpy, and imports it when first called.
 """
@@ -199,14 +202,33 @@ class PipelineResult:
 SessionDistributions = tuple[
     PhotonNumberDistribution, PhotonNumberDistribution, PhotonNumberDistribution
 ]
+# the fields of IntensityStatistics, in order
+Statistics = tuple[float, float, float, float, float, float]
+
+# the last config _session_model saw, with its model. The entry holds the
+# config, so no other object can take its id, and a frozen config never
+# changes, so the entry is exact. It is read and replaced as one tuple, so
+# a caller on another thread sees a whole entry or none.
+_last_model: tuple[ExperimentConfig, SessionDistributions, Statistics] | None = None
 
 
-def _build_distributions(cfg: ExperimentConfig) -> SessionDistributions:
-    return (
+def _session_model(cfg: ExperimentConfig) -> tuple[SessionDistributions, Statistics]:
+    """The distributions of ``cfg`` and their expected statistics at its
+    channel, built once for the last config seen. The memo compares
+    configs by identity, never by ``==``, under which configs that differ
+    in the sign of a zero are equal."""
+    global _last_model
+    last = _last_model
+    if last is not None and last[0] is cfg:
+        return last[1], last[2]
+    dists = (
         cfg.source_signal.distribution(cfg.n_max),
         cfg.source_decoy.distribution(cfg.n_max),
         wcs_distribution(cfg.vacuum_mu, cfg.n_max),
     )
+    stats = _expected_statistics(cfg, dists, cfg.channel.eta)
+    _last_model = (cfg, dists, stats)
+    return dists, stats
 
 
 def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
@@ -216,13 +238,12 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     ``vacuum_mu`` through the same channel; at zero gain its error
     ratio defaults to the background value.
     """
-    dists = _build_distributions(cfg)
-    return IntensityStatistics(*_expected_statistics(cfg, dists, cfg.channel.eta))
+    return IntensityStatistics(*_session_model(cfg)[1])
 
 
 def _expected_statistics(
     cfg: ExperimentConfig, dists: SessionDistributions, eta: float
-) -> tuple[float, float, float, float, float, float]:
+) -> Statistics:
     """Kernel of :func:`expected_statistics` for the distributions
     ``dists`` of ``cfg``, at transmittance ``eta`` and the rest of its
     channel: the fields of :class:`IntensityStatistics`, in order, with
@@ -254,13 +275,10 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     # imported here so that analytic runs start without numpy
     import numpy as np
 
-    stats = expected_statistics(cfg)
+    stats = _session_model(cfg)[1]
     split = cfg.pulse_split()
-    per_intensity = (
-        (stats.q_signal, stats.e_signal),
-        (stats.q_decoy, stats.e_decoy),
-        (stats.q_vacuum, stats.e_vacuum),
-    )
+    # (Q, E) at the signal, decoy and vacuum settings
+    per_intensity = (stats[0:2], stats[2:4], stats[4:6])
     drawn = []
     for index, (gates, (q, e)) in enumerate(zip(split, per_intensity)):
         rng = np.random.default_rng([cfg.rng_seed, index])
@@ -314,8 +332,8 @@ def run_pipeline(
     result rather than aborting: a degenerate bound simply yields zero
     key.
     """
-    dists = _build_distributions(cfg)
-    expected = IntensityStatistics(*_expected_statistics(cfg, dists, cfg.channel.eta))
+    dists, stats = _session_model(cfg)
+    expected = IntensityStatistics(*stats)
     if counts is None:
         obs = observation_from_expected(expected, cfg.pulse_split())
     else:

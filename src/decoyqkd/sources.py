@@ -33,7 +33,8 @@ from .errors import (
 
 N_MAX_DEFAULT = 16
 # largest accepted truncation: P(n) underflows long before it, and the
-# heralded-source build grows quadratically with n_max
+# heralded-source build grows quadratically with n_max until its Poisson
+# prefix sum rounds to 1
 N_MAX_LIMIT = 256
 DI_DEFAULT = 1e-3
 
@@ -79,9 +80,12 @@ class PhotonNumberDistribution:
             )
         if self.p_ge1 is not None and not 0.0 <= self.p_ge1 <= 1.0:
             raise InvalidParameterError(f"p_ge1={self.p_ge1!r} outside [0, 1]")
-        # clamp float dust so downstream sums never see negative mass
+        # clamp float dust so downstream sums never see negative mass; the
+        # same bits as min(max(p, 0.0), 1.0), -0.0 included
         object.__setattr__(
-            self, "probs", tuple(min(max(p, 0.0), 1.0) for p in self.probs)
+            self,
+            "probs",
+            tuple([0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in self.probs]),
         )
 
     @property
@@ -232,28 +236,32 @@ def hsps_distribution(
     _check_n_max(n_max)
     p_cor, mu, d_i = params.p_cor, params.mu_acc, params.d_i
 
-    pmf = _poisson_pmf(mu, n_max)
-    # A(k) = Poisson tail P_acc(m >= k); A(0) = 1
-    acc_tail = [1.0]
-    for k in range(1, n_max + 2):
-        acc_tail.append(max(1.0 - math.fsum(pmf[:k]), 0.0))
+    pmf = _poisson_pmf(mu, n_max - 1)
+    # A(k) = Poisson tail P_acc(m >= k) = 1 - fsum(pmf[:k]), A(0) = 1. fsum
+    # rounds correctly and the terms are non-negative, so once a prefix sum
+    # reaches 1 every later one does, and A is 0 from there on.
+    acc_tail = [1.0] + [0.0] * n_max
+    for k in range(1, n_max + 1):
+        head = math.fsum(pmf[:k])
+        if head >= 1.0:
+            break
+        acc_tail[k] = 1.0 - head
+    # p_ge[k] = P(m >= k) for k = 1..n_max; p_ge[0] is a placeholder
+    p_ge = [0.0] + [
+        p_cor * acc_tail[k - 1] + (1.0 - p_cor) * acc_tail[k]
+        for k in range(1, n_max + 1)
+    ]
 
-    def p_ge(k: int) -> float:
-        return p_cor * acc_tail[k - 1] + (1.0 - p_cor) * acc_tail[k]
-
-    probs = [0.0] * (n_max + 1)
-    probs[0] = p_cor * d_i + (1.0 - p_cor) * math.exp(-mu)
-    probs[1] = 1.0 - probs[0] - p_ge(2)
-    if probs[1] < -NORMALIZATION_ATOL:
+    p0 = p_cor * d_i + (1.0 - p_cor) * math.exp(-mu)
+    p1 = 1.0 - p0 - p_ge[2]
+    if p1 < -NORMALIZATION_ATOL:
         raise InvalidParameterError(
             "inconsistent heralded-source parameters: single-photon "
-            f"probability would be {probs[1]!r} (is d_i too large for "
+            f"probability would be {p1!r} (is d_i too large for "
             f"mu_acc={mu!r}?)"
         )
-    for n in range(2, n_max):
-        probs[n] = p_ge(n) - p_ge(n + 1)
-    probs[n_max] = p_ge(n_max)
-    return PhotonNumberDistribution(probs=tuple(probs), p_ge1=p_ge(1))
+    probs = (p0, p1, *[p_ge[n] - p_ge[n + 1] for n in range(2, n_max)], p_ge[n_max])
+    return PhotonNumberDistribution(probs=probs, p_ge1=p_ge[1])
 
 
 def ideal_sps_distribution(n_max: int = 2) -> PhotonNumberDistribution:

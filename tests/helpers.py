@@ -5,6 +5,12 @@ The benchmark session is a 36 dB heralded-source link with a 40%
 heralding correlation; the reference observables are the measured
 values the analysis chain is validated against.
 
+The reference heralded-source build writes out every step of
+:func:`hsps_distribution`: a prefix sum for every tail, each tail
+evaluated where it is used, and the validation and clamp of
+:class:`PhotonNumberDistribution`. Tests compare the package with it bit
+for bit.
+
 The reference formulas evaluate the channel sums, the infinite-decoy
 bounds, the three-intensity rate and the infinite-decoy coherent-state
 rate term by term from :func:`yield_n` and :func:`error_n`,
@@ -94,6 +100,39 @@ def bench_config(
         fluctuation=FluctuationPolicy(n_sigma),
         rng_seed=seed,
     )
+
+
+def ref_hsps_distribution(params, n_max: int) -> tuple[tuple[float, ...], float]:
+    """The probabilities and the emission tail P(m >= 1) of the heralded
+    source, each Poisson tail A(k) from its own prefix sum and each
+    P(m >= k) evaluated where it is used; raises
+    :class:`InvalidParameterError` where the package build does."""
+    p_cor, mu, d_i = params.p_cor, params.mu_acc, params.d_i
+    pmf = [math.exp(-mu)]
+    for n in range(1, n_max + 1):
+        pmf.append(pmf[-1] * mu / n)
+
+    def acc_tail(k):
+        return 1.0 if k == 0 else max(1.0 - math.fsum(pmf[:k]), 0.0)
+
+    def p_ge(k):
+        return p_cor * acc_tail(k - 1) + (1.0 - p_cor) * acc_tail(k)
+
+    probs = [p_cor * d_i + (1.0 - p_cor) * math.exp(-mu)]
+    probs.append(1.0 - probs[0] - p_ge(2))
+    if probs[1] < -1e-12:
+        raise InvalidParameterError("negative single-photon probability")
+    probs += [p_ge(n) - p_ge(n + 1) for n in range(2, n_max)]
+    probs.append(p_ge(n_max))
+    for p in probs:
+        if not -1e-12 <= p <= 1.0 + 1e-12:
+            raise InvalidParameterError(f"probability {p!r} outside [0, 1]")
+    if abs(math.fsum(probs) - 1.0) > 1e-12:
+        raise InvalidParameterError("probabilities do not sum to 1")
+    p_ge1 = p_ge(1)
+    if not 0.0 <= p_ge1 <= 1.0:
+        raise InvalidParameterError(f"p_ge1={p_ge1!r} outside [0, 1]")
+    return tuple(min(max(p, 0.0), 1.0) for p in probs), p_ge1
 
 
 def ref_gain(dist, ch) -> float:

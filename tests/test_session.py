@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +179,81 @@ class TestRunPipeline:
             result = run_pipeline(cfg, sample_counts(cfg))
             covered += result.bounds.y1_lower <= result.y1_true
         assert covered >= 99
+
+
+SOURCE_BUILDERS = ("wcs_distribution", "hsps_distribution", "ideal_sps_distribution")
+
+
+def model_bits(dists, stats) -> list[list[str]]:
+    """The bits of a session's distributions and expected statistics."""
+    return [
+        *([p.hex() for p in d.probs] + [repr(d.p_ge1)] for d in dists),
+        [x.hex() for x in stats],
+    ]
+
+
+class TestSessionModel:
+    """A sampled session builds its distributions and expected statistics
+    once; the memo behind that holds one config, compared by identity."""
+
+    def test_sampled_session_builds_each_distribution_once(self, monkeypatch):
+        builds = count_calls(monkeypatch, (sources_mod, session_mod), SOURCE_BUILDERS)
+        cfg = bench_config(seed=7)
+        run_pipeline(cfg, sample_counts(cfg))
+        assert builds[0] == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(source_decoy=HspsSource(HspsParams(0.40, 1.0e-3, 1.0e-3))),
+            # equal to the first config under ==, since 0.0 == -0.0
+            dict(vacuum_mu=-0.0),
+            dict(channel=bench_channel(2.0 * BENCH_ETA)),
+        ],
+        ids=["source", "vacuum-sign", "channel"],
+    )
+    def test_next_config_gets_its_own_model(self, change):
+        cfg_a = bench_config(seed=11, vacuum_mu=0.0)
+        cfg_b = replace(cfg_a, **change)
+        counts = sample_counts(cfg_a)
+        result = run_pipeline(cfg_b, counts)
+        model = session_mod._session_model(cfg_b)
+
+        fresh = replace(cfg_a, **change)
+        dists = (
+            fresh.source_signal.distribution(fresh.n_max),
+            fresh.source_decoy.distribution(fresh.n_max),
+            wcs_distribution(fresh.vacuum_mu, fresh.n_max),
+        )
+        stats = session_mod._expected_statistics(fresh, dists, fresh.channel.eta)
+        assert model_bits(*model) == model_bits(dists, stats)
+        assert repr(result) == repr(run_pipeline(fresh, counts))
+
+    def test_memo_holds_one_session(self):
+        base = bench_config()
+        run_pipeline(base, sample_counts(base))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for seed in range(2000):
+                cfg = replace(base, rng_seed=seed, vacuum_mu=seed * 1e-9)
+                run_pipeline(cfg, sample_counts(cfg))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a session's model takes about 3 kB, so 2000 of them 5.5 MB; the
+        # freed tuples that CPython keeps for reuse count as held too, up
+        # to about 0.35 MB for those of 17 bins
+        assert after - before < 2**20
+
+    def test_memo_lets_the_previous_config_go(self):
+        cfg = bench_config(seed=1)
+        run_pipeline(cfg, sample_counts(cfg))
+        previous = weakref.ref(cfg)
+        cfg = bench_config(seed=2)
+        run_pipeline(cfg, sample_counts(cfg))
+        gc.collect()
+        assert previous() is None
 
 
 def binomial_upper(n: int, p: float, alpha: float) -> int:

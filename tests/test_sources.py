@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import (
@@ -18,7 +18,7 @@ from decoyqkd import (
     infer_correlation,
     wcs_distribution,
 )
-from helpers import BENCH_D_I, BENCH_MU_SIGNAL, BENCH_P_COR
+from helpers import BENCH_D_I, BENCH_MU_SIGNAL, BENCH_P_COR, ref_hsps_distribution
 
 NORM_TOL = 1e-12
 
@@ -118,6 +118,33 @@ class TestHspsDistribution:
         tails = [d.p_at_least(k) for k in range(d.n_max + 1)]
         assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
 
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.0, -0.0])
+        | st.floats(min_value=-8.0, max_value=math.log10(50.0)).map(
+            lambda x: 10.0**x
+        ),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(2, 256),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(0.4, BENCH_MU_SIGNAL, BENCH_D_I, 256)
+    @example(0.4, -0.0, BENCH_D_I, 16)
+    @example(0.0, 50.0, 0.0, 2)
+    @example(1.0, 1e-8, 0.5, 256)
+    def test_matches_reference_bits(self, p_cor, mu, d_i, n_max):
+        params = HspsParams(p_cor, mu, d_i)
+        try:
+            expected = ref_hsps_distribution(params, n_max)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                hsps_distribution(params, n_max)
+            return
+        d = hsps_distribution(params, n_max)
+        probs, p_ge1 = expected
+        assert [p.hex() for p in d.probs] == [p.hex() for p in probs]
+        assert d.p_ge1.hex() == p_ge1.hex()
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):
             HspsParams(p_cor=1.2, mu_acc=0.01)
@@ -151,6 +178,14 @@ class TestDistributionType:
     def test_rejects_negative_mass(self):
         with pytest.raises(InvalidParameterError):
             PhotonNumberDistribution(probs=(1.1, -0.1, 0.0))
+
+    def test_clamp_keeps_signed_zeros(self):
+        # P(n) = P(n - 1) * mu / n alternates the sign of zero at mu = -0.0;
+        # the folded tail is +0.0
+        d = wcs_distribution(-0.0)
+        zeros = [-0.0 if n % 2 else 0.0 for n in range(1, d.n_max)]
+        expected = [1.0, *zeros, 0.0]
+        assert [p.hex() for p in d.probs] == [p.hex() for p in expected]
 
     def test_tail_beyond_truncation_is_zero(self):
         d = wcs_distribution(0.1, n_max=4)
