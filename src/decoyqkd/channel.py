@@ -137,10 +137,17 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
 
 
 def loss_db_to_eta(loss_db: float) -> float:
-    """Total loss in dB to linear transmittance, eta = 10^(-loss/10)."""
+    """Total loss in dB to linear transmittance, eta = 10^(-loss/10),
+    which lies in (0, 1]: a loss whose transmittance underflows to 0
+    (above about 3,236 dB) is rejected."""
     if not loss_db >= 0.0:
         raise InvalidParameterError(f"loss_db={loss_db!r} must be >= 0")
-    return 10.0 ** (-loss_db / 10.0)
+    eta = 10.0 ** (-loss_db / 10.0)
+    if eta == 0.0:
+        raise InvalidParameterError(
+            f"loss_db={loss_db!r} too large: its transmittance underflows to 0"
+        )
+    return eta
 
 
 def eta_to_loss_db(eta: float) -> float:

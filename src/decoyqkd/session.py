@@ -18,12 +18,13 @@ Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
 flags in a record. A session's expected statistics come from one kernel,
 :func:`_expected_statistics`, which the pipeline and every sweep point
-share. A session builds its distributions and runs that kernel once, in
-:func:`_session_model`, whose one-entry memo :func:`sample_counts` and
-:func:`run_pipeline` share; past them the pipeline goes through the
-wrappers. A loss sweep checks its grid once and runs the kernels at each
-point, on floats and without records; the kernels keep the checks that
-can fire there.
+share. A session builds its distributions and runs that kernel once,
+when its config's private ``_model`` is first read; the config keeps
+the result, so :func:`sample_counts` and :func:`run_pipeline` on one
+config share it, and a new config starts without one. Past that the
+pipeline goes through the wrappers. A loss sweep checks its grid once
+and runs the kernels at each point, on floats and without records; the
+kernels keep the checks that can fire there.
 
 Only the count sampling uses numpy, and imports it when first called.
 """
@@ -34,6 +35,7 @@ import enum
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .channel import ChannelParams, error_n, loss_db_to_eta, yield_n
 from .decoy import (
@@ -52,6 +54,7 @@ from .sources import (
     N_MAX_DEFAULT,
     PhotonNumberDistribution,
     SourceModel,
+    _check_mean,
     _check_n_max,
     hsps_distribution,
     ideal_sps_distribution,
@@ -70,6 +73,13 @@ WCS_NO_DECOY_MU_DEFAULT = 0.1
 
 # numpy draws the binomial gate counts as C int64
 _INT64_MAX = 2**63 - 1
+
+# signal, decoy and vacuum photon-number distributions of one session
+SessionDistributions = tuple[
+    PhotonNumberDistribution, PhotonNumberDistribution, PhotonNumberDistribution
+]
+# the fields of IntensityStatistics, in order
+Statistics = tuple[float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -95,10 +105,7 @@ class ExperimentConfig:
     n_max: int = N_MAX_DEFAULT
 
     def __post_init__(self) -> None:
-        if not self.vacuum_mu >= 0.0:
-            raise InvalidParameterError(
-                f"vacuum_mu={self.vacuum_mu!r} must be >= 0"
-            )
+        _check_mean("vacuum_mu", self.vacuum_mu)
         if not 1 <= self.total_pulses <= _INT64_MAX:
             raise InvalidParameterError(
                 f"total_pulses={self.total_pulses!r} must be between 1 and "
@@ -120,6 +127,19 @@ class ExperimentConfig:
                 f"rng_seed={self.rng_seed!r} must be >= 0"
             )
         _check_n_max(self.n_max)
+
+    @cached_property
+    def _model(self) -> tuple[SessionDistributions, Statistics]:
+        """The signal, decoy and vacuum distributions and their expected
+        statistics at the channel, built on first use. The cache lives in
+        the instance ``__dict__``, outside the fields, so it never enters
+        ``==``, ``hash``, ``repr`` or :func:`dataclasses.replace`."""
+        dists = (
+            self.source_signal.distribution(self.n_max),
+            self.source_decoy.distribution(self.n_max),
+            wcs_distribution(self.vacuum_mu, self.n_max),
+        )
+        return dists, _expected_statistics(self, dists, self.channel.eta)
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -198,39 +218,6 @@ class PipelineResult:
         return "analytic" if self.counts is None else "sampled"
 
 
-# signal, decoy and vacuum photon-number distributions of one session
-SessionDistributions = tuple[
-    PhotonNumberDistribution, PhotonNumberDistribution, PhotonNumberDistribution
-]
-# the fields of IntensityStatistics, in order
-Statistics = tuple[float, float, float, float, float, float]
-
-# the last config _session_model saw, with its model. The entry holds the
-# config, so no other object can take its id, and a frozen config never
-# changes, so the entry is exact. It is read and replaced as one tuple, so
-# a caller on another thread sees a whole entry or none.
-_last_model: tuple[ExperimentConfig, SessionDistributions, Statistics] | None = None
-
-
-def _session_model(cfg: ExperimentConfig) -> tuple[SessionDistributions, Statistics]:
-    """The distributions of ``cfg`` and their expected statistics at its
-    channel, built once for the last config seen. The memo compares
-    configs by identity, never by ``==``, under which configs that differ
-    in the sign of a zero are equal."""
-    global _last_model
-    last = _last_model
-    if last is not None and last[0] is cfg:
-        return last[1], last[2]
-    dists = (
-        cfg.source_signal.distribution(cfg.n_max),
-        cfg.source_decoy.distribution(cfg.n_max),
-        wcs_distribution(cfg.vacuum_mu, cfg.n_max),
-    )
-    stats = _expected_statistics(cfg, dists, cfg.channel.eta)
-    _last_model = (cfg, dists, stats)
-    return dists, stats
-
-
 def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     """Analytic (Q, E) at the signal, decoy and vacuum settings.
 
@@ -238,7 +225,7 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     ``vacuum_mu`` through the same channel; at zero gain its error
     ratio defaults to the background value.
     """
-    return IntensityStatistics(*_session_model(cfg)[1])
+    return IntensityStatistics(*cfg._model[1])
 
 
 def _expected_statistics(
@@ -275,7 +262,7 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     # imported here so that analytic runs start without numpy
     import numpy as np
 
-    stats = _session_model(cfg)[1]
+    stats = cfg._model[1]
     split = cfg.pulse_split()
     # (Q, E) at the signal, decoy and vacuum settings
     per_intensity = (stats[0:2], stats[2:4], stats[4:6])
@@ -290,37 +277,6 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     return SimulatedCounts(signal=drawn[0], decoy=drawn[1], vacuum=drawn[2])
 
 
-def observation_from_expected(
-    stats: IntensityStatistics, split: tuple[int, int, int]
-) -> ThreeIntensityObservation:
-    """The noiseless observation of ``stats`` over the gate counts
-    ``split`` (:meth:`ExperimentConfig.pulse_split`)."""
-    n_signal, n_decoy, n_vacuum = split
-    return ThreeIntensityObservation(
-        q_signal=stats.q_signal,
-        q_decoy=stats.q_decoy,
-        e_signal=stats.e_signal,
-        e_decoy=stats.e_decoy,
-        y0_obs=stats.q_vacuum,
-        n_signal=n_signal,
-        n_decoy=n_decoy,
-        n_vacuum=n_vacuum,
-    )
-
-
-def observation_from_counts(counts: SimulatedCounts) -> ThreeIntensityObservation:
-    return ThreeIntensityObservation(
-        q_signal=counts.signal.q,
-        q_decoy=counts.decoy.q,
-        e_signal=counts.signal.e,
-        e_decoy=counts.decoy.e,
-        y0_obs=counts.vacuum.q,
-        n_signal=counts.signal.gates,
-        n_decoy=counts.decoy.gates,
-        n_vacuum=counts.vacuum.gates,
-    )
-
-
 def run_pipeline(
     cfg: ExperimentConfig, counts: SimulatedCounts | None = None
 ) -> PipelineResult:
@@ -332,14 +288,25 @@ def run_pipeline(
     result rather than aborting: a degenerate bound simply yields zero
     key.
     """
-    dists, stats = _session_model(cfg)
-    expected = IntensityStatistics(*stats)
+    (dist_signal, dist_decoy, _), stats = cfg._model
     if counts is None:
-        obs = observation_from_expected(expected, cfg.pulse_split())
+        # the noiseless observation of the expected statistics
+        q_signal, e_signal, q_decoy, e_decoy, y0_obs, _ = stats
+        gates = cfg.pulse_split()
     else:
-        obs = observation_from_counts(counts)
-
-    dist_signal, dist_decoy, _ = dists
+        signal, decoy, vacuum = counts.signal, counts.decoy, counts.vacuum
+        q_signal, e_signal, q_decoy, e_decoy = signal.q, signal.e, decoy.q, decoy.e
+        y0_obs, gates = vacuum.q, (signal.gates, decoy.gates, vacuum.gates)
+    obs = ThreeIntensityObservation(
+        q_signal=q_signal,
+        q_decoy=q_decoy,
+        e_signal=e_signal,
+        e_decoy=e_decoy,
+        y0_obs=y0_obs,
+        n_signal=gates[0],
+        n_decoy=gates[1],
+        n_vacuum=gates[2],
+    )
     condition_ok = check_condition(dist_signal, dist_decoy)
     fb = fluctuation_bounds(obs, cfg.fluctuation)
     bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=cfg.channel.e0)
@@ -348,7 +315,7 @@ def run_pipeline(
     )
     return PipelineResult(
         observation=obs,
-        expected=expected,
+        expected=IntensityStatistics(*stats),
         counts=counts,
         condition_ok=condition_ok,
         observable_bounds=fb,
@@ -556,8 +523,6 @@ def scan_loss(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
     etas = [loss_db_to_eta(loss) for loss in grid]
-    # every transmittance lies in (0, 1] when the smallest one does
-    replace(cfg_template.channel, eta=min(etas))
     rates = tuple(_scheme_rates(scheme, cfg_template, etas))
     return LossCurve(scheme_label=scheme.label, loss_db=tuple(grid), rate=rates)
 
@@ -584,8 +549,8 @@ def wcs_infinite_decoy_rate(
     Uses the closed-form Poisson gain Q = y0 + 1 - exp(-eta mu); the
     single-photon yield and error are the channel truth.
     """
-    if not mu > 0.0:
-        raise InvalidParameterError(f"mu={mu!r} must be > 0")
+    if not 0.0 < mu < math.inf:
+        raise InvalidParameterError(f"mu={mu!r} must be finite and > 0")
     _check_wcs_gain(ch.eta, ch.y0, mu)
     return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu)
 

@@ -23,6 +23,7 @@ the HSPS model parameters (accidental flux and correlation probability).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -133,8 +134,7 @@ class HspsParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_cor <= 1.0:
             raise InvalidParameterError(f"p_cor={self.p_cor!r} outside [0, 1]")
-        if not self.mu_acc >= 0.0:
-            raise InvalidParameterError(f"mu_acc={self.mu_acc!r} must be >= 0")
+        _check_mean("mu_acc", self.mu_acc)
         if not 0.0 <= self.d_i < 1.0:
             raise InvalidParameterError(f"d_i={self.d_i!r} outside [0, 1)")
 
@@ -188,6 +188,12 @@ def _check_n_max(n_max: int) -> None:
         )
 
 
+def _check_mean(name: str, value: float) -> None:
+    """A mean photon number is a finite float >= 0 (-0.0 included)."""
+    if not 0.0 <= value <= sys.float_info.max:
+        raise InvalidParameterError(f"{name}={value!r} must be finite and >= 0")
+
+
 def _poisson_pmf(mu: float, n_max: int) -> list[float]:
     # e^-mu * mu^n / n!, built iteratively to avoid factorial overflow
     pmf = [math.exp(-mu)]
@@ -204,8 +210,7 @@ def wcs_distribution(
     The tail P(m >= n_max) is folded into the last bin, keeping the
     vector exactly normalized.
     """
-    if not mu >= 0.0:
-        raise InvalidParameterError(f"mu={mu!r} must be >= 0")
+    _check_mean("mu", mu)
     _check_n_max(n_max)
     pmf = _poisson_pmf(mu, n_max - 1)
     tail = max(1.0 - math.fsum(pmf), 0.0)
@@ -339,8 +344,7 @@ class WcsSource:
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0.0:
-            raise InvalidParameterError(f"mu={self.mu!r} must be >= 0")
+        _check_mean("mu", self.mu)
 
     def distribution(self, n_max: int = N_MAX_DEFAULT) -> PhotonNumberDistribution:
         return wcs_distribution(self.mu, n_max)

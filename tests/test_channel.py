@@ -285,6 +285,13 @@ class TestLossConversion:
         with pytest.raises(InvalidParameterError):
             eta_to_loss_db(1.5)
 
+    def test_underflow_names_the_loss(self):
+        # 10^(-323.6) rounds to the smallest subnormal, 10^(-323.7) to 0
+        assert loss_db_to_eta(3236.0) == 5e-324
+        for loss in (3237.0, 1e308, math.inf):
+            with pytest.raises(InvalidParameterError, match=r"^loss_db="):
+                loss_db_to_eta(loss)
+
 
 class TestChannelParams:
     def test_validation(self):

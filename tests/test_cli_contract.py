@@ -83,6 +83,21 @@ class TestOutsideInput:
         path.write_text(text.replace('"n_sigma": 10.0', f'"n_sigma": {literal}'))
         assert run(["session", "--config", str(path)])[0] == 2
 
+    @pytest.mark.parametrize(
+        "scheme, grid, name",
+        [
+            ("wcs-no-decoy:inf", ("0", "1", "1"), "mu=inf"),
+            ("ideal-sps", ("3000", "4000", "500"), "loss_db=3500.0"),
+        ],
+        ids=["infinite-mu", "eta-underflow"],
+    )
+    def test_curve_names_the_value(self, scheme, grid, name):
+        argv = ["curve", "--config", str(CONFIGS / SESSION), "--schemes", scheme]
+        argv += ["--loss-from", grid[0], "--loss-to", grid[1], "--loss-step", grid[2]]
+        err = io.StringIO()
+        assert run(argv, err)[0] == 2
+        assert name in err.getvalue()
+
     def test_sigma_flag_must_be_finite(self, tmp_path):
         cfg = session_with(tmp_path)
         assert run(["session", "--config", cfg, "--sigma", "inf"])[0] == 2
@@ -242,16 +257,18 @@ def leaf_paths(node, prefix=()):
         yield prefix
 
 
+numbers = st.integers(min_value=-(10**30), max_value=10**30) | st.floats()
 json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**30), max_value=10**30)
-    | st.floats()
-    | st.text(max_size=8),
+    st.none() | st.booleans() | numbers | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6,
 )
+# magnitudes at the edges of the float and the C int64 ranges
+EXTREME_NUMBERS = (0.0, -0.0, 5e-324, 1e308, 2**63 - 1, 2**63, 2**64)
+# what a swapped leaf becomes: an extreme number six times in eight,
+# another number once and any JSON value once
+SWAP_VALUES = (st.sampled_from(EXTREME_NUMBERS),) * 6 + (numbers, json_values)
 
 
 def at(doc, path):
@@ -268,7 +285,8 @@ def mutated_targets(draw):
     command, name = draw(st.sampled_from(TARGETS))
     doc = shipped(name)
     unknown = False
-    edits = st.sampled_from(("swap", "rename", "insert"))
+    # most edits swap a leaf: a renamed or inserted key only ever exits 2
+    edits = st.sampled_from(("swap", "swap", "swap", "rename", "insert"))
     for edit in draw(st.lists(edits, min_size=1, max_size=3)):
         if edit == "swap":
             # an earlier insert may have replaced every leaf by an empty
@@ -276,7 +294,7 @@ def mutated_targets(draw):
             leaves = list(leaf_paths(doc))
             if leaves:
                 path = draw(st.sampled_from(leaves))
-                at(doc, path[:-1])[path[-1]] = draw(json_values)
+                at(doc, path[:-1])[path[-1]] = draw(draw(st.sampled_from(SWAP_VALUES)))
             continue
         block = at(doc, draw(st.sampled_from(list(dict_paths(doc)))))
         key = draw(st.text(max_size=8))
@@ -293,7 +311,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(target=mutated_targets())
 def test_mutated_shipped_configs_keep_the_contract(workdir, target):
     command, doc, unknown = target

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -41,7 +42,7 @@ from decoyqkd import (
     wcs_distribution,
     wcs_infinite_decoy_rate,
 )
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from helpers import (
     BENCH_ETA,
@@ -194,7 +195,8 @@ def model_bits(dists, stats) -> list[list[str]]:
 
 class TestSessionModel:
     """A sampled session builds its distributions and expected statistics
-    once; the memo behind that holds one config, compared by identity."""
+    once, cached on its config outside the fields; a replaced config
+    starts without them."""
 
     def test_sampled_session_builds_each_distribution_once(self, monkeypatch):
         builds = count_calls(monkeypatch, (sources_mod, session_mod), SOURCE_BUILDERS)
@@ -217,7 +219,7 @@ class TestSessionModel:
         cfg_b = replace(cfg_a, **change)
         counts = sample_counts(cfg_a)
         result = run_pipeline(cfg_b, counts)
-        model = session_mod._session_model(cfg_b)
+        model = cfg_b._model
 
         fresh = replace(cfg_a, **change)
         dists = (
@@ -254,6 +256,45 @@ class TestSessionModel:
         run_pipeline(cfg, sample_counts(cfg))
         gc.collect()
         assert previous() is None
+
+    def test_model_stays_outside_the_fields(self):
+        cfg = bench_config(seed=3, vacuum_mu=-0.0)
+        twin = replace(cfg)
+        before = (fields(cfg), asdict(cfg), repr(cfg), hash(cfg))
+        cfg._model
+        assert "_model" in vars(cfg)
+        assert (fields(cfg), asdict(cfg), repr(cfg), hash(cfg)) == before
+        assert cfg == twin and twin == cfg
+        assert "_model" not in vars(twin)
+        assert "_model" not in vars(replace(cfg))
+        assert "_model" not in vars(replace(cfg, rng_seed=4))
+
+    def test_rerun_builds_nothing(self, monkeypatch):
+        cfg = bench_config(seed=7)
+        run_pipeline(cfg, sample_counts(cfg))
+        other = bench_config(seed=8)
+        run_pipeline(other, sample_counts(other))
+        builds = count_calls(monkeypatch, (sources_mod, session_mod), SOURCE_BUILDERS)
+        run_pipeline(cfg)
+        run_pipeline(cfg, sample_counts(cfg))
+        assert builds[0] == 0
+
+    def test_two_threads_on_one_config(self):
+        cfg = bench_config(seed=9)
+        start = threading.Barrier(2)
+        reprs = [None, None]
+
+        def session(slot):
+            start.wait()
+            reprs[slot] = repr(run_pipeline(cfg, sample_counts(cfg)))
+
+        threads = [threading.Thread(target=session, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        fresh = replace(cfg)
+        assert reprs[0] == reprs[1] == repr(run_pipeline(fresh, sample_counts(fresh)))
 
 
 def binomial_upper(n: int, p: float, alpha: float) -> int:
@@ -342,6 +383,12 @@ class TestScanLoss:
             bench_config(), Scheme(SchemeKind.WCS_NO_DECOY), [50.0, 55.0]
         )
         assert dead.cutoff_db is None
+
+    def test_underflowing_loss_is_named(self):
+        # the first point alone raises UndefinedStatisticError (y0 = 0); the
+        # grid is converted, and checked, before any point
+        with pytest.raises(InvalidParameterError, match=r"^loss_db=4000.0 "):
+            scan_loss(ideal_config(y0=0.0), Scheme(SchemeKind.IDEAL_SPS), [180.0, 4000.0])
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -681,8 +728,8 @@ class TestScanLossWork:
         "token", [t for t in SCHEME_TOKENS if t != "wcs-decoy-opt"]
     )
     def test_no_records_per_point(self, monkeypatch, token):
-        # the scan checks the channel once, at its smallest transmittance,
-        # and runs the float kernels at each point
+        # the scan checks its grid once and runs the float kernels at each
+        # point, on transmittances that loss_db_to_eta keeps in (0, 1]
         cfg = bench_config()
         counts = {}
         for cls in (
@@ -701,7 +748,7 @@ class TestScanLossWork:
         grid = [0.5 * k for k in range(121)]
         scan_loss(cfg, Scheme.parse(token), grid)
         assert counts == {
-            "ChannelParams": 1,
+            "ChannelParams": 0,
             "GainErrorPoint": 0,
             "BoundsResult": 0,
             "KeyRateResult": 0,
@@ -884,6 +931,11 @@ class TestOptimizeMu:
         ch = ChannelParams(eta=eta, y0=0.0, e_det=0.02)
         with pytest.raises(UndefinedStatisticError):
             wcs_infinite_decoy_rate(mu, ch, ProtocolParams())
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -0.0])
+    def test_rate_needs_a_finite_positive_intensity(self, mu):
+        with pytest.raises(InvalidParameterError, match=r"^mu="):
+            wcs_infinite_decoy_rate(mu, bench_channel(), ProtocolParams())
 
     def test_reference_covers_infeasible_region(self):
         ch = ChannelParams(eta=1e-7, y0=1e-3, e_det=0.1)

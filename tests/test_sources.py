@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from decoyqkd import (
     InvalidParameterError,
     MeasuredRates,
     PhotonNumberDistribution,
+    WcsSource,
     UndefinedStatisticError,
     g2_zero,
     hsps_distribution,
@@ -18,7 +20,13 @@ from decoyqkd import (
     infer_correlation,
     wcs_distribution,
 )
-from helpers import BENCH_D_I, BENCH_MU_SIGNAL, BENCH_P_COR, ref_hsps_distribution
+from helpers import (
+    BENCH_D_I,
+    BENCH_MU_SIGNAL,
+    BENCH_P_COR,
+    bench_config,
+    ref_hsps_distribution,
+)
 
 NORM_TOL = 1e-12
 
@@ -154,6 +162,29 @@ class TestHspsDistribution:
             HspsParams(p_cor=0.5, mu_acc=0.01, d_i=1.0)
         with pytest.raises(InvalidParameterError):
             hsps_distribution(HspsParams(0.4, 0.01), n_max=1)
+
+
+# every holder of a mean photon number, and the name its message starts with
+MEANS = {
+    "wcs_distribution": ("mu", wcs_distribution),
+    "WcsSource": ("mu", WcsSource),
+    "HspsParams": ("mu_acc", lambda mu: HspsParams(BENCH_P_COR, mu)),
+    "ExperimentConfig": ("vacuum_mu", lambda mu: replace(bench_config(), vacuum_mu=mu)),
+}
+
+
+class TestMeanPhotonNumber:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -5e-324, 10**400])
+    @pytest.mark.parametrize("holder", sorted(MEANS))
+    def test_rejects_infinite_nan_or_negative(self, holder, value):
+        name, build = MEANS[holder]
+        with pytest.raises(InvalidParameterError, match=rf"^{name}="):
+            build(value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e308])
+    @pytest.mark.parametrize("holder", sorted(MEANS))
+    def test_accepts_finite_non_negative(self, holder, value):
+        MEANS[holder][1](value)
 
 
 class TestIdealSps:
