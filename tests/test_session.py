@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -279,22 +280,30 @@ class TestSessionModel:
         run_pipeline(cfg, sample_counts(cfg))
         assert builds[0] == 0
 
-    def test_two_threads_on_one_config(self):
+    def test_threads_on_one_config(self):
+        # more threads than cores, switching often, all on one config
         cfg = bench_config(seed=9)
-        start = threading.Barrier(2)
-        reprs = [None, None]
+        workers = 4
+        start = threading.Barrier(workers, timeout=30)
+        reprs = [None] * workers
 
         def session(slot):
             start.wait()
             reprs[slot] = repr(run_pipeline(cfg, sample_counts(cfg)))
 
-        threads = [threading.Thread(target=session, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads = [threading.Thread(target=session, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         fresh = replace(cfg)
-        assert reprs[0] == reprs[1] == repr(run_pipeline(fresh, sample_counts(fresh)))
+        assert set(reprs) == {repr(run_pipeline(fresh, sample_counts(fresh)))}
 
 
 def binomial_upper(n: int, p: float, alpha: float) -> int:

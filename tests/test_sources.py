@@ -11,8 +11,8 @@ from decoyqkd import (
     InvalidParameterError,
     MeasuredRates,
     PhotonNumberDistribution,
-    WcsSource,
     UndefinedStatisticError,
+    WcsSource,
     g2_zero,
     hsps_distribution,
     ideal_sps_distribution,
@@ -176,7 +176,7 @@ MEANS = {
 class TestMeanPhotonNumber:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -5e-324, 10**400])
     @pytest.mark.parametrize("holder", sorted(MEANS))
-    def test_rejects_infinite_nan_or_negative(self, holder, value):
+    def test_rejects_non_finite_or_negative(self, holder, value):
         name, build = MEANS[holder]
         with pytest.raises(InvalidParameterError, match=rf"^{name}="):
             build(value)
