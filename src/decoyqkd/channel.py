@@ -78,7 +78,7 @@ def error_n(ch: ChannelParams, n: int) -> float:
     """
     y = yield_n(ch, n)
     if y == 0.0:
-        raise ZeroDivisionError(
+        raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
         )
     signal = 1.0 - (1.0 - ch.eta) ** n

@@ -14,6 +14,7 @@ cutoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .decoy import BoundsResult
@@ -145,4 +146,10 @@ def secure_bits(rate: float, n_signal: int) -> int:
         raise InvalidParameterError(f"rate={rate!r} must be >= 0")
     if n_signal < 0:
         raise InvalidParameterError(f"n_signal={n_signal!r} must be >= 0")
-    return math.floor(rate * n_signal)
+    # an int past the float range cannot enter the product
+    bits = rate * n_signal if n_signal <= sys.float_info.max else math.inf
+    if not math.isfinite(bits):
+        raise InvalidParameterError(
+            f"rate={rate!r} times n_signal={n_signal!r} is not finite"
+        )
+    return math.floor(bits)

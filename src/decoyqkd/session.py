@@ -26,7 +26,10 @@ pipeline goes through the wrappers. A loss sweep checks its grid once
 and runs the kernels at each point, on floats and without records; the
 kernels keep the checks that can fire there.
 
-Only the count sampling uses numpy, and imports it when first called.
+The count sampling draws with the package's own seeded sampler,
+:mod:`decoyqkd._binomial`, which gives the counts that
+``numpy.random.default_rng([seed, index])`` draws, without numpy; it is
+imported on the first draw.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ from .keyrate import _key_rate, _privacy, _rate_bracket
 # fraction tolerable)
 WCS_NO_DECOY_MU_DEFAULT = 0.1
 
-# numpy draws the binomial gate counts as C int64
+# the sampler draws the binomial gate counts as numpy's int64 stream does,
+# and that stream is pinned for counts up to this
 _INT64_MAX = 2**63 - 1
 
 # signal, decoy and vacuum photon-number distributions of one session
@@ -259,21 +263,20 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     intensity uses a generator derived from (seed, intensity index), so
     results are reproducible and independent of evaluation order.
     """
-    # imported here so that analytic runs start without numpy
-    import numpy as np
+    # imported here, so that commands which never sample do not load it
+    from ._binomial import binomial_pairs
 
     stats = cfg._model[1]
     split = cfg.pulse_split()
     # (Q, E) at the signal, decoy and vacuum settings
     per_intensity = (stats[0:2], stats[2:4], stats[4:6])
-    drawn = []
-    for index, (gates, (q, e)) in enumerate(zip(split, per_intensity)):
-        rng = np.random.default_rng([cfg.rng_seed, index])
-        detections = int(rng.binomial(gates, q))
-        errors = int(rng.binomial(detections, e))
-        drawn.append(
-            IntensityCounts(gates=gates, detections=detections, errors=errors)
-        )
+    pairs = binomial_pairs(
+        cfg.rng_seed, [(gates, q, e) for gates, (q, e) in zip(split, per_intensity)]
+    )
+    drawn = [
+        IntensityCounts(gates=gates, detections=detections, errors=errors)
+        for gates, (detections, errors) in zip(split, pairs)
+    ]
     return SimulatedCounts(signal=drawn[0], decoy=drawn[1], vacuum=drawn[2])
 
 
@@ -367,6 +370,7 @@ class Scheme:
                 raise InvalidParameterError(
                     f"wcs_mu only applies to wcs-no-decoy, not {self.kind.value}"
                 )
+            _check_mean("wcs_mu", self.wcs_mu)
             if not self.wcs_mu > 0.0:
                 raise InvalidParameterError(
                     f"wcs_mu={self.wcs_mu!r} must be > 0"

@@ -81,13 +81,13 @@ class TestErrorRate:
 
     def test_undefined_at_zero_yield(self):
         ch = ChannelParams(eta=0.3, y0=0.0, e_det=0.02)
-        with pytest.raises(ZeroDivisionError, match=r"n=0\)"):
+        with pytest.raises(UndefinedStatisticError, match=r"n=0\)"):
             error_n(ch, 0)
 
     def test_zero_yield_message_names_the_photon_number(self):
         # 1 - eta rounds to 1, so the single-photon yield underflows too
         ch = ChannelParams(eta=1e-17, y0=0.0, e_det=0.02)
-        with pytest.raises(ZeroDivisionError, match=r"n=1\)"):
+        with pytest.raises(UndefinedStatisticError, match=r"n=1\)"):
             error_n(ch, 1)
 
     def test_bounded_and_converges_to_misalignment(self):

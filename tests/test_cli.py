@@ -369,36 +369,27 @@ class TestInferCommand:
 
 
 class TestNumpyImport:
-    def test_only_sampling_loads_numpy(self):
-        # a fresh interpreter: the suite itself has numpy loaded
+    def test_no_command_needs_numpy(self):
+        # a fresh interpreter in which importing numpy fails: every golden
+        # case, the seeded sampled sessions among them, gives its bytes
         script = textwrap.dedent(
-            f"""
-            import contextlib, io, sys
-            from decoyqkd.cli import main
+            """
+            import sys, tempfile
+            from pathlib import Path
 
-            configs = {str(CONFIGS)!r}
-            session = configs + "/session-36db.json"
-            schemes = (
-                "wcs-no-decoy,hsps-no-decoy,wcs-decoy-opt,"
-                "hsps-decoy:0.40,hsps-decoy:0.70,ideal-sps"
-            )
-            runs = [
-                ["curve", "--config", session, "--schemes", schemes,
-                 "--loss-from", "0", "--loss-to", "60", "--loss-step", "5"],
-                ["distribution", "--config", configs + "/source-hsps.json"],
-                ["infer", "--config", configs + "/rates.json"],
-            ]
-            for argv in runs:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert main(argv) == 0, argv
-            assert "numpy" not in sys.modules
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["session", "--config", session]) == 0
-            assert "numpy" in sys.modules
+            sys.modules["numpy"] = None  # import numpy now raises ImportError
+            import test_golden
+
+            with tempfile.TemporaryDirectory() as tmp:
+                for name in test_golden.CASES:
+                    out = test_golden._run(name, Path(tmp)).encode("utf-8")
+                    if out != (test_golden.GOLDEN / name).read_bytes():
+                        sys.exit(f"{name} differs from its golden file")
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, paths))
         result = subprocess.run(
             [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": path},

@@ -86,7 +86,7 @@ class TestOutsideInput:
     @pytest.mark.parametrize(
         "scheme, grid, name",
         [
-            ("wcs-no-decoy:inf", ("0", "1", "1"), "mu=inf"),
+            ("wcs-no-decoy:inf", ("0", "1", "1"), "wcs_mu=inf"),
             ("ideal-sps", ("3000", "4000", "500"), "loss_db=3500.0"),
         ],
         ids=["infinite-mu", "eta-underflow"],

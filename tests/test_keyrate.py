@@ -136,6 +136,15 @@ class TestSecureBits:
         with pytest.raises(InvalidParameterError):
             secure_bits(-1e-6, 10**6)
 
+    @pytest.mark.parametrize(
+        "rate, n_signal",
+        [(1e308, 2**63), (math.inf, 0), (math.inf, 10**6), (1.0, 10**400)],
+        ids=["overflow", "inf-times-zero", "inf", "int-past-float-range"],
+    )
+    def test_product_must_be_finite(self, rate, n_signal):
+        with pytest.raises(InvalidParameterError, match=r"rate=.*n_signal="):
+            secure_bits(rate, n_signal)
+
 
 class TestProtocolParams:
     def test_validation(self):

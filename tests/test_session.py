@@ -1043,6 +1043,12 @@ class TestScheme:
         with pytest.raises(InvalidParameterError):
             Scheme(SchemeKind.IDEAL_SPS, p_cor=0.4)
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "0", "-0.1"])
+    def test_wcs_mu_is_finite_and_positive(self, token):
+        # refused at construction, naming the field
+        with pytest.raises(InvalidParameterError, match=r"^wcs_mu="):
+            Scheme.parse(f"wcs-no-decoy:{token}")
+
 
 class TestConfigValidation:
     def test_invalid_fields(self):
