@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, UndefinedStatisticError
@@ -139,10 +140,11 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
 def loss_db_to_eta(loss_db: float) -> float:
     """Total loss in dB to linear transmittance, eta = 10^(-loss/10),
     which lies in (0, 1]: a loss whose transmittance underflows to 0
-    (above about 3,236 dB) is rejected."""
+    (above about 3,236 dB) is rejected, and so is an int past the float
+    range."""
     if not loss_db >= 0.0:
         raise InvalidParameterError(f"loss_db={loss_db!r} must be >= 0")
-    eta = 10.0 ** (-loss_db / 10.0)
+    eta = 10.0 ** (-loss_db / 10.0) if loss_db <= sys.float_info.max else 0.0
     if eta == 0.0:
         raise InvalidParameterError(
             f"loss_db={loss_db!r} too large: its transmittance underflows to 0"

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -55,6 +54,9 @@ def _emit(
     if args.out is None:
         sys.stdout.write(text)
         return EXIT_OK
+    # imported here, so that only a run that writes a manifest loads it
+    from datetime import datetime, timezone
+
     Path(args.out).write_text(text, encoding="utf-8", newline="")
     manifest = {
         "tool_version": __version__,

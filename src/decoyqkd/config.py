@@ -15,7 +15,6 @@ configs stable under parse -> serialize -> parse.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -78,6 +77,9 @@ def dump_json(obj: Any, indent: int = 0) -> str:
 
 def config_sha256(doc: dict) -> str:
     """Hash of the canonical serialization; stable across reformatting."""
+    # imported here, so that only a run that writes a manifest loads it
+    import hashlib
+
     canonical = json.dumps(_canonical(doc), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -66,6 +66,12 @@ def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H2(x), with H2(0) = H2(1) = 0 by continuity."""
     if not 0.0 <= x <= 1.0:
         raise InvalidParameterError(f"x={x!r} outside [0, 1]")
+    return _h2(x)
+
+
+def _h2(x: float) -> float:
+    """Kernel of :func:`binary_entropy`, unchecked: for an ``x`` that is
+    in [0, 1] by construction."""
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -77,32 +83,15 @@ def _privacy(e1: float) -> float:
     return 1.0 - binary_entropy(min(e1, 1.0))
 
 
-def _rate_bracket(
-    q_gain: float,
-    e_signal: float,
-    g0: float,
-    g1_term: float,
-    f_ec: float,
-    q_sift: float,
-) -> tuple[float, float]:
-    """The GLLP bracket ``q_sift * (-Q f H2(E) + G0 + g1_term)`` and the
-    error-correction cost ``Q f H2(E)`` it subtracts, as a pair, for the
-    ``f_ec`` and ``q_sift`` of a :class:`ProtocolParams`.
-
-    ``g1_term`` is the privacy-amplified single-photon gain
-    G1^L (1 - H2(e1^U)).
-    """
-    ec_cost = q_gain * f_ec * binary_entropy(e_signal)
-    return ec_cost, q_sift * (-ec_cost + g0 + g1_term)
-
-
 def _key_rate(
     q_gain: float, e_signal: float, e1: float, g0: float, g1: float, p: ProtocolParams
 ) -> tuple[float, float, float, float]:
     """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
-    g1_term and raw_rate of :class:`KeyRateComponents`."""
+    g1_term and raw_rate of :class:`KeyRateComponents`. The raw rate is
+    the GLLP bracket ``q_sift * (-Q f H2(E) + G0 + G1 (1 - H2(e1)))``."""
     g1_term = g1 * _privacy(e1)
-    ec_cost, raw = _rate_bracket(q_gain, e_signal, g0, g1_term, p.f_ec, p.q_sift)
+    ec_cost = q_gain * p.f_ec * binary_entropy(e_signal)
+    raw = p.q_sift * (-ec_cost + g0 + g1_term)
     return max(raw, 0.0), ec_cost, g1_term, raw
 
 

@@ -12,7 +12,9 @@ Ties the source, channel, estimator and key-rate pieces together:
   independent setup done once per sweep;
 * optimization of the coherent-state signal intensity in the
   infinite-decoy limit: a search over a coarse grid, then golden-section
-  refinement.
+  refinement. The grid intensities and their vacuum probabilities
+  exp(-mu) are tables built at import, and the rate is one closure of
+  (mu, exp(-mu)) that writes out the GLLP bracket itself.
 
 Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -67,7 +70,7 @@ from .sources import (
 # the float kernels of the chain, which loss sweeps run at each point
 from .channel import _channel_terms, _gain, _qber
 from .decoy import _envelope, _estimate_bounds, _no_decoy_bounds, _pair
-from .keyrate import _key_rate, _privacy, _rate_bracket
+from .keyrate import _h2, _key_rate, _privacy
 
 # conventional signal intensity for a coherent-state link run without
 # decoy states (attenuation to ~0.1 photons/pulse keeps the multiphoton
@@ -517,9 +520,18 @@ def scan_loss(
     and compute the channel terms once for all distributions.
     ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
     point, with no channel record, and computes the constants of its rate
-    once per point. Every rate
-    is that of a point-by-point evaluation, bit for bit, and a zero gain
-    or a degenerate distribution pair raises where that evaluation does.
+    once per point. Every rate is that of a point-by-point evaluation,
+    bit for bit.
+
+    The errors come in this order: the whole grid is converted to
+    transmittances, and ``hsps-decoy`` takes the template's gate split,
+    before any point is evaluated; then the points run in grid order, and
+    a zero gain or a degenerate distribution pair raises at the first
+    point where a point-by-point evaluation does. So a grid holding a
+    loss whose transmittance underflows raises
+    :class:`InvalidParameterError` even where an earlier point would
+    raise :class:`UndefinedStatisticError`: with y0 = 0, the grid
+    ``[180]`` raises the latter, but ``[180, 4000]`` the former.
     """
     grid = [float(l) for l in loss_grid_db]
     if not grid:
@@ -553,10 +565,10 @@ def wcs_infinite_decoy_rate(
     Uses the closed-form Poisson gain Q = y0 + 1 - exp(-eta mu); the
     single-photon yield and error are the channel truth.
     """
-    if not 0.0 < mu < math.inf:
+    if not 0.0 < mu <= sys.float_info.max:
         raise InvalidParameterError(f"mu={mu!r} must be finite and > 0")
     _check_wcs_gain(ch.eta, ch.y0, mu)
-    return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu)
+    return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu, math.exp(-mu))
 
 
 def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
@@ -577,12 +589,15 @@ def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
 
 def _wcs_rate(
     eta: float, y0: float, e0: float, e_det: float, protocol: ProtocolParams
-) -> Callable[[float], float]:
+) -> Callable[[float, float], float]:
     """The rate of :func:`wcs_infinite_decoy_rate` as a function of the
-    intensity alone, on a channel that :func:`_check_wcs_gain` passed.
-    Its constants (Y1 and e1 from the channel terms of n = 1, the privacy
-    factor of e1, e0 y0 and the protocol's f_ec and q_sift) are computed
-    once, here."""
+    intensity ``mu`` and its vacuum probability ``p0 = exp(-mu)``, on a
+    channel that :func:`_check_wcs_gain` passed. Its constants (Y1 and e1
+    from the channel terms of n = 1, the privacy factor of e1, e0 y0 and
+    the protocol's f_ec and q_sift) are computed once, here. The closure
+    writes out the GLLP bracket of :func:`keyrate._key_rate` itself, with
+    the unchecked H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by
+    construction."""
     yields, numerators = _channel_terms(eta, y0, e0, e_det, 1)
     y1 = yields[1]
     privacy = _privacy(numerators[1] / y1)
@@ -590,17 +605,14 @@ def _wcs_rate(
     f_ec, q_sift = protocol.f_ec, protocol.q_sift
     exp = math.exp
 
-    def rate(mu: float) -> float:
+    def rate(mu: float, p0: float) -> float:
         signal = 1.0 - exp(-eta * mu)
         # min(x, 1.0), at a quarter of the cost of the builtin call
         q = y0 + signal
         q = 1.0 if 1.0 < q else q
         e = (e0_y0 + e_det * signal) / q
-        p0 = exp(-mu)
-        g1 = y1 * mu * p0
-        return _rate_bracket(
-            q, 1.0 if 1.0 < e else e, y0 * p0, g1 * privacy, f_ec, q_sift
-        )[1]
+        ec_cost = q * f_ec * _h2(1.0 if 1.0 < e else e)
+        return q_sift * (-ec_cost + y0 * p0 + y1 * mu * p0 * privacy)
 
     return rate
 
@@ -613,29 +625,38 @@ MU_SEARCH_RANGE = (1e-4, 1.0)
 MU_COARSE_POINTS = 512
 MU_TOL = 1e-7
 
+# the coarse grid, np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS) bit
+# for bit, and exp(-mu) at each of its intensities
+_COARSE_MU = tuple(
+    k * ((MU_SEARCH_RANGE[1] - MU_SEARCH_RANGE[0]) / (MU_COARSE_POINTS - 1))
+    + MU_SEARCH_RANGE[0]
+    for k in range(MU_COARSE_POINTS - 1)
+) + (MU_SEARCH_RANGE[1],)
+_COARSE_P0 = tuple(math.exp(-mu) for mu in _COARSE_MU)
 
-def _coarse_mu(k: int) -> float:
-    """Intensity ``k`` of the coarse grid: the ``k``-th point of
-    ``np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS)``, bit for bit."""
-    start, stop = MU_SEARCH_RANGE
-    if k == MU_COARSE_POINTS - 1:
-        return stop
-    return k * ((stop - start) / (MU_COARSE_POINTS - 1)) + start
 
-
-def _coarse_argmax(rate: Callable[[int], float]) -> int:
-    """First index of the largest ``rate(k)`` over the coarse grid, for a
-    rate that rises to one peak and then falls, or only falls.
+def _coarse_argmax(rate: Callable[[float, float], float]) -> tuple[int, float]:
+    """First index of the largest rate over the coarse grid, and that
+    rate, for a rate that rises to one peak and then falls, or only falls.
 
     A Fibonacci search narrows an open bracket of grid indices around the
-    peak, reading each probe twice (``rate`` should cache); the last four
-    candidates are compared one by one, and then with index 0, since the
-    grid rates can fall over the first few points before they rise to an
-    interior peak. Ties go to the first index, as in ``np.argmax``.
+    peak, reading each probe twice from one cache of the rates at the
+    grid points; the last four candidates are compared one by one, and
+    then with index 0, since the grid rates can fall over the first few
+    points before they rise to an interior peak. Ties go to the first
+    index, as in ``np.argmax``.
     """
+    grid: dict[int, float] = {}
 
     def at(k: int) -> float:
-        return rate(k) if k < MU_COARSE_POINTS else -math.inf
+        r = grid.get(k)
+        if r is None:
+            r = grid[k] = (
+                rate(_COARSE_MU[k], _COARSE_P0[k])
+                if k < MU_COARSE_POINTS
+                else -math.inf
+            )
+        return r
 
     # the peak lies in (a, a + lo + hi), probed at a + lo and a + hi, for
     # consecutive Fibonacci numbers lo < hi
@@ -648,7 +669,9 @@ def _coarse_argmax(rate: Callable[[int], float]) -> int:
             a += lo
         lo, hi = hi - lo, lo
     best = max(range(a + 1, a + lo + hi), key=at)
-    return 0 if rate(0) >= rate(best) else best
+    if at(0) >= grid[best]:
+        best = 0
+    return best, grid[best]
 
 
 def optimize_mu(
@@ -683,32 +706,25 @@ def _optimize_mu(
     # the gain is smallest at the low end of the range
     _check_wcs_gain(eta, y0, MU_SEARCH_RANGE[0])
     rate = _wcs_rate(eta, y0, e0, e_det, protocol)
-    grid: dict[int, float] = {}
-
-    def grid_rate(k: int) -> float:
-        r = grid.get(k)
-        if r is None:
-            r = grid[k] = rate(_coarse_mu(k))
-        return r
-
-    best = _coarse_argmax(grid_rate)
-    a = _coarse_mu(max(best - 1, 0))
-    b = _coarse_mu(min(best + 1, MU_COARSE_POINTS - 1))
+    exp = math.exp
+    best, r_best = _coarse_argmax(rate)
+    a = _COARSE_MU[max(best - 1, 0)]
+    b = _COARSE_MU[min(best + 1, MU_COARSE_POINTS - 1)]
     # golden-section interior points, keeping the better half each step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = rate(c), rate(d)
+    fc, fd = rate(c, exp(-c)), rate(d, exp(-d))
     while b - a > MU_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = rate(c)
+            fc = rate(c, exp(-c))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = rate(d)
+            fd = rate(d, exp(-d))
     mu_opt = (a + b) / 2.0
-    r_opt = rate(mu_opt)
-    if r_opt < grid_rate(best):
-        mu_opt, r_opt = _coarse_mu(best), grid_rate(best)
+    r_opt = rate(mu_opt, exp(-mu_opt))
+    if r_opt < r_best:
+        mu_opt, r_opt = _COARSE_MU[best], r_best
     return mu_opt, (0.0 if r_opt <= 0.0 else r_opt)

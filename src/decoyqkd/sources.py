@@ -169,15 +169,18 @@ class MeasuredRates:
                 f"need rs_hz < r0_hz, got rs_hz={self.rs_hz!r}, "
                 f"r0_hz={self.r0_hz!r}"
             )
+        # every other rate is bounded by r0_hz
+        if not self.r0_hz <= sys.float_info.max:
+            raise InvalidParameterError(f"r0_hz={self.r0_hz!r} must be finite")
         if not 0.0 <= self.rc_hz <= self.r0_hz:
             raise InvalidParameterError(
                 f"rc_hz={self.rc_hz!r} outside [0, r0_hz]"
             )
         if not 0.0 < self.eta_s <= 1.0:
             raise InvalidParameterError(f"eta_s={self.eta_s!r} outside (0, 1]")
-        if not self.gate_time_s > 0.0:
+        if not 0.0 < self.gate_time_s <= sys.float_info.max:
             raise InvalidParameterError(
-                f"gate_time_s={self.gate_time_s!r} must be > 0"
+                f"gate_time_s={self.gate_time_s!r} must be finite and > 0"
             )
 
 

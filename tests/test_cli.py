@@ -387,14 +387,41 @@ class TestNumpyImport:
                         sys.exit(f"{name} differs from its golden file")
             """
         )
-        root = Path(__file__).resolve().parents[1]
-        paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
-        path = os.pathsep.join(filter(None, paths))
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_fresh(script)
         assert result.returncode == 0, result.stderr
+
+
+class TestManifestImports:
+    def test_no_manifest_loads_neither_hashlib_nor_datetime(self):
+        # only --out writes a manifest, with its config hash and timestamp
+        config = str(CONFIGS / "session-36db.json")
+        script = textwrap.dedent(
+            f"""
+            import io, sys
+            from contextlib import redirect_stdout
+            from decoyqkd import cli
+
+            with redirect_stdout(io.StringIO()):
+                code = cli.main(["session", "--config", {config!r}])
+            loaded = [name for name in ("hashlib", "datetime") if name in sys.modules]
+            if code != 0 or loaded:
+                sys.exit(f"exit {{code}}, loaded {{loaded}}")
+            """
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports the package and
+    the test modules from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

@@ -24,6 +24,7 @@ from decoyqkd import (
     HspsSource,
     IdealSpsSource,
     InvalidParameterError,
+    MeasuredRates,
     MuOptimum,
     ProtocolParams,
     Scheme,
@@ -33,6 +34,7 @@ from decoyqkd import (
     binary_entropy,
     expected_statistics,
     ideal_sps_distribution,
+    infer_accidental_rate,
     key_rate,
     loss_db_to_eta,
     no_decoy_bounds,
@@ -953,25 +955,29 @@ class TestOptimizeMu:
         assert result == scalar_optimize_mu(ch)
 
     def test_coarse_grid_equals_linspace(self):
-        grid = [
-            session_mod._coarse_mu(k) for k in range(session_mod.MU_COARSE_POINTS)
-        ]
+        mus, p0s = session_mod._COARSE_MU, session_mod._COARSE_P0
+        assert type(mus) is tuple and type(p0s) is tuple
         expected = np.linspace(
             *session_mod.MU_SEARCH_RANGE, session_mod.MU_COARSE_POINTS
         ).tolist()
-        assert grid == expected
+        assert list(mus) == expected
+        assert len(p0s) == len(mus)
+        # bit for bit, as the golden section computes exp(-mu)
+        for mu, p0 in zip(mus, p0s):
+            assert p0 == math.exp(-mu)
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
-        # the rate is a closure built once per call; count its evaluations
+        # the rate is a closure of (mu, exp(-mu)) built once per call;
+        # count its evaluations
         evals = [0]
         make_rate = session_mod._wcs_rate
 
         def counting_rate(*args):
             rate = make_rate(*args)
 
-            def counted(mu):
+            def counted(mu, p0):
                 evals[0] += 1
-                return rate(mu)
+                return rate(mu, p0)
 
             return counted
 
@@ -1060,3 +1066,32 @@ class TestConfigValidation:
             replace(bench_config(), intensity_ratio=(1.0, 0.0, 1.0))
         with pytest.raises(InvalidParameterError):
             replace(bench_config(), rng_seed=-1)
+
+
+# an int past the float range, which cannot enter float arithmetic
+HUGE_INT = 10**400
+
+
+def huge_rates(**kw):
+    rates = dict(
+        r0_hz=1e6, rs_hz=8e3, rc_hz=4.05e5, ds_hz=1e3, eta_s=0.1, gate_time_s=2.5e-9
+    )
+    return MeasuredRates(**{**rates, **kw})
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("loss_db", lambda: loss_db_to_eta(HUGE_INT)),
+        (
+            "mu",
+            lambda: wcs_infinite_decoy_rate(HUGE_INT, bench_channel(), ProtocolParams()),
+        ),
+        ("r0_hz", lambda: infer_accidental_rate(huge_rates(r0_hz=HUGE_INT))),
+        ("gate_time_s", lambda: infer_accidental_rate(huge_rates(gate_time_s=HUGE_INT))),
+    ],
+    ids=["loss_db", "mu", "r0_hz", "gate_time_s"],
+)
+def test_int_past_the_float_range_is_refused_by_name(name, call):
+    with pytest.raises(InvalidParameterError, match=rf"^{name}="):
+        call()
