@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, UndefinedStatisticError
+from .errors import InvalidParameterError, UndefinedStatisticError, _check_range
 from .sources import PhotonNumberDistribution
 
 E0_DEFAULT = 0.5
@@ -45,14 +44,10 @@ class ChannelParams:
     e0: float = E0_DEFAULT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise InvalidParameterError(f"eta={self.eta!r} outside (0, 1]")
-        if not 0.0 <= self.y0 < 1.0:
-            raise InvalidParameterError(f"y0={self.y0!r} outside [0, 1)")
-        if not 0.0 <= self.e_det <= 0.5:
-            raise InvalidParameterError(f"e_det={self.e_det!r} outside [0, 0.5]")
-        if not 0.0 <= self.e0 <= 1.0:
-            raise InvalidParameterError(f"e0={self.e0!r} outside [0, 1]")
+        _check_range("eta", self.eta, 0, 1, "(]")
+        _check_range("y0", self.y0, 0, 1, "[)")
+        _check_range("e_det", self.e_det, 0, 0.5)
+        _check_range("e0", self.e0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -65,8 +60,7 @@ class GainErrorPoint:
 
 def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
-    if n < 0:
-        raise InvalidParameterError("photon number must be >= 0")
+    _check_range("n", n, 0)
     # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
     return min(ch.y0 + (1.0 - (1.0 - ch.eta) ** n), 1.0)
 
@@ -140,11 +134,10 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
 def loss_db_to_eta(loss_db: float) -> float:
     """Total loss in dB to linear transmittance, eta = 10^(-loss/10),
     which lies in (0, 1]: a loss whose transmittance underflows to 0
-    (above about 3,236 dB) is rejected, and so is an int past the float
-    range."""
-    if not loss_db >= 0.0:
-        raise InvalidParameterError(f"loss_db={loss_db!r} must be >= 0")
-    eta = 10.0 ** (-loss_db / 10.0) if loss_db <= sys.float_info.max else 0.0
+    (above about 3,236 dB) is rejected."""
+    _check_range("loss_db", loss_db, 0)
+    # a numpy scalar would take numpy's pow, whose last bit can differ
+    eta = 10.0 ** (-float(loss_db) / 10.0)
     if eta == 0.0:
         raise InvalidParameterError(
             f"loss_db={loss_db!r} too large: its transmittance underflows to 0"
@@ -154,6 +147,5 @@ def loss_db_to_eta(loss_db: float) -> float:
 
 def eta_to_loss_db(eta: float) -> float:
     """Linear transmittance to total loss in dB."""
-    if not 0.0 < eta <= 1.0:
-        raise InvalidParameterError(f"eta={eta!r} outside (0, 1]")
+    _check_range("eta", eta, 0, 1, "(]")
     return -10.0 * math.log10(eta)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import E0_DEFAULT
-from .errors import DegenerateDistributionError, InvalidParameterError
+from .errors import DegenerateDistributionError, InvalidParameterError, _check_range
 from .sources import PhotonNumberDistribution
 
 
@@ -41,10 +41,7 @@ class FluctuationPolicy:
     n_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.n_sigma < math.inf:
-            raise InvalidParameterError(
-                f"n_sigma={self.n_sigma!r} must be finite and >= 0"
-            )
+        _check_range("n_sigma", self.n_sigma, 0)
 
 
 @dataclass(frozen=True)
@@ -68,19 +65,14 @@ class ThreeIntensityObservation:
 
     def __post_init__(self) -> None:
         for name in ("q_signal", "q_decoy", "e_signal", "y0_obs"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
-        if self.e_decoy is not None and not 0.0 <= self.e_decoy <= 1.0:
-            raise InvalidParameterError(
-                f"e_decoy={self.e_decoy!r} outside [0, 1]"
-            )
+            _check_range(name, getattr(self, name), 0, 1)
+        if self.e_decoy is not None:
+            _check_range("e_decoy", self.e_decoy, 0, 1)
         for name in ("n_signal", "n_decoy", "n_vacuum"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise InvalidParameterError(
-                    f"{name}={v!r} must be a positive integer"
-                )
+            if not isinstance(v, int):
+                raise InvalidParameterError(f"{name}={v!r} must be a positive integer")
+            _check_range(name, v, 1)
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,7 @@ class BoundsResult:
 
     def __post_init__(self) -> None:
         for name in ("y1_lower", "e1_upper", "g0", "g1_lower"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
+            _check_range(name, getattr(self, name), 0, 1)
 
 
 # the channel-independent part of the three-intensity bounds: P'(0), P'(1),
@@ -314,6 +304,7 @@ def estimate_bounds(
     """Full three-intensity estimate from the envelope ``fb`` of ``obs``:
     Y1 lower bound, then e1 upper bound. The background gain g0 uses the
     central ``obs.y0_obs``."""
+    _check_range("e0", e0, 0, 1)
     pair = _pair(dist_signal, dist_decoy)
     return BoundsResult(*_estimate_bounds(_widened(fb), obs.y0_obs, pair, e0))
 
@@ -359,7 +350,7 @@ def no_decoy_bounds(
     these values and the central observables.
     """
     for name, v in (("q_signal", q_signal), ("e_signal", e_signal), ("y0_obs", y0_obs)):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidParameterError(f"{name}={v!r} outside [0, 1]")
+        _check_range(name, v, 0, 1)
+    _check_range("e0", e0, 0, 1)
     weights = (dist_signal.p(0), dist_signal.p(1), dist_signal.p_at_least(2))
     return BoundsResult(*_no_decoy_bounds(q_signal, e_signal, y0_obs, weights, e0))

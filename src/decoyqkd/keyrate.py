@@ -2,7 +2,7 @@
 
 The rate per signal gate is
 
-    R = q * (-Q_s f H2(E_s) + G0 + G1^L (1 - H2(e1^U)))
+    R = q * (-Q_s f H2(E_s) + G0 + G1^L (1 - H2(min(e1^U, 1/2))))
 
 balancing the error-correction cost of the whole sifted string against
 the privacy-amplified single-photon and background contributions.
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .decoy import BoundsResult
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_range
 
 F_EC_DEFAULT = 1.22
 
@@ -36,12 +36,8 @@ class ProtocolParams:
     f_ec: float = F_EC_DEFAULT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q_sift <= 1.0:
-            raise InvalidParameterError(
-                f"q_sift={self.q_sift!r} outside (0, 1]"
-            )
-        if not self.f_ec >= 1.0:
-            raise InvalidParameterError(f"f_ec={self.f_ec!r} must be >= 1")
+        _check_range("q_sift", self.q_sift, 0, 1, "(]")
+        _check_range("f_ec", self.f_ec, 1)
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,7 @@ class KeyRateResult:
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H2(x), with H2(0) = H2(1) = 0 by continuity."""
-    if not 0.0 <= x <= 1.0:
-        raise InvalidParameterError(f"x={x!r} outside [0, 1]")
+    _check_range("x", x, 0, 1)
     return _h2(x)
 
 
@@ -78,9 +73,11 @@ def _h2(x: float) -> float:
 
 
 def _privacy(e1: float) -> float:
-    """The privacy-amplification factor 1 - H2(e1) of single-photon key,
-    with a bound e1 above one capped at one."""
-    return 1.0 - binary_entropy(min(e1, 1.0))
+    """The privacy-amplification factor 1 - H2(min(e1, 1/2)) of
+    single-photon key. The factor is 0 at e1 = 1/2, where Eve may know
+    everything; past 1/2, H2 falls again, and an uncapped e1 would count
+    key that no bound justifies (at e1 = 1, the whole of G1)."""
+    return 1.0 - binary_entropy(min(e1, 0.5))
 
 
 def _key_rate(
@@ -88,7 +85,7 @@ def _key_rate(
 ) -> tuple[float, float, float, float]:
     """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
     g1_term and raw_rate of :class:`KeyRateComponents`. The raw rate is
-    the GLLP bracket ``q_sift * (-Q f H2(E) + G0 + G1 (1 - H2(e1)))``."""
+    the GLLP bracket ``q_sift * (-Q f H2(E) + G0 + G1 (1 - H2(min(e1, 1/2))))``."""
     g1_term = g1 * _privacy(e1)
     ec_cost = q_gain * p.f_ec * binary_entropy(e_signal)
     raw = p.q_sift * (-ec_cost + g0 + g1_term)
@@ -108,12 +105,8 @@ def key_rate(
     given and the result floored at zero with ``negative`` set. When
     ``n_signal`` is supplied the integer secure-bit yield is included.
     """
-    if not 0.0 <= q_gain_signal <= 1.0:
-        raise InvalidParameterError(
-            f"q_gain_signal={q_gain_signal!r} outside [0, 1]"
-        )
-    if not 0.0 <= e_signal <= 1.0:
-        raise InvalidParameterError(f"e_signal={e_signal!r} outside [0, 1]")
+    _check_range("q_gain_signal", q_gain_signal, 0, 1)
+    _check_range("e_signal", e_signal, 0, 1)
 
     rate, ec_cost, g1_term, raw = _key_rate(
         q_gain_signal, e_signal, bounds.e1_upper, bounds.g0, bounds.g1_lower, p
@@ -130,14 +123,15 @@ def key_rate(
 
 
 def secure_bits(rate: float, n_signal: int) -> int:
-    """Integer secure-bit yield, floor(rate * n_signal)."""
-    if not rate >= 0.0:
-        raise InvalidParameterError(f"rate={rate!r} must be >= 0")
-    if n_signal < 0:
-        raise InvalidParameterError(f"n_signal={n_signal!r} must be >= 0")
-    # an int past the float range cannot enter the product
-    bits = rate * n_signal if n_signal <= sys.float_info.max else math.inf
-    if not math.isfinite(bits):
+    """Integer secure-bit yield, floor(rate * n_signal).
+
+    A factor that is infinite or an int past the float range fails the
+    rule on the product, which must be finite, and the error names both."""
+    _check_range("rate", rate, 0, math.inf)
+    _check_range("n_signal", n_signal, 0, math.inf)
+    # an int past the float range cannot enter a float product
+    bits = rate * n_signal if max(rate, n_signal) <= sys.float_info.max else math.inf
+    if not bits <= sys.float_info.max:
         raise InvalidParameterError(
             f"rate={rate!r} times n_signal={n_signal!r} is not finite"
         )

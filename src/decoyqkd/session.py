@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -53,14 +52,13 @@ from .decoy import (
     estimate_bounds,
     fluctuation_bounds,
 )
-from .errors import InvalidParameterError, UndefinedStatisticError
+from .errors import InvalidParameterError, UndefinedStatisticError, _check_range
 from .keyrate import KeyRateResult, ProtocolParams, key_rate
 from .sources import (
     HspsSource,
     N_MAX_DEFAULT,
     PhotonNumberDistribution,
     SourceModel,
-    _check_mean,
     _check_n_max,
     hsps_distribution,
     ideal_sps_distribution,
@@ -112,12 +110,8 @@ class ExperimentConfig:
     n_max: int = N_MAX_DEFAULT
 
     def __post_init__(self) -> None:
-        _check_mean("vacuum_mu", self.vacuum_mu)
-        if not 1 <= self.total_pulses <= _INT64_MAX:
-            raise InvalidParameterError(
-                f"total_pulses={self.total_pulses!r} must be between 1 and "
-                "2**63 - 1"
-            )
+        _check_range("vacuum_mu", self.vacuum_mu, 0)
+        _check_range("total_pulses", self.total_pulses, 1, _INT64_MAX)
         # pulse_split scales total_pulses by each weight
         ratio = self.intensity_ratio
         if (
@@ -359,11 +353,12 @@ class Scheme:
 
     def __post_init__(self) -> None:
         if self.kind is SchemeKind.HSPS_DECOY:
-            if self.p_cor is None or not 0.0 <= self.p_cor <= 1.0:
+            if self.p_cor is None:
                 raise InvalidParameterError(
                     "hsps-decoy needs a correlation p_cor in [0, 1], e.g. "
-                    f"hsps-decoy:0.40; got {self.p_cor!r}"
+                    "hsps-decoy:0.40; got None"
                 )
+            _check_range("p_cor", self.p_cor, 0, 1)
         elif self.p_cor is not None:
             raise InvalidParameterError(
                 f"p_cor only applies to hsps-decoy, not {self.kind.value}"
@@ -373,11 +368,7 @@ class Scheme:
                 raise InvalidParameterError(
                     f"wcs_mu only applies to wcs-no-decoy, not {self.kind.value}"
                 )
-            _check_mean("wcs_mu", self.wcs_mu)
-            if not self.wcs_mu > 0.0:
-                raise InvalidParameterError(
-                    f"wcs_mu={self.wcs_mu!r} must be > 0"
-                )
+            _check_range("wcs_mu", self.wcs_mu, 0, None, "()")
 
     @property
     def label(self) -> str:
@@ -533,14 +524,16 @@ def scan_loss(
     raise :class:`UndefinedStatisticError`: with y0 = 0, the grid
     ``[180]`` raises the latter, but ``[180, 4000]`` the former.
     """
-    grid = [float(l) for l in loss_grid_db]
+    grid = list(loss_grid_db)
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
     etas = [loss_db_to_eta(loss) for loss in grid]
     rates = tuple(_scheme_rates(scheme, cfg_template, etas))
-    return LossCurve(scheme_label=scheme.label, loss_db=tuple(grid), rate=rates)
+    return LossCurve(
+        scheme_label=scheme.label, loss_db=tuple(map(float, grid)), rate=rates
+    )
 
 
 @dataclass(frozen=True)
@@ -565,8 +558,7 @@ def wcs_infinite_decoy_rate(
     Uses the closed-form Poisson gain Q = y0 + 1 - exp(-eta mu); the
     single-photon yield and error are the channel truth.
     """
-    if not 0.0 < mu <= sys.float_info.max:
-        raise InvalidParameterError(f"mu={mu!r} must be finite and > 0")
+    _check_range("mu", mu, 0, None, "()")
     _check_wcs_gain(ch.eta, ch.y0, mu)
     return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu, math.exp(-mu))
 

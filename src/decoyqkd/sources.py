@@ -23,13 +23,13 @@ the HSPS model parameters (accidental flux and correlation probability).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import (
     InconsistentDataError,
     InvalidParameterError,
     UndefinedStatisticError,
+    _check_range,
 )
 
 N_MAX_DEFAULT = 16
@@ -79,8 +79,8 @@ class PhotonNumberDistribution:
                 f"probabilities sum to {total!r}, expected 1 within "
                 f"{NORMALIZATION_ATOL}"
             )
-        if self.p_ge1 is not None and not 0.0 <= self.p_ge1 <= 1.0:
-            raise InvalidParameterError(f"p_ge1={self.p_ge1!r} outside [0, 1]")
+        if self.p_ge1 is not None:
+            _check_range("p_ge1", self.p_ge1, 0, 1)
         # clamp float dust so downstream sums never see negative mass; the
         # same bits as min(max(p, 0.0), 1.0), -0.0 included
         object.__setattr__(
@@ -95,8 +95,7 @@ class PhotonNumberDistribution:
 
     def p(self, n: int) -> float:
         """P(n), zero beyond the truncated support."""
-        if n < 0:
-            raise InvalidParameterError("photon number must be >= 0")
+        _check_range("n", n, 0)
         return self.probs[n] if n <= self.n_max else 0.0
 
     def p_at_least(self, k: int) -> float:
@@ -132,11 +131,9 @@ class HspsParams:
     d_i: float = DI_DEFAULT
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_cor <= 1.0:
-            raise InvalidParameterError(f"p_cor={self.p_cor!r} outside [0, 1]")
-        _check_mean("mu_acc", self.mu_acc)
-        if not 0.0 <= self.d_i < 1.0:
-            raise InvalidParameterError(f"d_i={self.d_i!r} outside [0, 1)")
+        _check_range("p_cor", self.p_cor, 0, 1)
+        _check_range("mu_acc", self.mu_acc, 0)
+        _check_range("d_i", self.d_i, 0, 1, "[)")
 
 
 @dataclass(frozen=True)
@@ -170,31 +167,17 @@ class MeasuredRates:
                 f"r0_hz={self.r0_hz!r}"
             )
         # every other rate is bounded by r0_hz
-        if not self.r0_hz <= sys.float_info.max:
-            raise InvalidParameterError(f"r0_hz={self.r0_hz!r} must be finite")
+        _check_range("r0_hz", self.r0_hz, 0, None, "()")
         if not 0.0 <= self.rc_hz <= self.r0_hz:
             raise InvalidParameterError(
                 f"rc_hz={self.rc_hz!r} outside [0, r0_hz]"
             )
-        if not 0.0 < self.eta_s <= 1.0:
-            raise InvalidParameterError(f"eta_s={self.eta_s!r} outside (0, 1]")
-        if not 0.0 < self.gate_time_s <= sys.float_info.max:
-            raise InvalidParameterError(
-                f"gate_time_s={self.gate_time_s!r} must be finite and > 0"
-            )
+        _check_range("eta_s", self.eta_s, 0, 1, "(]")
+        _check_range("gate_time_s", self.gate_time_s, 0, None, "()")
 
 
 def _check_n_max(n_max: int) -> None:
-    if not 2 <= n_max <= N_MAX_LIMIT:
-        raise InvalidParameterError(
-            f"n_max={n_max} must be between 2 and {N_MAX_LIMIT}"
-        )
-
-
-def _check_mean(name: str, value: float) -> None:
-    """A mean photon number is a finite float >= 0 (-0.0 included)."""
-    if not 0.0 <= value <= sys.float_info.max:
-        raise InvalidParameterError(f"{name}={value!r} must be finite and >= 0")
+    _check_range("n_max", n_max, 2, N_MAX_LIMIT)
 
 
 def _poisson_pmf(mu: float, n_max: int) -> list[float]:
@@ -213,7 +196,7 @@ def wcs_distribution(
     The tail P(m >= n_max) is folded into the last bin, keeping the
     vector exactly normalized.
     """
-    _check_mean("mu", mu)
+    _check_range("mu", mu, 0)
     _check_n_max(n_max)
     pmf = _poisson_pmf(mu, n_max - 1)
     tail = max(1.0 - math.fsum(pmf), 0.0)
@@ -327,11 +310,13 @@ def infer_correlation(m: MeasuredRates, r_s: float) -> float:
     Values within ``CORRELATION_ATOL`` outside [0, 1] are clamped
     (rounding noise); anything further signals inconsistent measurements.
     """
-    if not r_s >= 0.0:
-        raise InvalidParameterError(f"r_s={r_s!r} must be >= 0")
-    p_cor = 1.0 - (m.r0_hz - m.rc_hz) / (m.r0_hz - m.ds_hz) * math.exp(
-        m.eta_s * r_s * m.gate_time_s
-    )
+    _check_range("r_s", r_s, 0)
+    miss = (m.r0_hz - m.rc_hz) / (m.r0_hz - m.ds_hz)
+    try:
+        p_cor = 1.0 - miss * math.exp(m.eta_s * r_s * m.gate_time_s)
+    except OverflowError:
+        # an exponential past the float range leaves only the sign
+        p_cor = 1.0 if miss == 0.0 else -math.inf
     if p_cor < -CORRELATION_ATOL or p_cor > 1.0 + CORRELATION_ATOL:
         raise InconsistentDataError(
             f"inferred correlation {p_cor!r} outside [0, 1]: the coincidence "
@@ -347,7 +332,7 @@ class WcsSource:
     mu: float
 
     def __post_init__(self) -> None:
-        _check_mean("mu", self.mu)
+        _check_range("mu", self.mu, 0)
 
     def distribution(self, n_max: int = N_MAX_DEFAULT) -> PhotonNumberDistribution:
         return wcs_distribution(self.mu, n_max)

@@ -182,7 +182,8 @@ def ref_wcs_infinite_decoy_rate(mu, ch, protocol) -> float:
     return protocol.q_sift * (
         -q * protocol.f_ec * binary_entropy(min(e, 1.0))
         + g0
-        + g1 * (1.0 - binary_entropy(min(e1, 1.0)))
+        # the privacy term is capped at e1 = 1/2
+        + g1 * (1.0 - binary_entropy(min(e1, 0.5)))
     )
 
 
@@ -225,6 +226,7 @@ def ref_three_intensity_rate(cfg, ch, p_cor) -> float:
     raw = protocol.q_sift * (
         -q * protocol.f_ec * binary_entropy(e)
         + y0 * ds.p(0)
-        + y1 * ds.p(1) * (1.0 - binary_entropy(e1))
+        # the privacy term is capped at e1 = 1/2
+        + y1 * ds.p(1) * (1.0 - binary_entropy(min(e1, 0.5)))
     )
     return max(raw, 0.0)

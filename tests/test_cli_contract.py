@@ -3,8 +3,9 @@
 Fixed reproductions of inputs that once crashed, printed invalid JSON or
 were read with a misspelled key silently dropped; a Hypothesis property
 that swaps leaves of the shipped configs for arbitrary JSON values and
-renames or inserts keys; and one that runs ``curve`` on extreme scheme
-arguments, loss grids and session leaves.
+renames or inserts keys; one that swaps a whole section, or the whole
+document; and one that runs ``curve`` on extreme scheme arguments, loss
+grids and session leaves.
 """
 
 from __future__ import annotations
@@ -324,6 +325,32 @@ def test_mutated_shipped_configs_keep_the_contract(workdir, target):
     if code == 0:
         report = strict_loads(out)
         assert report["report"] == command
+
+
+@st.composite
+def replaced_sections(draw):
+    """A shipped config with one whole section, nested ones included, or
+    the whole document swapped for any JSON value."""
+    command, name = draw(st.sampled_from(TARGETS))
+    doc = shipped(name)
+    path = draw(st.sampled_from(list(dict_paths(doc))))
+    value = draw(json_values)
+    if not path:
+        return command, value
+    at(doc, path[:-1])[path[-1]] = value
+    return command, doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=replaced_sections())
+def test_replaced_sections_keep_the_contract(workdir, target):
+    command, doc = target
+    path = workdir / "replaced.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run([command, "--config", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert strict_loads(out)["report"] == command
 
 
 # numbers at and past the edges of every range, and text that is none

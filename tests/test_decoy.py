@@ -301,13 +301,8 @@ class TestSoundness:
 
 
 class TestPrivacyAboveHalf:
-    # ROADMAP item 1(a): 1 - H2(e1) rises again above e1 = 1/2, so a bound
-    # that knows nothing of the single-photon errors still earns key
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1(a): privacy term not capped at e1 = 1/2",
-    )
+    # 1 - H2(e1) rises again above e1 = 1/2, so an uncapped bound that knows
+    # nothing of the single-photon errors would still earn key
     @given(
         pair=source_pairs,
         observed=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),

