@@ -7,10 +7,10 @@ yield ``y0`` per gate. An n-photon pulse is detected with yield
     Y_n = y0 + 1 - (1 - eta)^n        (clamped to 1)
 
 and contributes errors through misalignment (``e_det``) on signal
-detections and random outcomes (``e0``, normally 1/2) on background
-detections:
+detections and random outcomes on background detections, which carry
+nothing of the sent bit and so err with probability ``E0`` = 1/2:
 
-    e_n = (e0 * y0 + e_det * (1 - (1 - eta)^n)) / Y_n.
+    e_n = (E0 * y0 + e_det * (1 - (1 - eta)^n)) / Y_n.
 
 Folding a source distribution through these gives the per-gate gain and
 average QBER observable at a given intensity setting.
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError, UndefinedStatisticError, _check_range
 from .sources import PhotonNumberDistribution
 
-E0_DEFAULT = 0.5
+# error probability of a background detection: a random outcome
+E0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,22 @@ class ChannelParams:
     eta    combined transmittance times detection efficiency, in (0, 1].
     y0     background yield per gate (dark counts, stray light).
     e_det  misalignment error probability of a signal detection.
-    e0     error probability of a background detection (1/2: random).
+    e0     error probability of a background detection: ``E0``, no other.
     """
 
     eta: float
     y0: float
     e_det: float
-    e0: float = E0_DEFAULT
+    e0: float = E0
 
     def __post_init__(self) -> None:
         _check_range("eta", self.eta, 0, 1, "(]")
         _check_range("y0", self.y0, 0, 1, "[)")
         _check_range("e_det", self.e_det, 0, 0.5)
-        _check_range("e0", self.e0, 0, 1)
+        if self.e0 != E0:
+            raise InvalidParameterError(
+                f"e0={self.e0!r} must be {E0}: a background click is random"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ def yield_n(ch: ChannelParams, n: int) -> float:
 def error_n(ch: ChannelParams, n: int) -> float:
     """Error probability of a detected n-photon pulse.
 
-    e_0 evaluates to ``e0`` exactly; for large n it approaches
+    e_0 evaluates to ``E0`` exactly; for large n it approaches
     ``e_det`` as signal detections dominate the background.
     """
     y = yield_n(ch, n)
@@ -77,19 +81,19 @@ def error_n(ch: ChannelParams, n: int) -> float:
             f"error probability undefined at zero yield (y0=0, n={n})"
         )
     signal = 1.0 - (1.0 - ch.eta) ** n
-    return (ch.e0 * ch.y0 + ch.e_det * signal) / y
+    return (E0 * ch.y0 + ch.e_det * signal) / y
 
 
 def _channel_terms(
-    eta: float, y0: float, e0: float, e_det: float, n_max: int
+    eta: float, y0: float, e_det: float, n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The yields Y_n = min(y0 + s, 1) and the QBER numerators
-    e0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
+    E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
     terms of :func:`yield_n` and :func:`error_n`, bit for bit."""
     signal = [1.0 - (1.0 - eta) ** n for n in range(n_max + 1)]
     # min(y0 + s, 1.0), at a quarter of the cost of the builtin call
     yields = tuple([y0 + s if y0 + s < 1.0 else 1.0 for s in signal])
-    e0_y0 = e0 * y0
+    e0_y0 = E0 * y0
     return yields, tuple([e0_y0 + e_det * s for s in signal])
 
 
@@ -115,7 +119,7 @@ def gain(dist: PhotonNumberDistribution, ch: ChannelParams) -> float:
     The folded tail bin is weighted with the yield at the truncation
     order; the bias is bounded by the tail mass itself.
     """
-    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e0, ch.e_det, dist.n_max)
+    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
     return _gain(dist.probs, yields)
 
 
@@ -126,7 +130,7 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
     the pair; this wrapper puts it in a record. Sessions and loss sweeps
     call the kernels, with one set of channel terms for all settings.
     """
-    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e0, ch.e_det, dist.n_max)
+    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
     q = _gain(dist.probs, yields)
     return GainErrorPoint(q_gain=q, qber=_qber(q, dist.probs, numerators))
 

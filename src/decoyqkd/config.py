@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict
 from typing import Any
 
-from .channel import ChannelParams, E0_DEFAULT, eta_to_loss_db, loss_db_to_eta
+from .channel import E0, ChannelParams, eta_to_loss_db, loss_db_to_eta
 from .decoy import FluctuationPolicy
 from .errors import ConfigError
 from .keyrate import ProtocolParams
@@ -206,7 +206,7 @@ def channel_from_dict(d: dict, path: str = "channel") -> ChannelParams:
         eta=loss_db_to_eta(eta) if has_loss else eta,
         y0=_field(d, "y0_per_gate", path),
         e_det=_field(d, "e_detector", path),
-        e0=_field(d, "e0_background", path, E0_DEFAULT),
+        e0=_field(d, "e0_background", path, E0),
     )
     _reject_rest(d, path)
     return channel

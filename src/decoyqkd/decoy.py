@@ -7,9 +7,10 @@ and error rate of single-photon pulses:
     Y1 >= [P'(2) Q_d^L - P_d(2) Q_s^U - Y0^U (P'(2) P_d(0) - P_d(2) P'(0))]
           / (P'(2) P_d(1) - P_d(2) P'(1))
 
-    e1 <= [(Q_s E_s)^U - e0 Y0^L P'(0)] / (Y1^L P'(1))
+    e1 <= [(Q_s E_s)^U - E0 Y0^L P'(0)] / (Y1^L P'(1))
 
-where primes denote the signal distribution and the superscripts are
+where E0 = 1/2 is the error rate of a (random) background detection,
+primes denote the signal distribution and the superscripts are
 finite-statistics envelopes: each observable V measured over N gates is
 widened to V (1 +/- n_sigma / sqrt(N V)). :func:`fluctuation_bounds`
 computes that envelope once per session; the estimators read it and
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import E0_DEFAULT
+from .channel import E0
 from .errors import DegenerateDistributionError, InvalidParameterError, _check_range
 from .sources import PhotonNumberDistribution
 
@@ -267,17 +268,17 @@ def _check_single_photon_weight(p1: float) -> None:
 
 
 def _e1_upper(
-    eq_signal: float, y0: float, p0: float, p1: float, y1: float, e0: float
+    eq_signal: float, y0: float, p0: float, p1: float, y1: float
 ) -> tuple[float, tuple[str, ...]]:
     """The e1 bound of :func:`estimate_bounds` and :func:`no_decoy_bounds`,
-    given a Y1 lower bound: (E_s Q_s - e0 Y0 P'(0)) / (Y1 P'(1)), clamped
+    given a Y1 lower bound: (E_s Q_s - E0 Y0 P'(0)) / (Y1 P'(1)), clamped
     into [0, 1]. A vanishing ``y1`` leaves the error unbounded (1,
     flagged). On noiseless observables the bound is guaranteed not to
     fall below the true e1."""
     if y1 <= 0.0:
         return 1.0, ("e1-unbounded",)
     _check_single_photon_weight(p1)
-    e1 = (eq_signal - e0 * y0 * p0) / (y1 * p1)
+    e1 = (eq_signal - E0 * y0 * p0) / (y1 * p1)
     if e1 < 0.0:
         return 0.0, ("e1-clamped-low",)
     if e1 > 1.0:
@@ -285,12 +286,12 @@ def _e1_upper(
     return e1, ()
 
 
-def _estimate_bounds(widened: Widened, y0_obs: float, pair: Pair, e0: float) -> Bounds:
+def _estimate_bounds(widened: Widened, y0_obs: float, pair: Pair) -> Bounds:
     """Kernel of :func:`estimate_bounds`."""
     y1, y1_flags = _y1_lower(widened, pair)
     _, _, eq_signal_high, y0_low, _ = widened
     p0, p1, _, _, _, _ = pair
-    e1, e1_flags = _e1_upper(eq_signal_high, y0_low, p0, p1, y1, e0)
+    e1, e1_flags = _e1_upper(eq_signal_high, y0_low, p0, p1, y1)
     return y1, e1, y0_obs * p0, y1 * p1, y1_flags + e1_flags
 
 
@@ -299,18 +300,16 @@ def estimate_bounds(
     dist_signal: PhotonNumberDistribution,
     dist_decoy: PhotonNumberDistribution,
     fb: ObservableBounds,
-    e0: float = E0_DEFAULT,
 ) -> BoundsResult:
     """Full three-intensity estimate from the envelope ``fb`` of ``obs``:
     Y1 lower bound, then e1 upper bound. The background gain g0 uses the
     central ``obs.y0_obs``."""
-    _check_range("e0", e0, 0, 1)
     pair = _pair(dist_signal, dist_decoy)
-    return BoundsResult(*_estimate_bounds(_widened(fb), obs.y0_obs, pair, e0))
+    return BoundsResult(*_estimate_bounds(_widened(fb), obs.y0_obs, pair))
 
 
 def _no_decoy_bounds(
-    q_signal: float, e_signal: float, y0_obs: float, weights: Weights, e0: float
+    q_signal: float, e_signal: float, y0_obs: float, weights: Weights
 ) -> Bounds:
     """Kernel of :func:`no_decoy_bounds`, on the signal's ``weights``
     P(0), P(1) and P(m >= 2)."""
@@ -327,7 +326,7 @@ def _no_decoy_bounds(
         flags = ("y1-clamped-high",)
         y1 = 1.0
         g1 = y1 * p1
-    e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, p0, p1, y1, e0)
+    e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, p0, p1, y1)
     return y1, e1, g0, g1, flags + e1_flags
 
 
@@ -336,7 +335,6 @@ def no_decoy_bounds(
     e_signal: float,
     y0_obs: float,
     dist_signal: PhotonNumberDistribution,
-    e0: float = E0_DEFAULT,
 ) -> BoundsResult:
     """Pessimistic single-photon bounds without decoy information.
 
@@ -351,6 +349,5 @@ def no_decoy_bounds(
     """
     for name, v in (("q_signal", q_signal), ("e_signal", e_signal), ("y0_obs", y0_obs)):
         _check_range(name, v, 0, 1)
-    _check_range("e0", e0, 0, 1)
     weights = (dist_signal.p(0), dist_signal.p(1), dist_signal.p_at_least(2))
-    return BoundsResult(*_no_decoy_bounds(q_signal, e_signal, y0_obs, weights, e0))
+    return BoundsResult(*_no_decoy_bounds(q_signal, e_signal, y0_obs, weights))

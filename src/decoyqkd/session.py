@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .channel import ChannelParams, error_n, loss_db_to_eta, yield_n
+from .channel import E0, ChannelParams, error_n, loss_db_to_eta, yield_n
 from .decoy import (
     BoundsResult,
     FluctuationPolicy,
@@ -239,7 +239,7 @@ def _expected_statistics(
     order of the settings."""
     ch = cfg.channel
     dist_signal, dist_decoy, dist_vacuum = dists
-    yields, numerators = _channel_terms(eta, ch.y0, ch.e0, ch.e_det, cfg.n_max)
+    yields, numerators = _channel_terms(eta, ch.y0, ch.e_det, cfg.n_max)
     q_signal = _gain(dist_signal.probs, yields)
     e_signal = _qber(q_signal, dist_signal.probs, numerators)
     q_decoy = _gain(dist_decoy.probs, yields)
@@ -248,7 +248,7 @@ def _expected_statistics(
     try:
         e_vacuum = _qber(q_vacuum, dist_vacuum.probs, numerators)
     except UndefinedStatisticError:
-        q_vacuum, e_vacuum = 0.0, ch.e0
+        q_vacuum, e_vacuum = 0.0, E0
     return q_signal, e_signal, q_decoy, e_decoy, q_vacuum, e_vacuum
 
 
@@ -309,7 +309,7 @@ def run_pipeline(
     )
     condition_ok = check_condition(dist_signal, dist_decoy)
     fb = fluctuation_bounds(obs, cfg.fluctuation)
-    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb, e0=cfg.channel.e0)
+    bounds = estimate_bounds(obs, dist_signal, dist_decoy, fb)
     key = key_rate(
         obs.q_signal, obs.e_signal, bounds, cfg.protocol, n_signal=obs.n_signal
     )
@@ -441,9 +441,9 @@ def _scheme_rates(
     checks fire in the order of the public functions.
     """
     protocol, ch = cfg.protocol, cfg.channel
-    y0, e0, e_det = ch.y0, ch.e0, ch.e_det
+    y0, e_det = ch.y0, ch.e_det
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return [_optimize_mu(eta, y0, e0, e_det, protocol)[1] for eta in etas]
+        return [_optimize_mu(eta, y0, e_det, protocol)[1] for eta in etas]
 
     rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
@@ -465,7 +465,7 @@ def _scheme_rates(
             )
             observed = (q_signal, q_decoy, e_signal, y0_obs)
             widened, _ = _envelope(observed, gates, 0.0)
-            _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair, e0)
+            _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair)
             rates.append(_key_rate(q_signal, e_signal, e1, g0, g1, protocol)[0])
         return rates
 
@@ -479,10 +479,10 @@ def _scheme_rates(
         dist = cfg.source_signal.distribution(cfg.n_max)
     weights = (dist.p(0), dist.p(1), dist.p_at_least(2))
     for eta in etas:
-        yields, numerators = _channel_terms(eta, y0, e0, e_det, dist.n_max)
+        yields, numerators = _channel_terms(eta, y0, e_det, dist.n_max)
         q = _gain(dist.probs, yields)
         e = _qber(q, dist.probs, numerators)
-        _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights, e0)
+        _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights)
         rates.append(_key_rate(q, e, e1, g0, g1, protocol)[0])
     return rates
 
@@ -560,7 +560,7 @@ def wcs_infinite_decoy_rate(
     """
     _check_range("mu", mu, 0, None, "()")
     _check_wcs_gain(ch.eta, ch.y0, mu)
-    return _wcs_rate(ch.eta, ch.y0, ch.e0, ch.e_det, protocol)(mu, math.exp(-mu))
+    return _wcs_rate(ch.eta, ch.y0, ch.e_det, protocol)(mu, math.exp(-mu))
 
 
 def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
@@ -580,20 +580,20 @@ def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
 
 
 def _wcs_rate(
-    eta: float, y0: float, e0: float, e_det: float, protocol: ProtocolParams
+    eta: float, y0: float, e_det: float, protocol: ProtocolParams
 ) -> Callable[[float, float], float]:
     """The rate of :func:`wcs_infinite_decoy_rate` as a function of the
     intensity ``mu`` and its vacuum probability ``p0 = exp(-mu)``, on a
     channel that :func:`_check_wcs_gain` passed. Its constants (Y1 and e1
-    from the channel terms of n = 1, the privacy factor of e1, e0 y0 and
+    from the channel terms of n = 1, the privacy factor of e1, E0 y0 and
     the protocol's f_ec and q_sift) are computed once, here. The closure
     writes out the GLLP bracket of :func:`keyrate._key_rate` itself, with
     the unchecked H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by
     construction."""
-    yields, numerators = _channel_terms(eta, y0, e0, e_det, 1)
+    yields, numerators = _channel_terms(eta, y0, e_det, 1)
     y1 = yields[1]
     privacy = _privacy(numerators[1] / y1)
-    e0_y0 = e0 * y0
+    e0_y0 = E0 * y0
     f_ec, q_sift = protocol.f_ec, protocol.q_sift
     exp = math.exp
 
@@ -678,7 +678,7 @@ def optimize_mu(
     ``MU_TOL``, and the better of the grid point and the refined one is
     returned. Every value is the scalar rate of
     :func:`wcs_infinite_decoy_rate`, with its constants at the channel
-    (Y1, 1 - H2(e1), e0 y0) computed once per call. When the rate is
+    (Y1, 1 - H2(e1), E0 y0) computed once per call. When the rate is
     non-positive everywhere the result is flagged infeasible (rate 0 at
     the least-bad intensity).
 
@@ -686,18 +686,16 @@ def optimize_mu(
     ``channel``; a loss sweep runs it at each point, with no channel
     record, so the constants are computed once per point.
     """
-    return MuOptimum(
-        *_optimize_mu(channel.eta, channel.y0, channel.e0, channel.e_det, protocol)
-    )
+    return MuOptimum(*_optimize_mu(channel.eta, channel.y0, channel.e_det, protocol))
 
 
 def _optimize_mu(
-    eta: float, y0: float, e0: float, e_det: float, protocol: ProtocolParams
+    eta: float, y0: float, e_det: float, protocol: ProtocolParams
 ) -> tuple[float, float]:
     """Kernel of :func:`optimize_mu`: the best intensity and its rate."""
     # the gain is smallest at the low end of the range
     _check_wcs_gain(eta, y0, MU_SEARCH_RANGE[0])
-    rate = _wcs_rate(eta, y0, e0, e_det, protocol)
+    rate = _wcs_rate(eta, y0, e_det, protocol)
     exp = math.exp
     best, r_best = _coarse_argmax(rate)
     a = _COARSE_MU[max(best - 1, 0)]

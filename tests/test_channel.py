@@ -179,7 +179,6 @@ channels = st.builds(
     eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
     y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
     e_det=st.floats(min_value=0.0, max_value=0.5),
-    e0=st.floats(min_value=0.0, max_value=1.0),
 )
 
 # the three source kinds, at truncations up to 40
@@ -303,3 +302,10 @@ class TestChannelParams:
             ChannelParams(eta=0.5, y0=1e-5, e_det=0.6)
         with pytest.raises(InvalidParameterError):
             ChannelParams(eta=0.5, y0=1e-5, e_det=0.02, e0=1.5)
+
+    @pytest.mark.parametrize("e0", [0.3, 1.0, math.nan, 10**400])
+    def test_background_error_is_one_half_only(self, e0):
+        # a background click carries nothing of the bit: it errs half the time
+        assert ChannelParams(eta=0.5, y0=1e-5, e_det=0.02, e0=0.5).e0 == 0.5
+        with pytest.raises(InvalidParameterError, match=r"^e0=\S+ must be 0\.5"):
+            ChannelParams(eta=0.5, y0=1e-5, e_det=0.02, e0=e0)

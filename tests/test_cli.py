@@ -237,21 +237,33 @@ class TestCurveCommand:
         assert "ideal-sps" in notes[0] and "beyond the grid" in notes[0]
         assert "wcs-no-decoy" in notes[1] and "beyond the grid" in notes[1]
 
-    def test_no_key_where_single_photon_errors_reach_half(self, tmp_path, capsys):
-        # every signal click errs with probability 1/2 and most clicks are
-        # background that always errs, so the single-photon error bound is
-        # at least 1/2 and the privacy term 1 - H2(min(e1, 1/2)) is zero;
-        # uncapped, the rows read 0.25, 0.0910 and 0.203
+    def test_background_error_other_than_half_exits_2(self, tmp_path, capsys):
+        # background that always errs: with the privacy term uncapped these
+        # rows read 0.25, 0.0910 and 0.203, and with it capped the no-decoy
+        # schemes still earned key from the background gain
         doc = json.loads((CONFIGS / "session-36db.json").read_text())
         doc["channel"].update(y0_per_gate=0.9, e0_background=1.0, e_detector=0.5)
         cfg = write_doc(tmp_path / "c.json", doc)
         argv = ["curve", "--config", cfg, "--schemes", "ideal-sps"]
         argv += ["--loss-from", "0", "--loss-to", "20", "--loss-step", "10"]
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
-        assert [float(loss) for loss, _ in rows] == [0.0, 10.0, 20.0]
-        assert [float(rate) for _, rate in rows] == [0.0, 0.0, 0.0]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "e0=1.0" in captured.err
+
+    def test_key_from_background_exits_2(self, tmp_path, capsys):
+        # at e0 0.2 error correction of background clicks costs less than
+        # the background gain they add, so wcs-no-decoy read 0, 0, 3.69e-8,
+        # 4.70e-8 and 4.81e-8 over 40-80 dB: a rate that rose with loss
+        doc = json.loads((CONFIGS / "session-36db.json").read_text())
+        doc["channel"]["e0_background"] = 0.2
+        cfg = write_doc(tmp_path / "c.json", doc)
+        argv = ["curve", "--config", cfg, "--schemes", "wcs-no-decoy,wcs-decoy-opt"]
+        argv += ["--loss-from", "40", "--loss-to", "80", "--loss-step", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "e0=0.2" in captured.err
 
     def test_cutoff_inside_grid_has_no_note(self, tmp_path, capsys):
         code, out = self.run_curve(tmp_path, "wcs-no-decoy", extra=["--loss-to", "60"])

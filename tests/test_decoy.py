@@ -184,7 +184,7 @@ class TestE1Upper:
         )
         # at n_sigma 0 the envelope is the observables themselves
         e1, flags = decoy_mod._e1_upper(
-            obs.q_signal * obs.e_signal, y0, ds.p(0), ds.p(1), y1=1e-3, e0=0.5
+            obs.q_signal * obs.e_signal, y0, ds.p(0), ds.p(1), y1=1e-3
         )
         assert e1 == pytest.approx(0.0, abs=1e-15)
         assert flags == ()
@@ -219,7 +219,7 @@ class TestE1Upper:
     def test_zero_yield_bound_is_unbounded(self):
         ds, _ = bench_distributions()
         e1, flags = decoy_mod._e1_upper(
-            1e-4 * 0.06, 1e-5, ds.p(0), ds.p(1), y1=0.0, e0=0.5
+            1e-4 * 0.06, 1e-5, ds.p(0), ds.p(1), y1=0.0
         )
         assert e1 == 1.0
         assert "e1-unbounded" in flags
@@ -284,7 +284,6 @@ class TestSoundness:
             eta=st.floats(min_value=-5.0, max_value=0.0).map(lambda x: 10.0**x),
             y0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-4)),
             e_det=st.floats(min_value=0.0, max_value=0.5),
-            e0=st.floats(min_value=0.0, max_value=1.0),
         ),
     )
     @settings(max_examples=300, deadline=None)
@@ -293,7 +292,7 @@ class TestSoundness:
         assume_condition(ds, dd)
         obs = noiseless_obs(ds, dd, ch)
         bounds = estimate_bounds(
-            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0)), e0=ch.e0
+            obs, ds, dd, fluctuation_bounds(obs, FluctuationPolicy(0.0))
         )
         assert bounds.y1_lower <= yield_n(ch, 1) + 1e-12
         if bounds.y1_lower > 0.0:
@@ -399,7 +398,7 @@ class TestInfiniteDecoy:
     def ideal_bounds(ch):
         dist = ideal_sps_distribution()
         point = qber(dist, ch)
-        return no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
+        return no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist)
 
     def test_lossless_channel(self):
         bounds = self.ideal_bounds(ChannelParams(eta=1.0, y0=0.0, e_det=0.025))
@@ -429,7 +428,6 @@ class TestInfiniteDecoy:
                 st.floats(min_value=1e-9, max_value=1e-3),
             ),
             e_det=st.floats(min_value=0.0, max_value=0.5),
-            e0=st.floats(min_value=0.0, max_value=1.0),
         )
     )
     @settings(max_examples=300, deadline=None)

@@ -305,8 +305,7 @@ def case_check_condition(draw):
 def case_estimate_bounds(draw):
     obs = observation(draw)
     fb = fluctuation_bounds(obs, policy(draw))
-    e0 = draw(st.one_of(st.just(0.5), NUMBERS))
-    check_bounds(estimate_bounds(obs, distribution(draw), distribution(draw), fb, e0))
+    check_bounds(estimate_bounds(obs, distribution(draw), distribution(draw), fb))
 
 
 def case_estimate_y1_lower(draw):
@@ -323,8 +322,7 @@ def case_fluctuation_bounds(draw):
 
 def case_no_decoy_bounds(draw):
     q, e, y0 = (draw(NUMBERS) for _ in range(3))
-    e0 = draw(st.one_of(st.just(0.5), NUMBERS))
-    check_bounds(no_decoy_bounds(q, e, y0, distribution(draw), e0))
+    check_bounds(no_decoy_bounds(q, e, y0, distribution(draw)))
 
 
 def case_key_rate_components(draw):

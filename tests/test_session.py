@@ -473,9 +473,7 @@ def rates_or_error(fn):
 
 
 # the benchmark channel and protocol without background
-EDGE_EXAMPLE = dict(
-    y0=0.0, e_det=0.025, e0=0.5, vacuum_mu=0.0, n_max=16, q_sift=0.5, f_ec=1.22
-)
+EDGE_EXAMPLE = dict(y0=0.0, e_det=0.025, vacuum_mu=0.0, n_max=16, q_sift=0.5, f_ec=1.22)
 
 
 class TestScanLossAgainstReference:
@@ -492,7 +490,6 @@ class TestScanLossAgainstReference:
             st.floats(min_value=0.0, max_value=0.1),
             st.floats(min_value=0.0, max_value=0.5),
         ),
-        e0=st.floats(min_value=0.0, max_value=1.0),
         vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
         n_max=st.integers(min_value=2, max_value=40),
         q_sift=st.floats(min_value=0.01, max_value=1.0),
@@ -552,7 +549,6 @@ class TestScanLossAgainstReference:
     @example(
         y0=3e-6,
         e_det=0.04,
-        e0=0.5,
         vacuum_mu=2e-4,
         n_max=12,
         q_sift=0.45,
@@ -563,7 +559,7 @@ class TestScanLossAgainstReference:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_point_reference(
-        self, y0, e_det, e0, vacuum_mu, n_max, q_sift, f_ec, template, losses, token
+        self, y0, e_det, vacuum_mu, n_max, q_sift, f_ec, template, losses, token
     ):
         p_cor, mu_signal, mu_decoy, d_i = template
         base = bench_config(vacuum_mu=vacuum_mu)
@@ -571,7 +567,7 @@ class TestScanLossAgainstReference:
             base,
             source_signal=HspsSource(HspsParams(p_cor, mu_signal, d_i)),
             source_decoy=HspsSource(HspsParams(p_cor, mu_decoy, d_i)),
-            channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det, e0=e0),
+            channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det),
             protocol=ProtocolParams(q_sift=q_sift, f_ec=f_ec),
             n_max=n_max,
         )
@@ -624,7 +620,7 @@ class TestScanLossAgainstReference:
 
     # bits of the coherent-state intensity search before it ran as a float
     # kernel: without background, and with a background that clamps Y1 at
-    # 0 dB, e0 other than 1/2 and no feasible intensity from 27 dB on
+    # 0 dB and no feasible intensity from 27 dB on
     PINNED_WCS_GRID = [0.0, 12.5, 27.0, 41.0, 60.0]
     PINNED_WCS_PROTOCOL = ProtocolParams(q_sift=0.45, f_ec=1.16)
     PINNED_WCS = {
@@ -639,10 +635,10 @@ class TestScanLossAgainstReference:
             ],
         ),
         "y0-1e-3": (
-            ChannelParams(eta=0.5, y0=1e-3, e_det=0.02, e0=0.3),
+            ChannelParams(eta=0.5, y0=1e-3, e_det=0.02, e0=0.5),
             [
-                ("0x1.9d5c597c76b76p-1", "0x1.8e660434cfe83p-4"),
-                ("0x1.3ffbc66775eeep-1", "0x1.0649d5ca10962p-8"),
+                ("0x1.9d3844de4d47ep-1", "0x1.8b46fa6bc335dp-4"),
+                ("0x1.39ded8d7cb2fbp-1", "0x1.b409c42c37dc9p-9"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
@@ -811,7 +807,7 @@ def count_calls(monkeypatch, modules, names) -> list[int]:
 
 def no_decoy_rate(dist, ch, protocol):
     point = ref_qber(dist, ch)
-    bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist, e0=ch.e0)
+    bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist)
     return key_rate(point.q_gain, point.qber, bounds, protocol).rate_per_pulse
 
 
@@ -994,15 +990,12 @@ class TestOptimizeMu:
         eta=st.floats(min_value=1e-12, max_value=1.0),
         y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
         e_det=st.floats(min_value=0.0, max_value=0.5),
-        e0=st.floats(min_value=0.0, max_value=1.0),
         q_sift=st.floats(min_value=0.01, max_value=1.0),
         f_ec=st.floats(min_value=1.0, max_value=2.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_rate_equals_written_out_formula(
-        self, mu, eta, y0, e_det, e0, q_sift, f_ec
-    ):
-        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det, e0=e0)
+    def test_rate_equals_written_out_formula(self, mu, eta, y0, e_det, q_sift, f_ec):
+        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det)
         protocol = ProtocolParams(q_sift=q_sift, f_ec=f_ec)
         if y0 == 0.0 and math.exp(-eta * mu) == 1.0:
             # zero gain: the QBER of the formula is undefined
@@ -1014,14 +1007,13 @@ class TestOptimizeMu:
         )
 
     def test_single_channel_equals_its_entry_on_the_loss_axis(self):
-        # 40 channels of a loss axis that differ in every field, not just eta
+        # 40 channels of a loss axis that differ in y0 and e_det, not just eta
         protocol = ProtocolParams(q_sift=0.5, f_ec=1.16)
         channels = [
             ChannelParams(
                 eta=loss_db_to_eta(1.5 * k),
                 y0=(0.0, 1e-6, 3e-5, 1e-3)[k % 4],
                 e_det=0.005 * (k % 7),
-                e0=(0.5, 0.3)[k % 2],
             )
             for k in range(40)
         ]
