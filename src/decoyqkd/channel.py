@@ -22,7 +22,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, UndefinedStatisticError, _check_range
+from .errors import (
+    InvalidParameterError,
+    UndefinedStatisticError,
+    _check_integer,
+    _check_range,
+)
 from .sources import PhotonNumberDistribution
 
 # error probability of a background detection: a random outcome
@@ -64,6 +69,7 @@ class GainErrorPoint:
 
 def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
+    _check_integer("n", n)
     _check_range("n", n, 0)
     # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
     return min(ch.y0 + (1.0 - (1.0 - ch.eta) ** n), 1.0)

@@ -91,6 +91,12 @@ class ObservableBounds:
     y0_high: float
     clamped: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in (
+            "q_decoy_low", "q_signal_high", "eq_signal_high", "y0_low", "y0_high"
+        ):
+            _check_range(name, getattr(self, name), 0, 1)
+
 
 @dataclass(frozen=True)
 class BoundsResult:

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the range rule that
-raises :class:`InvalidParameterError`."""
+"""Exception types shared across the toolkit, and the range and integer
+rules that raise :class:`InvalidParameterError`."""
 
+import operator
 import sys
 
 _FLOAT_MAX = sys.float_info.max
@@ -56,3 +57,13 @@ def _check_range(
     else:
         rule = f"outside {ends[0]}{low}, {high}{ends[1]}"
     raise InvalidParameterError(f"{name}={value!r} {rule}")
+
+
+def _check_integer(name: str, value: int) -> None:
+    """Raise :class:`InvalidParameterError` ``name=value ...`` unless
+    ``value`` is an integer as :func:`operator.index` reads one: an int,
+    a bool or a numpy integer pass, a float never does, 2.0 included."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name}={value!r} must be an integer") from None

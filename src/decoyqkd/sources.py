@@ -29,6 +29,7 @@ from .errors import (
     InconsistentDataError,
     InvalidParameterError,
     UndefinedStatisticError,
+    _check_integer,
     _check_range,
 )
 
@@ -95,6 +96,7 @@ class PhotonNumberDistribution:
 
     def p(self, n: int) -> float:
         """P(n), zero beyond the truncated support."""
+        _check_integer("n", n)
         _check_range("n", n, 0)
         return self.probs[n] if n <= self.n_max else 0.0
 
@@ -105,6 +107,7 @@ class PhotonNumberDistribution:
         Beyond the truncation the folded representation carries no
         information, so the tail is reported as zero.
         """
+        _check_integer("k", k)
         if k <= 0:
             return 1.0
         if k == 1 and self.p_ge1 is not None:
@@ -177,6 +180,7 @@ class MeasuredRates:
 
 
 def _check_n_max(n_max: int) -> None:
+    _check_integer("n_max", n_max)
     _check_range("n_max", n_max, 2, N_MAX_LIMIT)
 
 

@@ -11,6 +11,8 @@ from decoyqkd import (
     FluctuationPolicy,
     HspsParams,
     HspsSource,
+    InvalidParameterError,
+    ObservableBounds,
     PhotonNumberDistribution,
     ProtocolParams,
     ThreeIntensityObservation,
@@ -131,6 +133,15 @@ class TestFluctuationBounds:
         fb = fluctuation_bounds(obs, FluctuationPolicy(10.0))
         assert fb.y0_low == 0.0
         assert "y0_low" in fb.clamped
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-9, 1.5, math.inf, 10**400])
+    @pytest.mark.parametrize("index", range(5))
+    def test_envelope_fields_lie_in_unit_interval(self, index, value):
+        fields = ["q_decoy_low", "q_signal_high", "eq_signal_high", "y0_low", "y0_high"]
+        envelope = [0.01, 0.1, 0.01, 0.0, 1e-6]
+        envelope[index] = value
+        with pytest.raises(InvalidParameterError, match=rf"^{fields[index]}="):
+            ObservableBounds(*envelope)
 
 
 class TestY1Lower:

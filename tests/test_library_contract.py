@@ -231,6 +231,11 @@ def check_bounds(b):
     assert unit(b.y1_lower) and unit(b.e1_upper) and unit(b.g0) and unit(b.g1_lower)
 
 
+def check_envelope(fb):
+    high = (fb.q_signal_high, fb.eq_signal_high, fb.y0_high)
+    assert all(unit(v) for v in (fb.q_decoy_low, fb.y0_low, *high))
+
+
 def check_key(key):
     assert finite_non_negative(key.rate_per_pulse)
     assert isinstance(key.secure_bits, int) and key.secure_bits >= 0
@@ -279,9 +284,16 @@ def case_fluctuation_policy(draw):
     assert finite_non_negative(FluctuationPolicy(draw(NUMBERS)).n_sigma)
 
 
+def envelope(draw, obs):
+    """The envelope of ``obs`` from :func:`fluctuation_bounds`, or one
+    built by hand."""
+    if draw(st.booleans()):
+        return fluctuation_bounds(obs, policy(draw))
+    return ObservableBounds(*(draw(NUMBERS) for _ in range(5)))
+
+
 def case_observable_bounds(draw):
-    fb = ObservableBounds(*(draw(NUMBERS) for _ in range(5)))
-    assert isinstance(fb, ObservableBounds)
+    check_envelope(ObservableBounds(*(draw(NUMBERS) for _ in range(5))))
 
 
 def case_three_intensity_observation(draw):
@@ -304,20 +316,18 @@ def case_check_condition(draw):
 
 def case_estimate_bounds(draw):
     obs = observation(draw)
-    fb = fluctuation_bounds(obs, policy(draw))
+    fb = envelope(draw, obs)
     check_bounds(estimate_bounds(obs, distribution(draw), distribution(draw), fb))
 
 
 def case_estimate_y1_lower(draw):
-    fb = fluctuation_bounds(observation(draw), policy(draw))
+    fb = envelope(draw, observation(draw))
     y1, flags = estimate_y1_lower(fb, distribution(draw), distribution(draw))
     assert unit(y1) and all(isinstance(flag, str) for flag in flags)
 
 
 def case_fluctuation_bounds(draw):
-    fb = fluctuation_bounds(observation(draw), policy(draw))
-    high = (fb.q_signal_high, fb.eq_signal_high, fb.y0_high)
-    assert all(unit(v) for v in (fb.q_decoy_low, fb.y0_low, *high))
+    check_envelope(fluctuation_bounds(observation(draw), policy(draw)))
 
 
 def case_no_decoy_bounds(draw):

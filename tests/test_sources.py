@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,20 @@ from decoyqkd import (
     PhotonNumberDistribution,
     UndefinedStatisticError,
     WcsSource,
+    error_n,
     g2_zero,
     hsps_distribution,
     ideal_sps_distribution,
     infer_accidental_rate,
     infer_correlation,
     wcs_distribution,
+    yield_n,
 )
 from helpers import (
     BENCH_D_I,
     BENCH_MU_SIGNAL,
     BENCH_P_COR,
+    bench_channel,
     bench_config,
     ref_hsps_distribution,
 )
@@ -185,6 +189,34 @@ class TestMeanPhotonNumber:
     @pytest.mark.parametrize("holder", sorted(MEANS))
     def test_accepts_finite_non_negative(self, holder, value):
         MEANS[holder][1](value)
+
+
+# every holder of a photon number or truncation, and the name its message
+# starts with
+PHOTON_NUMBERS = {
+    "p": ("n", lambda n: wcs_distribution(0.1).p(n)),
+    "p_at_least": ("k", lambda k: wcs_distribution(0.1).p_at_least(k)),
+    "yield_n": ("n", lambda n: yield_n(bench_channel(), n)),
+    "error_n": ("n", lambda n: error_n(bench_channel(), n)),
+    "wcs_distribution": ("n_max", lambda n_max: wcs_distribution(0.1, n_max)),
+    "hsps_distribution": (
+        "n_max",
+        lambda n_max: hsps_distribution(HspsParams(BENCH_P_COR, 0.01), n_max),
+    ),
+    "ideal_sps_distribution": ("n_max", ideal_sps_distribution),
+    "ExperimentConfig": ("n_max", lambda n_max: replace(bench_config(), n_max=n_max)),
+}
+
+
+class TestPhotonNumber:
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    @pytest.mark.parametrize("holder", sorted(PHOTON_NUMBERS))
+    def test_only_integers_are_accepted(self, holder, value):
+        name, build = PHOTON_NUMBERS[holder]
+        # operator.index reads a numpy integer as an int
+        assert build(np.int64(3)) == build(3)
+        with pytest.raises(InvalidParameterError, match=rf"^{name}={value!r} "):
+            build(value)
 
 
 class TestIdealSps:
