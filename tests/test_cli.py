@@ -238,9 +238,7 @@ class TestCurveCommand:
         assert "wcs-no-decoy" in notes[1] and "beyond the grid" in notes[1]
 
     def test_background_error_other_than_half_exits_2(self, tmp_path, capsys):
-        # background that always errs: with the privacy term uncapped these
-        # rows read 0.25, 0.0910 and 0.203, and with it capped the no-decoy
-        # schemes still earned key from the background gain
+        # background clicks that always err describe no real channel
         doc = json.loads((CONFIGS / "session-36db.json").read_text())
         doc["channel"].update(y0_per_gate=0.9, e0_background=1.0, e_detector=0.5)
         cfg = write_doc(tmp_path / "c.json", doc)
@@ -252,9 +250,8 @@ class TestCurveCommand:
         assert "e0=1.0" in captured.err
 
     def test_key_from_background_exits_2(self, tmp_path, capsys):
-        # at e0 0.2 error correction of background clicks costs less than
-        # the background gain they add, so wcs-no-decoy read 0, 0, 3.69e-8,
-        # 4.70e-8 and 4.81e-8 over 40-80 dB: a rate that rose with loss
+        # at e0 0.2, correcting a background click's errors costs less than
+        # the background gain it adds, so the rate would rise with loss
         doc = json.loads((CONFIGS / "session-36db.json").read_text())
         doc["channel"]["e0_background"] = 0.2
         cfg = write_doc(tmp_path / "c.json", doc)

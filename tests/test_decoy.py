@@ -229,9 +229,7 @@ class TestE1Upper:
 
     def test_zero_yield_bound_is_unbounded(self):
         ds, _ = bench_distributions()
-        e1, flags = decoy_mod._e1_upper(
-            1e-4 * 0.06, 1e-5, ds.p(0), ds.p(1), y1=0.0
-        )
+        e1, flags = decoy_mod._e1_upper(1e-4 * 0.06, 1e-5, ds.p(0), ds.p(1), y1=0.0)
         assert e1 == 1.0
         assert "e1-unbounded" in flags
 
