@@ -196,27 +196,6 @@ def _high(value: float, n_pulses: int, n_sigma: float) -> float:
     return min(value * (1.0 + _half_width(value, n_pulses, n_sigma)), 1.0)
 
 
-def _envelope(
-    observed: tuple[float, float, float, float],
-    gates: tuple[int, int, int],
-    n_sigma: float,
-) -> tuple[Widened, tuple[str, ...]]:
-    """Kernel of :func:`fluctuation_bounds`: the widened observables and
-    the names of the lower bounds clamped at zero, from the ``observed``
-    Q_s, Q_d, E_s and Y0 over the signal, decoy and vacuum ``gates``."""
-    q_signal, q_decoy, e_signal, y0_obs = observed
-    n_signal, n_decoy, n_vacuum = gates
-    w_decoy = _half_width(q_decoy, n_decoy, n_sigma)
-    w_vacuum = _half_width(y0_obs, n_vacuum, n_sigma)
-    return (
-        q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
-        _high(q_signal, n_signal, n_sigma),
-        _high(q_signal * e_signal, n_signal, n_sigma),
-        y0_obs * (1.0 - w_vacuum) if w_vacuum < 1.0 else 0.0,
-        _high(y0_obs, n_vacuum, n_sigma),
-    ), ("q_decoy_low",) * (w_decoy >= 1.0) + ("y0_low",) * (w_vacuum >= 1.0)
-
-
 def fluctuation_bounds(
     obs: ThreeIntensityObservation, pol: FluctuationPolicy
 ) -> ObservableBounds:
@@ -227,10 +206,18 @@ def fluctuation_bounds(
     returned unchanged. Lower bounds clamp at zero (flagged) when the
     half-width reaches one.
     """
-    observed = (obs.q_signal, obs.q_decoy, obs.e_signal, obs.y0_obs)
-    gates = (obs.n_signal, obs.n_decoy, obs.n_vacuum)
-    widened, clamped = _envelope(observed, gates, pol.n_sigma)
-    return ObservableBounds(*widened, clamped=clamped)
+    n_sigma = pol.n_sigma
+    q_signal, e_signal, y0_obs = obs.q_signal, obs.e_signal, obs.y0_obs
+    w_decoy = _half_width(obs.q_decoy, obs.n_decoy, n_sigma)
+    w_vacuum = _half_width(y0_obs, obs.n_vacuum, n_sigma)
+    return ObservableBounds(
+        obs.q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
+        _high(q_signal, obs.n_signal, n_sigma),
+        _high(q_signal * e_signal, obs.n_signal, n_sigma),
+        y0_obs * (1.0 - w_vacuum) if w_vacuum < 1.0 else 0.0,
+        _high(y0_obs, obs.n_vacuum, n_sigma),
+        clamped=("q_decoy_low",) * (w_decoy >= 1.0) + ("y0_low",) * (w_vacuum >= 1.0),
+    )
 
 
 def _widened(fb: ObservableBounds) -> Widened:

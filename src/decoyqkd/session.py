@@ -67,7 +67,7 @@ from .sources import (
 
 # the float kernels of the chain, which loss sweeps run at each point
 from .channel import _channel_terms, _gain, _qber
-from .decoy import _envelope, _estimate_bounds, _no_decoy_bounds, _pair
+from .decoy import _estimate_bounds, _no_decoy_bounds, _pair
 from .keyrate import _h2, _key_rate, _privacy
 
 # conventional signal intensity for a coherent-state link run without
@@ -428,7 +428,7 @@ def _check_heralded_template(cfg: ExperimentConfig) -> None:
 
 
 def _scheme_rates(
-    scheme: Scheme, cfg: ExperimentConfig, etas: list[float]
+    scheme: Scheme, cfg: ExperimentConfig, etas: Iterable[float]
 ) -> list[float]:
     """Key rate of ``scheme`` at each transmittance ``etas`` of the
     channel of ``cfg``, by one of three estimators: the infinite-decoy
@@ -436,9 +436,9 @@ def _scheme_rates(
     bounds, or the no-decoy bound on one distribution (exact for the
     ideal source: G0 = 0 and G1 = Q).
 
-    The distributions, their weights and the gate split are set up once
-    per scan. Each point runs the float kernels of the chain, whose
-    checks fire in the order of the public functions.
+    The distributions and their weights are set up once per scan. Each
+    point runs the float kernels of the chain, whose checks fire in the
+    order of the public functions.
     """
     protocol, ch = cfg.protocol, cfg.channel
     y0, e_det = ch.y0, ch.e_det
@@ -450,21 +450,21 @@ def _scheme_rates(
         # three-intensity estimation at the template intensities. Each
         # point is the analytic run_pipeline at its channel, less the
         # applicability condition, whose verdict never reaches the rate
-        # (a degenerate pair still raises, in _estimate_bounds).
+        # (a degenerate pair still raises, in _estimate_bounds). With no
+        # fluctuations the envelope is the observables themselves, so
+        # the point needs no gate split.
         _check_heralded_template(cfg)
         dist_signal, dist_decoy = (
             hsps_distribution(replace(source.params, p_cor=scheme.p_cor), cfg.n_max)
             for source in (cfg.source_signal, cfg.source_decoy)
         )
         dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))
-        gates = cfg.pulse_split()
         pair = _pair(dist_signal, dist_decoy)
         for eta in etas:
             q_signal, e_signal, q_decoy, _, y0_obs, _ = _expected_statistics(
                 cfg, dists, eta
             )
-            observed = (q_signal, q_decoy, e_signal, y0_obs)
-            widened, _ = _envelope(observed, gates, 0.0)
+            widened = (q_decoy, q_signal, q_signal * e_signal, y0_obs, y0_obs)
             _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair)
             rates.append(_key_rate(q_signal, e_signal, e1, g0, g1, protocol)[0])
         return rates
@@ -511,26 +511,16 @@ def scan_loss(
     and compute the channel terms once for all distributions.
     ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
     point, with no channel record, and computes the constants of its rate
-    once per point. Every rate is that of a point-by-point evaluation,
-    bit for bit.
-
-    The errors come in this order: the whole grid is converted to
-    transmittances, and ``hsps-decoy`` takes the template's gate split,
-    before any point is evaluated; then the points run in grid order, and
-    a zero gain or a degenerate distribution pair raises at the first
-    point where a point-by-point evaluation does. So a grid holding a
-    loss whose transmittance underflows raises
-    :class:`InvalidParameterError` even where an earlier point would
-    raise :class:`UndefinedStatisticError`: with y0 = 0, the grid
-    ``[180]`` raises the latter, but ``[180, 4000]`` the former.
+    once per point. Each loss is converted to its transmittance when its
+    point runs, so every rate, and every error, is that of a
+    point-by-point evaluation in grid order.
     """
     grid = list(loss_grid_db)
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
-    etas = [loss_db_to_eta(loss) for loss in grid]
-    rates = tuple(_scheme_rates(scheme, cfg_template, etas))
+    rates = tuple(_scheme_rates(scheme, cfg_template, map(loss_db_to_eta, grid)))
     return LossCurve(
         scheme_label=scheme.label, loss_db=tuple(map(float, grid)), rate=rates
     )

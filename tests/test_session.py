@@ -54,6 +54,7 @@ from dataclasses import asdict, fields, replace
 from helpers import (
     BENCH_ETA,
     BENCH_MU_VACUUM,
+    BENCH_TOTAL_PULSES,
     BENCH_Y0,
     bench_channel,
     bench_config,
@@ -400,10 +401,17 @@ class TestScanLoss:
         assert dead.cutoff_db is None
 
     def test_underflowing_loss_is_named(self):
-        # the first point alone raises UndefinedStatisticError (y0 = 0); the
-        # grid is converted, and checked, before any point
-        with pytest.raises(InvalidParameterError, match=r"^loss_db=4000.0 "):
-            scan_loss(ideal_config(y0=0.0), Scheme(SchemeKind.IDEAL_SPS), [180.0, 4000.0])
+        ideal_sps = Scheme(SchemeKind.IDEAL_SPS)
+        for cfg, grid in (
+            (ideal_config(y0=1e-6), [4000.0]),
+            (ideal_config(y0=1e-6), [0.0, 4000.0]),
+        ):
+            with pytest.raises(InvalidParameterError, match=r"^loss_db=4000.0 "):
+                scan_loss(cfg, ideal_sps, grid)
+        # each loss is converted when its point runs, so without background
+        # the 180 dB point raises first, as it does on its own
+        with pytest.raises(UndefinedStatisticError):
+            scan_loss(ideal_config(y0=0.0), ideal_sps, [180.0, 4000.0])
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -472,8 +480,27 @@ def rates_or_error(fn):
         return type(exc)
 
 
-# the benchmark channel and protocol without background
-EDGE_EXAMPLE = dict(y0=0.0, e_det=0.025, vacuum_mu=0.0, n_max=16, q_sift=0.5, f_ec=1.22)
+# the benchmark channel, protocol and session length without background
+EDGE_EXAMPLE = dict(
+    y0=0.0,
+    e_det=0.025,
+    vacuum_mu=0.0,
+    n_max=16,
+    q_sift=0.5,
+    f_ec=1.22,
+    total_pulses=BENCH_TOTAL_PULSES,
+)
+# about two losses in three below 60 dB, where key is possible; the rest
+# up to 200 dB, or past 3,237 dB, where the transmittance underflows
+KEY_LOSSES_DB = st.floats(min_value=0.0, max_value=60.0)
+LOSSES_DB = st.sampled_from(
+    (
+        KEY_LOSSES_DB,
+        KEY_LOSSES_DB,
+        st.floats(min_value=0.0, max_value=200.0),
+        st.floats(min_value=3237.0, max_value=5000.0),
+    )
+).flatmap(lambda losses: losses)
 
 
 class TestScanLossAgainstReference:
@@ -481,7 +508,8 @@ class TestScanLossAgainstReference:
     rates must be those of a point-by-point evaluation on the reference
     formulas, bit for bit, and where that evaluation raises (undefined
     statistics, a degenerate distribution pair, a gain rounded above
-    one), the scan must raise the same error."""
+    one, a loss whose transmittance underflows), the scan must raise the
+    same error."""
 
     @given(
         y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
@@ -503,16 +531,12 @@ class TestScanLossAgainstReference:
             st.floats(min_value=0.02, max_value=0.5),
             st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
         ).map(lambda t: (t[0], t[1], t[1] * t[2], t[3])),
-        # about two losses in three below 60 dB, where key is possible
-        losses=st.lists(
-            st.one_of(
-                st.floats(min_value=0.0, max_value=60.0),
-                st.floats(min_value=0.0, max_value=200.0),
-            ),
-            min_size=1,
-            max_size=5,
-            unique=True,
+        # the benchmark's, or a short session, often too small for the
+        # gate split, which a sweep does not take
+        total_pulses=st.one_of(
+            st.just(BENCH_TOTAL_PULSES), st.integers(min_value=1, max_value=39)
         ),
+        losses=st.lists(LOSSES_DB, min_size=1, max_size=5, unique=True),
         token=st.one_of(
             st.sampled_from(SCHEME_TOKENS),
             st.floats(min_value=1e-4, max_value=50.0).map(
@@ -524,8 +548,10 @@ class TestScanLossAgainstReference:
         ),
     )
     # without background: a degenerate pair (decoy brighter than signal)
-    # at zero gain, then at a point with gain before one without; and a
-    # decoy that is pure vacuum next to a signal with gain
+    # at zero gain, then at a point with gain before one without; a decoy
+    # that is pure vacuum next to a signal with gain; a point at zero gain
+    # before a loss whose transmittance underflows; and a session too
+    # short for its gate split
     @example(
         **EDGE_EXAMPLE,
         template=(0.4, 1e-3, 5e-3, 1e-3),
@@ -544,6 +570,18 @@ class TestScanLossAgainstReference:
         losses=[10.0],
         token="hsps-decoy:0.0",
     )
+    @example(
+        **EDGE_EXAMPLE,
+        template=(0.4, 1e-3, 1e-4, 1e-3),
+        losses=[180.0, 4000.0],
+        token="hsps-decoy:0.4",
+    )
+    @example(
+        **{**EDGE_EXAMPLE, "total_pulses": 5},
+        template=(0.4, 1e-3, 1e-4, 1e-3),
+        losses=[10.0],
+        token="hsps-decoy:0.4",
+    )
     # positive rates at a heralded template unlike the canonical one, which
     # the random draws above seldom reach for hsps-decoy
     @example(
@@ -554,12 +592,23 @@ class TestScanLossAgainstReference:
         q_sift=0.45,
         f_ec=1.16,
         template=(0.55, 0.05, 0.008, 2e-5),
+        total_pulses=BENCH_TOTAL_PULSES,
         losses=[0.0, 12.5, 27.0, 41.0, 55.0],
         token="hsps-decoy:0.7",
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_point_reference(
-        self, y0, e_det, vacuum_mu, n_max, q_sift, f_ec, template, losses, token
+        self,
+        y0,
+        e_det,
+        vacuum_mu,
+        n_max,
+        q_sift,
+        f_ec,
+        template,
+        total_pulses,
+        losses,
+        token,
     ):
         p_cor, mu_signal, mu_decoy, d_i = template
         base = bench_config(vacuum_mu=vacuum_mu)
@@ -569,6 +618,7 @@ class TestScanLossAgainstReference:
             source_decoy=HspsSource(HspsParams(p_cor, mu_decoy, d_i)),
             channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det),
             protocol=ProtocolParams(q_sift=q_sift, f_ec=f_ec),
+            total_pulses=total_pulses,
             n_max=n_max,
         )
         scheme = Scheme.parse(token)
