@@ -71,8 +71,9 @@ def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
     _check_integer("n", n)
     _check_range("n", n, 0)
-    # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
-    return min(ch.y0 + (1.0 - (1.0 - ch.eta) ** n), 1.0)
+    # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1; a numpy
+    # integer n would take numpy's pow, whose last bit can differ
+    return min(ch.y0 + (1.0 - (1.0 - ch.eta) ** operator.index(n)), 1.0)
 
 
 def error_n(ch: ChannelParams, n: int) -> float:
@@ -86,7 +87,7 @@ def error_n(ch: ChannelParams, n: int) -> float:
         raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
         )
-    signal = 1.0 - (1.0 - ch.eta) ** n
+    signal = 1.0 - (1.0 - ch.eta) ** operator.index(n)
     return (E0 * ch.y0 + ch.e_det * signal) / y
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict
 from typing import Any
 
@@ -296,13 +297,14 @@ def experiment_from_dict(doc: dict) -> tuple[ExperimentConfig, str]:
 
 def experiment_to_dict(cfg: ExperimentConfig, mode: str = "analytic") -> dict:
     """Canonical document for a config; round-trips through
-    :func:`experiment_from_dict` up to float formatting."""
+    :func:`experiment_from_dict` up to float formatting. An integer field
+    is written as the int it stands for (a numpy integer included)."""
     return {
         "source": {
             "signal": source_to_dict(cfg.source_signal),
             "decoy": source_to_dict(cfg.source_decoy),
             "vacuum_mu": cfg.vacuum_mu,
-            "n_max": cfg.n_max,
+            "n_max": operator.index(cfg.n_max),
         },
         "channel": {
             "loss_db": eta_to_loss_db(cfg.channel.eta),
@@ -315,10 +317,10 @@ def experiment_to_dict(cfg: ExperimentConfig, mode: str = "analytic") -> dict:
             "f_ec": cfg.protocol.f_ec,
         },
         "run": {
-            "total_pulses": cfg.total_pulses,
+            "total_pulses": operator.index(cfg.total_pulses),
             "intensity_ratio": list(cfg.intensity_ratio),
             "n_sigma": cfg.fluctuation.n_sigma,
-            "rng_seed": cfg.rng_seed,
+            "rng_seed": operator.index(cfg.rng_seed),
             "mode": mode,
         },
     }

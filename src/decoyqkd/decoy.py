@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import E0
-from .errors import DegenerateDistributionError, InvalidParameterError, _check_range
+from .errors import DegenerateDistributionError, _check_integer, _check_range
 from .sources import PhotonNumberDistribution
 
 
@@ -70,10 +70,8 @@ class ThreeIntensityObservation:
         if self.e_decoy is not None:
             _check_range("e_decoy", self.e_decoy, 0, 1)
         for name in ("n_signal", "n_decoy", "n_vacuum"):
-            v = getattr(self, name)
-            if not isinstance(v, int):
-                raise InvalidParameterError(f"{name}={v!r} must be a positive integer")
-            _check_range(name, v, 1)
+            _check_integer(name, getattr(self, name))
+            _check_range(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -52,7 +53,12 @@ from .decoy import (
     estimate_bounds,
     fluctuation_bounds,
 )
-from .errors import InvalidParameterError, UndefinedStatisticError, _check_range
+from .errors import (
+    InvalidParameterError,
+    UndefinedStatisticError,
+    _check_integer,
+    _check_range,
+)
 from .keyrate import KeyRateResult, ProtocolParams, key_rate
 from .sources import (
     HspsSource,
@@ -111,22 +117,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_range("vacuum_mu", self.vacuum_mu, 0)
+        _check_integer("total_pulses", self.total_pulses)
         _check_range("total_pulses", self.total_pulses, 1, _INT64_MAX)
         # pulse_split scales total_pulses by each weight
         ratio = self.intensity_ratio
-        if (
-            len(ratio) != 3
-            or any(not w > 0.0 for w in ratio)
-            or not math.isfinite(self.total_pulses * sum(ratio))
-        ):
+        for i, w in enumerate(ratio):
+            _check_range(f"intensity_ratio[{i}]", w, 0, None, "()")
+        if len(ratio) != 3 or not math.isfinite(self.total_pulses * sum(ratio)):
             raise InvalidParameterError(
                 f"intensity_ratio={ratio!r} needs three positive weights whose "
                 "sum times total_pulses is finite"
             )
-        if self.rng_seed < 0:
-            raise InvalidParameterError(
-                f"rng_seed={self.rng_seed!r} must be >= 0"
-            )
+        _check_integer("rng_seed", self.rng_seed)
+        _check_range("rng_seed", self.rng_seed, 0, math.inf)
         _check_n_max(self.n_max)
 
     @cached_property
@@ -144,10 +147,11 @@ class ExperimentConfig:
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
+        total = operator.index(self.total_pulses)
         total_weight = math.fsum(self.intensity_ratio)
-        n_decoy = int(round(self.total_pulses * self.intensity_ratio[1] / total_weight))
-        n_vacuum = int(round(self.total_pulses * self.intensity_ratio[2] / total_weight))
-        n_signal = self.total_pulses - n_decoy - n_vacuum
+        n_decoy = int(round(total * self.intensity_ratio[1] / total_weight))
+        n_vacuum = int(round(total * self.intensity_ratio[2] / total_weight))
+        n_signal = total - n_decoy - n_vacuum
         if min(n_signal, n_decoy, n_vacuum) < 1:
             raise InvalidParameterError(
                 "total_pulses too small for the intensity ratio: "
@@ -177,7 +181,10 @@ class IntensityCounts:
     errors: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.errors <= self.detections <= self.gates:
+        for name in ("gates", "detections", "errors"):
+            _check_integer(name, getattr(self, name))
+            _check_range(name, getattr(self, name), 0)
+        if not self.errors <= self.detections <= self.gates:
             raise InvalidParameterError(
                 f"need errors <= detections <= gates, got {self!r}"
             )
@@ -268,7 +275,8 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     # (Q, E) at the signal, decoy and vacuum settings
     per_intensity = (stats[0:2], stats[2:4], stats[4:6])
     pairs = binomial_pairs(
-        cfg.rng_seed, [(gates, q, e) for gates, (q, e) in zip(split, per_intensity)]
+        operator.index(cfg.rng_seed),
+        [(gates, q, e) for gates, (q, e) in zip(split, per_intensity)],
     )
     drawn = [
         IntensityCounts(gates=gates, detections=detections, errors=errors)

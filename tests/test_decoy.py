@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -133,6 +134,15 @@ class TestFluctuationBounds:
         fb = fluctuation_bounds(obs, FluctuationPolicy(10.0))
         assert fb.y0_low == 0.0
         assert "y0_low" in fb.clamped
+
+    def test_gate_counts_follow_the_integer_rule(self):
+        # a numpy integer is an integer, an integral float is not
+        pol = FluctuationPolicy(10.0)
+        fb = fluctuation_bounds(make_obs(1e-4, 1e-4, 0.06, BENCH_Y0), pol)
+        numpy_obs = make_obs(1e-4, 1e-4, 0.06, BENCH_Y0, n_signal=np.int64(BIG))
+        assert fluctuation_bounds(numpy_obs, pol) == fb
+        with pytest.raises(InvalidParameterError, match=r"^n_decoy=.* integer"):
+            make_obs(1e-4, 1e-4, 0.06, BENCH_Y0, n_decoy=float(BIG))
 
     @pytest.mark.parametrize("value", [math.nan, -1e-9, 1.5, math.inf, 10**400])
     @pytest.mark.parametrize("index", range(5))

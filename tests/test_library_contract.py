@@ -80,6 +80,7 @@ from decoyqkd.session import MU_SEARCH_RANGE
 from helpers import (
     BENCH_F_EC,
     BENCH_Q_SIFT,
+    BENCH_RATIO,
     REF_E_SIGNAL,
     REF_Q_DECOY,
     REF_Q_SIGNAL,
@@ -189,13 +190,19 @@ def rates(draw):
 
 
 def config(draw):
+    ratio = list(BENCH_RATIO)
+    if draw(st.booleans()):
+        ratio[draw(st.integers(0, 2))] = draw(NUMBERS)
     cfg = replace(
         bench_config(),
         channel=channel(draw),
         protocol=protocol(draw),
         fluctuation=policy(draw),
+        intensity_ratio=tuple(ratio),
     )
-    return swap_one(draw, cfg, ("vacuum_mu",), ("total_pulses", "rng_seed", "n_max"))
+    cfg = swap_one(draw, cfg, ("vacuum_mu",), ("total_pulses", "rng_seed", "n_max"))
+    # the int fields that the integer rule guards draw any number too
+    return swap_one(draw, cfg, ("total_pulses", "rng_seed"))
 
 
 def distribution(draw):
@@ -220,11 +227,15 @@ def scheme(draw):
 
 
 def counts(draw):
-    """Counts that are mostly ordered as errors <= detections <= gates."""
+    """Counts that are mostly ordered as errors <= detections <= gates,
+    at times with one of them any number."""
     gates = draw(COUNTS)
     detections = draw(st.integers(0, max(gates, 0)) | COUNTS)
     errors = draw(st.integers(0, max(detections, 0)) | COUNTS)
-    return IntensityCounts(gates, detections, errors)
+    drawn = [gates, detections, errors]
+    if draw(st.booleans()):
+        drawn[draw(st.integers(0, 2))] = draw(NUMBERS)
+    return IntensityCounts(*drawn)
 
 
 def check_bounds(b):
@@ -373,6 +384,7 @@ def case_experiment_config(draw):
 
 def case_intensity_counts(draw):
     c = counts(draw)
+    assert all(isinstance(n, int) for n in (c.gates, c.detections, c.errors))
     assert unit(c.q) and unit(c.e)
 
 

@@ -23,6 +23,7 @@ from decoyqkd import (
     HspsParams,
     HspsSource,
     IdealSpsSource,
+    IntensityCounts,
     InvalidParameterError,
     MeasuredRates,
     MuOptimum,
@@ -49,6 +50,7 @@ from decoyqkd import (
     wcs_infinite_decoy_rate,
     yield_n,
 )
+from decoyqkd.config import dump_json, experiment_to_dict
 from dataclasses import asdict, fields, replace
 
 from helpers import (
@@ -144,6 +146,20 @@ class TestSampleCounts:
         a = sample_counts(bench_config(seed=1))
         b = sample_counts(bench_config(seed=2))
         assert a != b
+
+    def test_numpy_integers_count_as_their_ints(self):
+        cfg = bench_config(seed=3)
+        numpy_cfg = replace(
+            cfg, rng_seed=np.int64(3), total_pulses=np.int64(cfg.total_pulses)
+        )
+        counts = sample_counts(numpy_cfg)
+        assert counts == sample_counts(cfg)
+        assert run_pipeline(numpy_cfg, counts) == run_pipeline(cfg, counts)
+        # the report echoes them as ints, not as quoted strings
+        report, numpy_report = (
+            dump_json(experiment_to_dict(c, "sampled")) for c in (cfg, numpy_cfg)
+        )
+        assert numpy_report == report
 
     def test_binomial_concentration(self):
         cfg = bench_config()
@@ -1123,6 +1139,26 @@ class TestConfigValidation:
             replace(bench_config(), intensity_ratio=(1.0, 0.0, 1.0))
         with pytest.raises(InvalidParameterError):
             replace(bench_config(), rng_seed=-1)
+        # integers follow one rule, and a weight past the float range is
+        # refused by its name
+        for field, value in (
+            ("total_pulses", 1.5e9),
+            ("rng_seed", 2.5),
+            ("rng_seed", 3.0),
+            ("rng_seed", math.nan),
+        ):
+            with pytest.raises(InvalidParameterError, match=rf"^{field}=.* integer"):
+                replace(bench_config(), **{field: value})
+        for k in range(3):
+            for weight in (10**400, 2**1024):
+                ratio = tuple(weight if i == k else 1.0 for i in range(3))
+                with pytest.raises(
+                    InvalidParameterError, match=rf"^intensity_ratio\[{k}\]="
+                ):
+                    replace(bench_config(), intensity_ratio=ratio)
+        for gates, detections, errors in ((2.5, 1, 0), (10, 2.0, 0), (10, 2, 0.5)):
+            with pytest.raises(InvalidParameterError, match=r"must be an integer"):
+                IntensityCounts(gates, detections, errors)
 
 
 # an int past the float range, which cannot enter float arithmetic
