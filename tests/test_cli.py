@@ -17,6 +17,8 @@ from decoyqkd.config import (
     format_float,
 )
 
+import test_golden
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SESSION_DOC = {
@@ -261,6 +263,21 @@ class TestCurveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "e0=0.2" in captured.err
+
+    def test_short_session_sweeps_the_golden_curve(self, tmp_path, capsys):
+        # a sweep takes no gate split, so a session too short for one
+        # sweeps the same curve, while the session itself is refused
+        doc = json.loads((CONFIGS / "session-36db.json").read_text())
+        doc["run"]["total_pulses"] = 5
+        cfg = write_doc(tmp_path / "c.json", doc)
+        curve = test_golden.CASES["curve-six-schemes.csv"]
+        assert main([arg.format(session=cfg) for arg in curve]) == 0
+        golden = (test_golden.GOLDEN / "curve-six-schemes.csv").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
+        assert main(["session", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total_pulses too small" in captured.err and "split" in captured.err
 
     def test_cutoff_inside_grid_has_no_note(self, tmp_path, capsys):
         code, out = self.run_curve(tmp_path, "wcs-no-decoy", extra=["--loss-to", "60"])
