@@ -418,12 +418,9 @@ class TestScanLoss:
 
     def test_underflowing_loss_is_named(self):
         ideal_sps = Scheme(SchemeKind.IDEAL_SPS)
-        for cfg, grid in (
-            (ideal_config(y0=1e-6), [4000.0]),
-            (ideal_config(y0=1e-6), [0.0, 4000.0]),
-        ):
+        for grid in ([4000.0], [0.0, 4000.0]):
             with pytest.raises(InvalidParameterError, match=r"^loss_db=4000.0 "):
-                scan_loss(cfg, ideal_sps, grid)
+                scan_loss(ideal_config(y0=1e-6), ideal_sps, grid)
         # each loss is converted when its point runs, so without background
         # the 180 dB point raises first, as it does on its own
         with pytest.raises(UndefinedStatisticError):
