@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .decoy import BoundsResult
-from .errors import InvalidParameterError, _check_range
+from .errors import InvalidParameterError, _check_integer, _check_range
 
 F_EC_DEFAULT = 1.22
 
@@ -125,9 +125,11 @@ def key_rate(
 def secure_bits(rate: float, n_signal: int) -> int:
     """Integer secure-bit yield, floor(rate * n_signal).
 
-    A factor that is infinite or an int past the float range fails the
-    rule on the product, which must be finite, and the error names both."""
+    ``n_signal`` is an integer, a float never. A factor that is infinite
+    or an int past the float range fails the rule on the product, which
+    must be finite, and the error names both."""
     _check_range("rate", rate, 0, math.inf)
+    _check_integer("n_signal", n_signal)
     _check_range("n_signal", n_signal, 0, math.inf)
     # an int past the float range cannot enter a float product
     bits = rate * n_signal if max(rate, n_signal) <= sys.float_info.max else math.inf

@@ -11,10 +11,9 @@ Ties the source, channel, estimator and key-rate pieces together:
   each scheme evaluated over the whole loss axis with its channel-
   independent setup done once per sweep;
 * optimization of the coherent-state signal intensity in the
-  infinite-decoy limit: a search over a coarse grid, then golden-section
-  refinement. The grid intensities and their vacuum probabilities
-  exp(-mu) are tables built at import, and the rate is one closure of
-  (mu, exp(-mu)) that writes out the GLLP bracket itself.
+  infinite-decoy limit: a search over a coarse grid, built at import,
+  then golden-section refinement. The rate is one closure of the
+  intensity mu that writes out the GLLP bracket itself.
 
 Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
@@ -382,6 +381,8 @@ class Scheme:
     def label(self) -> str:
         if self.kind is SchemeKind.HSPS_DECOY:
             return f"hsps-decoy-{self.p_cor:.2f}"
+        if self.wcs_mu is not None:
+            return f"wcs-no-decoy-{self.wcs_mu:.2f}"
         return self.kind.value
 
     @staticmethod
@@ -557,46 +558,39 @@ def wcs_infinite_decoy_rate(
     single-photon yield and error are the channel truth.
     """
     _check_range("mu", mu, 0, None, "()")
-    _check_wcs_gain(ch.eta, ch.y0, mu)
-    return _wcs_rate(ch.eta, ch.y0, ch.e_det, protocol)(mu, math.exp(-mu))
-
-
-def _check_wcs_gain(eta: float, y0: float, mu: float) -> None:
-    """Raise where the coherent-state rate is undefined, which happens
-    only without background: where the gain y0 + 1 - exp(-eta mu) rounds
-    to zero (no QBER), or where 1 - eta rounds to 1 (no Y1, so no e1)."""
-    if y0 != 0.0:
-        return
-    if math.exp(-eta * mu) == 1.0:
-        raise UndefinedStatisticError(
-            f"QBER undefined: zero gain at mu={mu!r} (eta={eta!r}, y0=0)"
-        )
-    if 1.0 - eta == 1.0:
-        raise UndefinedStatisticError(
-            f"e1 undefined: zero single-photon yield (eta={eta!r}, y0=0)"
-        )
+    return _wcs_rate(ch.eta, ch.y0, ch.e_det, protocol, mu)(mu)
 
 
 def _wcs_rate(
-    eta: float, y0: float, e_det: float, protocol: ProtocolParams
-) -> Callable[[float, float], float]:
+    eta: float, y0: float, e_det: float, protocol: ProtocolParams, mu_low: float
+) -> Callable[[float], float]:
     """The rate of :func:`wcs_infinite_decoy_rate` as a function of the
-    intensity ``mu`` and its vacuum probability ``p0 = exp(-mu)``, on a
-    channel that :func:`_check_wcs_gain` passed. Its constants (Y1 and e1
-    from the channel terms of n = 1, the privacy factor of e1, E0 y0 and
-    the protocol's f_ec and q_sift) are computed once, here. The closure
-    writes out the GLLP bracket of :func:`keyrate._key_rate` itself, with
-    the unchecked H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by
-    construction."""
+    intensity ``mu``, for intensities of at least ``mu_low``. Raises
+    where that rate is undefined, which happens only without background:
+    where the gain y0 + 1 - exp(-eta mu_low) rounds to zero (no QBER), or
+    where Y1 does (no e1). Its constants (Y1 and e1 from the channel
+    terms of n = 1, the privacy factor of e1, E0 y0 and the protocol's
+    f_ec and q_sift) are computed once, here. The closure writes out the
+    GLLP bracket of :func:`keyrate._key_rate` itself, with the unchecked
+    H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by construction."""
+    if y0 == 0.0 and math.exp(-eta * mu_low) == 1.0:
+        raise UndefinedStatisticError(
+            f"QBER undefined: zero gain at mu={mu_low!r} (eta={eta!r}, y0=0)"
+        )
     yields, numerators = _channel_terms(eta, y0, e_det, 1)
     y1 = yields[1]
+    if y1 == 0.0:
+        raise UndefinedStatisticError(
+            f"e1 undefined: zero single-photon yield (eta={eta!r}, y0=0)"
+        )
     privacy = _privacy(numerators[1] / y1)
     e0_y0 = E0 * y0
     f_ec, q_sift = protocol.f_ec, protocol.q_sift
     exp = math.exp
 
-    def rate(mu: float, p0: float) -> float:
+    def rate(mu: float) -> float:
         signal = 1.0 - exp(-eta * mu)
+        p0 = exp(-mu)
         # min(x, 1.0), at a quarter of the cost of the builtin call
         q = y0 + signal
         q = 1.0 if 1.0 < q else q
@@ -615,19 +609,17 @@ MU_SEARCH_RANGE = (1e-4, 1.0)
 MU_COARSE_POINTS = 512
 MU_TOL = 1e-7
 
-# the coarse grid, np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS) bit
-# for bit, and exp(-mu) at each of its intensities
+# the coarse grid, np.linspace(*MU_SEARCH_RANGE, MU_COARSE_POINTS) bit for bit
 _COARSE_MU = tuple(
     k * ((MU_SEARCH_RANGE[1] - MU_SEARCH_RANGE[0]) / (MU_COARSE_POINTS - 1))
     + MU_SEARCH_RANGE[0]
     for k in range(MU_COARSE_POINTS - 1)
 ) + (MU_SEARCH_RANGE[1],)
-_COARSE_P0 = tuple(math.exp(-mu) for mu in _COARSE_MU)
 
 
-def _coarse_argmax(rate: Callable[[float, float], float]) -> tuple[int, float]:
+def _coarse_argmax(rate: Callable[[float], float]) -> tuple[int, float]:
     """First index of the largest rate over the coarse grid, and that
-    rate, for a rate that rises to one peak and then falls, or only falls.
+    rate, for a rate of mu that rises to one peak and then falls, or only falls.
 
     A Fibonacci search narrows an open bracket of grid indices around the
     peak, reading each probe twice from one cache of the rates at the
@@ -641,11 +633,7 @@ def _coarse_argmax(rate: Callable[[float, float], float]) -> tuple[int, float]:
     def at(k: int) -> float:
         r = grid.get(k)
         if r is None:
-            r = grid[k] = (
-                rate(_COARSE_MU[k], _COARSE_P0[k])
-                if k < MU_COARSE_POINTS
-                else -math.inf
-            )
+            r = grid[k] = rate(_COARSE_MU[k]) if k < MU_COARSE_POINTS else -math.inf
         return r
 
     # the peak lies in (a, a + lo + hi), probed at a + lo and a + hi, for
@@ -675,10 +663,11 @@ def optimize_mu(
     refinement between that point's neighbours then narrows it to
     ``MU_TOL``, and the better of the grid point and the refined one is
     returned. Every value is the scalar rate of
-    :func:`wcs_infinite_decoy_rate`, with its constants at the channel
-    (Y1, 1 - H2(e1), E0 y0) computed once per call. When the rate is
-    non-positive everywhere the result is flagged infeasible (rate 0 at
-    the least-bad intensity).
+    :func:`wcs_infinite_decoy_rate`, one closure of ``mu`` with its
+    constants at the channel (Y1, 1 - H2(e1), E0 y0) computed once per
+    call, which raises where the rate is undefined at the low end of
+    ``MU_SEARCH_RANGE``. When the rate is non-positive everywhere the
+    result is flagged infeasible (rate 0 at the least-bad intensity).
 
     The search is the float kernel :func:`_optimize_mu` on the fields of
     ``channel``; a loss sweep runs it at each point, with no channel
@@ -692,27 +681,25 @@ def _optimize_mu(
 ) -> tuple[float, float]:
     """Kernel of :func:`optimize_mu`: the best intensity and its rate."""
     # the gain is smallest at the low end of the range
-    _check_wcs_gain(eta, y0, MU_SEARCH_RANGE[0])
-    rate = _wcs_rate(eta, y0, e_det, protocol)
-    exp = math.exp
+    rate = _wcs_rate(eta, y0, e_det, protocol, MU_SEARCH_RANGE[0])
     best, r_best = _coarse_argmax(rate)
     a = _COARSE_MU[max(best - 1, 0)]
     b = _COARSE_MU[min(best + 1, MU_COARSE_POINTS - 1)]
     # golden-section interior points, keeping the better half each step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = rate(c, exp(-c)), rate(d, exp(-d))
+    fc, fd = rate(c), rate(d)
     while b - a > MU_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = rate(c, exp(-c))
+            fc = rate(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = rate(d, exp(-d))
+            fd = rate(d)
     mu_opt = (a + b) / 2.0
-    r_opt = rate(mu_opt, exp(-mu_opt))
+    r_opt = rate(mu_opt)
     if r_opt < r_best:
         mu_opt, r_opt = _COARSE_MU[best], r_best
     return mu_opt, (0.0 if r_opt <= 0.0 else r_opt)

@@ -180,6 +180,14 @@ class TestCurveCommand:
         rates = [float(r[1]) for r in data]
         assert rates[0] > rates[1] > rates[2]
 
+    def test_intensities_get_distinct_columns(self, tmp_path):
+        code, out = self.run_curve(tmp_path, "wcs-no-decoy,wcs-no-decoy:0.3")
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "loss_db,wcs-no-decoy,wcs-no-decoy-0.30"
+        cutoffs = [l.split(",")[1] for l in lines if l.startswith("# cutoff_db")]
+        assert cutoffs == ["wcs-no-decoy", "wcs-no-decoy-0.30"]
+
     def test_csv_format(self, tmp_path):
         code, out = self.run_curve(tmp_path, "ideal-sps,hsps-decoy:0.40")
         raw = out.read_bytes()

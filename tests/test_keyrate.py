@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,10 @@ class TestKeyRate:
         )
         assert result.secure_bits == math.floor(result.rate_per_pulse * 10**9)
 
+    def test_pulse_count_must_be_an_integer(self):
+        with pytest.raises(InvalidParameterError, match=r"^n_signal=1000000000.0 must"):
+            key_rate(1e-4, 0.03, bounds(), ProtocolParams(), n_signal=1e9)
+
     def test_input_validation(self):
         with pytest.raises(InvalidParameterError):
             key_rate(1.5, 0.03, bounds(), ProtocolParams())
@@ -131,6 +136,16 @@ class TestSecureBits:
 
     def test_single_bit(self):
         assert secure_bits(1e-6, 10**6) == 1
+
+    @pytest.mark.parametrize("n_signal", [2.5e9, 2**0.5], ids=["2.5e9", "sqrt2"])
+    def test_count_must_be_an_integer(self, n_signal):
+        message = r"^n_signal=.* must be an integer"
+        with pytest.raises(InvalidParameterError, match=message):
+            secure_bits(1e-6, n_signal)
+
+    def test_numpy_integer_count_gives_the_int_result(self):
+        bits = secure_bits(5.065e-6, np.int64(10**9))
+        assert type(bits) is int and bits == secure_bits(5.065e-6, 10**9)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -1002,19 +1002,24 @@ class TestOptimizeMu:
         assert optimize_mu(ch, protocol) == scalar_optimize_mu(ch, protocol)
 
     def test_zero_gain_is_undefined(self):
-        with pytest.raises(UndefinedStatisticError):
+        message = r"^QBER undefined: zero gain"
+        with pytest.raises(UndefinedStatisticError, match=message):
             optimize_mu(ChannelParams(eta=1e-14, y0=0.0, e_det=0.025))
 
     # at eta 1e-14 only the gain rounds to zero; at 1e-17 Y1 does too, and
-    # at mu 10 only Y1 does
+    # the gain is checked first; at mu 10 only Y1 does
     @pytest.mark.parametrize(
-        "mu, eta",
-        [(1e-4, 1e-14), (1e-4, 1e-17), (10.0, 1e-17)],
+        "mu, eta, message",
+        [
+            (1e-4, 1e-14, r"^QBER undefined: zero gain at mu=0.0001"),
+            (1e-4, 1e-17, r"^QBER undefined: zero gain at mu=0.0001"),
+            (10.0, 1e-17, r"^e1 undefined: zero single-photon yield"),
+        ],
         ids=["1e-14", "1e-17", "mu10-1e-17"],
     )
-    def test_rate_at_zero_gain_is_undefined(self, mu, eta):
+    def test_rate_at_zero_gain_is_undefined(self, mu, eta, message):
         ch = ChannelParams(eta=eta, y0=0.0, e_det=0.02)
-        with pytest.raises(UndefinedStatisticError):
+        with pytest.raises(UndefinedStatisticError, match=message):
             wcs_infinite_decoy_rate(mu, ch, ProtocolParams())
 
     @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -0.0])
@@ -1029,29 +1034,25 @@ class TestOptimizeMu:
         assert result == scalar_optimize_mu(ch)
 
     def test_coarse_grid_equals_linspace(self):
-        mus, p0s = session_mod._COARSE_MU, session_mod._COARSE_P0
-        assert type(mus) is tuple and type(p0s) is tuple
+        mus = session_mod._COARSE_MU
+        assert type(mus) is tuple
         expected = np.linspace(
             *session_mod.MU_SEARCH_RANGE, session_mod.MU_COARSE_POINTS
         ).tolist()
         assert list(mus) == expected
-        assert len(p0s) == len(mus)
-        # bit for bit, as the golden section computes exp(-mu)
-        for mu, p0 in zip(mus, p0s):
-            assert p0 == math.exp(-mu)
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
-        # the rate is a closure of (mu, exp(-mu)) built once per call;
-        # count its evaluations
+        # the rate is a closure of mu built once per call; count its
+        # evaluations
         evals = [0]
         make_rate = session_mod._wcs_rate
 
         def counting_rate(*args):
             rate = make_rate(*args)
 
-            def counted(mu, p0):
+            def counted(mu):
                 evals[0] += 1
-                return rate(mu, p0)
+                return rate(mu)
 
             return counted
 
