@@ -96,12 +96,20 @@ def _channel_terms(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The yields Y_n = min(y0 + s, 1) and the QBER numerators
     E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
-    terms of :func:`yield_n` and :func:`error_n`, bit for bit."""
-    signal = [1.0 - (1.0 - eta) ** n for n in range(n_max + 1)]
-    # min(y0 + s, 1.0), at a quarter of the cost of the builtin call
-    yields = tuple([y0 + s if y0 + s < 1.0 else 1.0 for s in signal])
+    terms of :func:`yield_n` and :func:`error_n`, bit for bit. Each term
+    depends on its own n alone, so a call at a larger ``n_max`` has the
+    terms of a smaller one as its prefix."""
+    base = 1.0 - eta
     e0_y0 = E0 * y0
-    return yields, tuple([e0_y0 + e_det * s for s in signal])
+    yields = []
+    numerators = []
+    for n in range(n_max + 1):
+        s = 1.0 - base**n
+        y = y0 + s
+        # min(y0 + s, 1.0), at a quarter of the cost of the builtin call
+        yields.append(y if y < 1.0 else 1.0)
+        numerators.append(e0_y0 + e_det * s)
+    return tuple(yields), tuple(numerators)
 
 
 def _gain(probs: tuple[float, ...], yields: tuple[float, ...]) -> float:

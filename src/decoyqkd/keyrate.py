@@ -76,8 +76,13 @@ def _privacy(e1: float) -> float:
     """The privacy-amplification factor 1 - H2(min(e1, 1/2)) of
     single-photon key. The factor is 0 at e1 = 1/2, where Eve may know
     everything; past 1/2, H2 falls again, and an uncapped e1 would count
-    key that no bound justifies (at e1 = 1, the whole of G1)."""
-    return 1.0 - binary_entropy(min(e1, 0.5))
+    key that no bound justifies (at e1 = 1, the whole of G1).
+
+    Unchecked: every ``e1`` lies in [0, 1] where it is made, checked by
+    :class:`decoy.BoundsResult` for :func:`key_rate`, clamped by
+    ``decoy._e1_upper`` in a sweep, and a ratio of a QBER numerator to a
+    yield no smaller than it in ``session._wcs_rate``."""
+    return 1.0 - _h2(min(e1, 0.5))
 
 
 def _key_rate(
@@ -85,9 +90,13 @@ def _key_rate(
 ) -> tuple[float, float, float, float]:
     """Kernel of :func:`key_rate`: the floored rate, then ec_cost,
     g1_term and raw_rate of :class:`KeyRateComponents`. The raw rate is
-    the GLLP bracket ``q_sift * (-Q f H2(E) + G0 + G1 (1 - H2(min(e1, 1/2))))``."""
+    the GLLP bracket ``q_sift * (-Q f H2(E) + G0 + G1 (1 - H2(min(e1, 1/2))))``.
+
+    Unchecked, as :func:`_privacy` is: :func:`key_rate` checks
+    ``e_signal``, and a sweep takes it from ``channel._qber``, which
+    caps a non-negative ratio at 1."""
     g1_term = g1 * _privacy(e1)
-    ec_cost = q_gain * p.f_ec * binary_entropy(e_signal)
+    ec_cost = q_gain * p.f_ec * _h2(e_signal)
     raw = p.q_sift * (-ec_cost + g0 + g1_term)
     return max(raw, 0.0), ec_cost, g1_term, raw
 

@@ -379,11 +379,17 @@ class Scheme:
 
     @property
     def label(self) -> str:
-        if self.kind is SchemeKind.HSPS_DECOY:
-            return f"hsps-decoy-{self.p_cor:.2f}"
-        if self.wcs_mu is not None:
-            return f"wcs-no-decoy-{self.wcs_mu:.2f}"
-        return self.kind.value
+        """The token, with its ``:`` argument written as ``-`` and two
+        decimals where those give the argument back, else in its shortest
+        repr, so that two different arguments never share a label."""
+        # at most one of the two is set, by the token's kind
+        arg = self.wcs_mu if self.p_cor is None else self.p_cor
+        if arg is None:
+            return self.kind.value
+        text = f"{arg:.2f}"
+        if float(text) != arg:
+            text = repr(float(arg))
+        return f"{self.kind.value}-{text}"
 
     @staticmethod
     def parse(token: str) -> "Scheme":
@@ -622,11 +628,12 @@ def _coarse_argmax(rate: Callable[[float], float]) -> tuple[int, float]:
     rate, for a rate of mu that rises to one peak and then falls, or only falls.
 
     A Fibonacci search narrows an open bracket of grid indices around the
-    peak, reading each probe twice from one cache of the rates at the
-    grid points; the last four candidates are compared one by one, and
-    then with index 0, since the grid rates can fall over the first few
-    points before they rise to an interior peak. Ties go to the first
-    index, as in ``np.argmax``.
+    peak. Each step keeps one probe, whose rate it carries, and evaluates
+    one new probe, so no grid point is evaluated twice: every rate goes
+    into one cache of the grid points. The last four candidates are
+    compared one by one from that cache, and then with index 0, since the
+    grid rates can fall over the first few points before they rise to an
+    interior peak. Ties go to the first index, as in ``np.argmax``.
     """
     grid: dict[int, float] = {}
 
@@ -637,15 +644,22 @@ def _coarse_argmax(rate: Callable[[float], float]) -> tuple[int, float]:
         return r
 
     # the peak lies in (a, a + lo + hi), probed at a + lo and a + hi, for
-    # consecutive Fibonacci numbers lo < hi
+    # consecutive Fibonacci numbers lo < hi. The next bracket keeps one
+    # probe: the old a + hi is its a + lo if the bracket moved up, else
+    # the old a + lo is its a + hi
     lo, hi = 1, 2
     while lo + hi <= MU_COARSE_POINTS:
         lo, hi = hi, lo + hi
     a = -1
+    r_lo, r_hi = at(a + lo), at(a + hi)
     while lo + hi > 5:
-        if at(a + lo) < at(a + hi):
+        if r_lo < r_hi:
             a += lo
-        lo, hi = hi - lo, lo
+            lo, hi = hi - lo, lo
+            r_lo, r_hi = r_hi, at(a + hi)
+        else:
+            lo, hi = hi - lo, lo
+            r_lo, r_hi = at(a + lo), r_lo
     best = max(range(a + 1, a + lo + hi), key=at)
     if at(0) >= grid[best]:
         best = 0
@@ -686,17 +700,18 @@ def _optimize_mu(
     a = _COARSE_MU[max(best - 1, 0)]
     b = _COARSE_MU[min(best + 1, MU_COARSE_POINTS - 1)]
     # golden-section interior points, keeping the better half each step
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    inv_phi = _INV_PHI
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
     fc, fd = rate(c), rate(d)
     while b - a > MU_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
+            c = b - inv_phi * (b - a)
             fc = rate(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
+            d = a + inv_phi * (b - a)
             fd = rate(d)
     mu_opt = (a + b) / 2.0
     r_opt = rate(mu_opt)

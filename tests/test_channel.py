@@ -26,6 +26,7 @@ from decoyqkd import (
     wcs_distribution,
     yield_n,
 )
+from decoyqkd.channel import E0, _channel_terms
 from helpers import (
     BENCH_D_I,
     BENCH_E_DET,
@@ -257,6 +258,48 @@ class TestAgainstReference:
             )
 
         assert outcome(package) == outcome(reference)
+
+
+class TestChannelTerms:
+    """``_channel_terms``, which sessions and sweeps run at every point,
+    gives the terms of :func:`yield_n` and of the QBER numerator bit for
+    bit, and each term depends on its own n alone."""
+
+    @given(
+        eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
+        y0=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+        ),
+        e_det=st.floats(min_value=0.0, max_value=0.5),
+        n_max=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_terms_equal_yield_n_and_written_out_numerators(
+        self, eta, y0, e_det, n_max
+    ):
+        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det)
+        yields, numerators = _channel_terms(eta, y0, e_det, n_max)
+        assert len(yields) == len(numerators) == n_max + 1
+        assert [y.hex() for y in yields] == [
+            yield_n(ch, n).hex() for n in range(n_max + 1)
+        ]
+        assert [x.hex() for x in numerators] == [
+            (E0 * y0 + e_det * (1 - (1 - eta) ** n)).hex() for n in range(n_max + 1)
+        ]
+
+    @given(
+        eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
+        y0=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        e_det=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_smaller_truncations_are_prefixes(self, eta, y0, e_det):
+        yields, numerators = _channel_terms(eta, y0, e_det, 16)
+        for n_max in (1, 2):
+            assert _channel_terms(eta, y0, e_det, n_max) == (
+                yields[: n_max + 1],
+                numerators[: n_max + 1],
+            )
 
 
 class TestLossConversion:

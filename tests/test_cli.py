@@ -188,6 +188,24 @@ class TestCurveCommand:
         cutoffs = [l.split(",")[1] for l in lines if l.startswith("# cutoff_db")]
         assert cutoffs == ["wcs-no-decoy", "wcs-no-decoy-0.30"]
 
+    def test_arguments_past_two_decimals_get_distinct_columns(self, tmp_path):
+        # two decimals where they give the argument back, else its repr
+        code, out = self.run_curve(
+            tmp_path,
+            "hsps-decoy:0.4,hsps-decoy:0.401,wcs-no-decoy:0.3,wcs-no-decoy:0.301",
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        labels = [
+            "hsps-decoy-0.40",
+            "hsps-decoy-0.401",
+            "wcs-no-decoy-0.30",
+            "wcs-no-decoy-0.301",
+        ]
+        assert lines[0] == "loss_db," + ",".join(labels)
+        cutoffs = [l.split(",")[1] for l in lines if l.startswith("# cutoff_db")]
+        assert cutoffs == labels
+
     def test_csv_format(self, tmp_path):
         code, out = self.run_curve(tmp_path, "ideal-sps,hsps-decoy:0.40")
         raw = out.read_bytes()

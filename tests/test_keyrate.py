@@ -127,6 +127,29 @@ class TestKeyRate:
             key_rate(1e-4, 1.5, bounds(), ProtocolParams())
 
 
+class TestEntropyInputsAreChecked:
+    """The rate kernels take H2 unchecked; every input they get is
+    checked on its way in, with these exact messages."""
+
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 1.5, math.inf])
+    def test_signal_qber_checked_by_key_rate(self, x):
+        with pytest.raises(InvalidParameterError) as info:
+            key_rate(1e-4, x, bounds(e1=0.05, g1=5e-5), ProtocolParams())
+        assert str(info.value) == f"e_signal={x!r} outside [0, 1]"
+
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 1.5, math.inf])
+    def test_e1_bound_checked_by_its_record(self, x):
+        with pytest.raises(InvalidParameterError) as info:
+            bounds(e1=x)
+        assert str(info.value) == f"e1_upper={x!r} outside [0, 1]"
+
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 1.5, math.inf])
+    def test_binary_entropy_keeps_its_check(self, x):
+        with pytest.raises(InvalidParameterError) as info:
+            binary_entropy(x)
+        assert str(info.value) == f"x={x!r} outside [0, 1]"
+
+
 class TestSecureBits:
     def test_zero_rate(self):
         assert secure_bits(0.0, 10**9) == 0

@@ -54,7 +54,9 @@ from decoyqkd.config import dump_json, experiment_to_dict
 from dataclasses import asdict, fields, replace
 
 from helpers import (
+    BENCH_E_DET,
     BENCH_ETA,
+    BENCH_F_EC,
     BENCH_MU_VACUUM,
     BENCH_TOTAL_PULSES,
     BENCH_Y0,
@@ -1040,6 +1042,31 @@ class TestOptimizeMu:
             *session_mod.MU_SEARCH_RANGE, session_mod.MU_COARSE_POINTS
         ).tolist()
         assert list(mus) == expected
+
+    def test_coarse_argmax_is_the_first_argmax_on_the_golden_losses(self):
+        # the bench sweep's template at the 121 losses of the golden grid:
+        # the Fibonacci search finds the brute-force first argmax over the
+        # coarse grid, and evaluates no grid point twice
+        protocol = ProtocolParams(q_sift=0.5, f_ec=BENCH_F_EC)
+        for k in range(121):
+            rate = session_mod._wcs_rate(
+                loss_db_to_eta(0.5 * k),
+                BENCH_Y0,
+                BENCH_E_DET,
+                protocol,
+                session_mod.MU_SEARCH_RANGE[0],
+            )
+            evaluated = []
+
+            def counted(mu):
+                evaluated.append(mu)
+                return rate(mu)
+
+            best, r_best = session_mod._coarse_argmax(counted)
+            values = [rate(mu) for mu in session_mod._COARSE_MU]
+            first = values.index(max(values))
+            assert (best, r_best) == (first, values[first])
+            assert len(evaluated) == len(set(evaluated))
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
         # the rate is a closure of mu built once per call; count its
