@@ -28,7 +28,7 @@ from .errors import (
     _check_integer,
     _check_range,
 )
-from .sources import PhotonNumberDistribution
+from .sources import PhotonNumberDistribution, _support
 
 # error probability of a background detection: a random outcome
 E0 = 0.5
@@ -98,7 +98,10 @@ def _channel_terms(
     E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
     terms of :func:`yield_n` and :func:`error_n`, bit for bit. Each term
     depends on its own n alone, so a call at a larger ``n_max`` has the
-    terms of a smaller one as its prefix."""
+    terms of a smaller one as its prefix. Callers pass the highest
+    photon number their distributions carry, :func:`sources._support`,
+    not their truncation: the kernels fold a distribution only as far as
+    the terms go, and the bins above the support add nothing."""
     base = 1.0 - eta
     e0_y0 = E0 * y0
     yields = []
@@ -132,9 +135,11 @@ def gain(dist: PhotonNumberDistribution, ch: ChannelParams) -> float:
     """Per-gate gain of a source through the channel, sum_n Y_n P(n).
 
     The folded tail bin is weighted with the yield at the truncation
-    order; the bias is bounded by the tail mass itself.
+    order; the bias is bounded by the tail mass itself. The sum runs to
+    the highest photon number with a nonzero P(n), not to ``n_max``: the
+    zero bins above it add nothing, bit for bit.
     """
-    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
+    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e_det, _support(dist))
     return _gain(dist.probs, yields)
 
 
@@ -144,8 +149,10 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
     The float kernels :func:`_gain` and :func:`_qber` compute and check
     the pair; this wrapper puts it in a record. Sessions and loss sweeps
     call the kernels, with one set of channel terms for all settings.
+    Like :func:`gain`, both sums run to the highest photon number with a
+    nonzero P(n), not to ``n_max``.
     """
-    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
+    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, _support(dist))
     q = _gain(dist.probs, yields)
     return GainErrorPoint(q_gain=q, qber=_qber(q, dist.probs, numerators))
 

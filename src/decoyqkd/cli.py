@@ -163,9 +163,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ConfigError(f"--loss-step must be > 0, got {args.loss_step}")
     if args.loss_to < args.loss_from:
         raise ConfigError("--loss-to must be >= --loss-from")
-    # integer steps: adding the step repeatedly would accumulate rounding
+    # integer steps: adding the step repeatedly would accumulate rounding;
+    # adding 0.0 turns a start of -0 into 0, which prints without a sign
     grid = []
-    loss = round(args.loss_from, 12)
+    loss = round(args.loss_from, 12) + 0.0
     while loss <= args.loss_to + 1e-9:
         if len(grid) == CURVE_POINTS_MAX:
             raise ConfigError(f"loss grid exceeds {CURVE_POINTS_MAX} points")

@@ -19,13 +19,16 @@ Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
 flags in a record. A session's expected statistics come from one kernel,
 :func:`_expected_statistics`, which the pipeline and every sweep point
-share. A session builds its distributions and runs that kernel once,
-when its config's private ``_model`` is first read; the config keeps
-the result, so :func:`sample_counts` and :func:`run_pipeline` on one
-config share it, and a new config starts without one. Past that the
-pipeline goes through the wrappers. A loss sweep checks its grid once
-and runs the kernels at each point, on floats and without records; the
-kernels keep the checks that can fire there.
+share. Its channel terms run to the highest photon number the
+distributions carry, not to ``n_max``: the bins above it are zero and
+add nothing to a sum. A session builds its distributions and runs that
+kernel once, when its config's private ``_model`` is first read; the
+config keeps the result, so :func:`sample_counts` and
+:func:`run_pipeline` on one config share it, and a new config starts
+without one. Past that the pipeline goes through the wrappers. A loss
+sweep checks its grid once, finds each scheme's support once, and runs
+the kernels at each point, on floats and without records; the kernels
+keep the checks that can fire there.
 
 The count sampling draws with the package's own seeded sampler,
 :mod:`decoyqkd._binomial`, which gives the counts that
@@ -65,6 +68,7 @@ from .sources import (
     PhotonNumberDistribution,
     SourceModel,
     _check_n_max,
+    _support,
     hsps_distribution,
     ideal_sps_distribution,
     wcs_distribution,
@@ -142,7 +146,9 @@ class ExperimentConfig:
             self.source_decoy.distribution(self.n_max),
             wcs_distribution(self.vacuum_mu, self.n_max),
         )
-        return dists, _expected_statistics(self, dists, self.channel.eta)
+        return dists, _expected_statistics(
+            self, dists, self.channel.eta, _support(*dists)
+        )
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -236,16 +242,19 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
 
 
 def _expected_statistics(
-    cfg: ExperimentConfig, dists: SessionDistributions, eta: float
+    cfg: ExperimentConfig, dists: SessionDistributions, eta: float, support: int
 ) -> Statistics:
     """Kernel of :func:`expected_statistics` for the distributions
     ``dists`` of ``cfg``, at transmittance ``eta`` and the rest of its
     channel: the fields of :class:`IntensityStatistics`, in order, with
     one set of channel terms for the three settings, checked in the
-    order of the settings."""
+    order of the settings. The terms run to ``support``, the highest
+    photon number the distributions carry (:func:`sources._support`),
+    which a sweep finds once per scan; any larger n, up to ``n_max``,
+    gives the same bits."""
     ch = cfg.channel
     dist_signal, dist_decoy, dist_vacuum = dists
-    yields, numerators = _channel_terms(eta, ch.y0, ch.e_det, cfg.n_max)
+    yields, numerators = _channel_terms(eta, ch.y0, ch.e_det, support)
     q_signal = _gain(dist_signal.probs, yields)
     e_signal = _qber(q_signal, dist_signal.probs, numerators)
     q_decoy = _gain(dist_decoy.probs, yields)
@@ -451,9 +460,10 @@ def _scheme_rates(
     bounds, or the no-decoy bound on one distribution (exact for the
     ideal source: G0 = 0 and G1 = Q).
 
-    The distributions and their weights are set up once per scan. Each
+    The distributions, their weights and their support (the highest
+    photon number with a nonzero P(n)) are set up once per scan. Each
     point runs the float kernels of the chain, whose checks fire in the
-    order of the public functions.
+    order of the public functions, on channel terms up to that support.
     """
     protocol, ch = cfg.protocol, cfg.channel
     y0, e_det = ch.y0, ch.e_det
@@ -475,9 +485,10 @@ def _scheme_rates(
         )
         dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))
         pair = _pair(dist_signal, dist_decoy)
+        support = _support(*dists)
         for eta in etas:
             q_signal, e_signal, q_decoy, _, y0_obs, _ = _expected_statistics(
-                cfg, dists, eta
+                cfg, dists, eta, support
             )
             widened = (q_decoy, q_signal, q_signal * e_signal, y0_obs, y0_obs)
             _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair)
@@ -493,8 +504,9 @@ def _scheme_rates(
         _check_heralded_template(cfg)
         dist = cfg.source_signal.distribution(cfg.n_max)
     weights = (dist.p(0), dist.p(1), dist.p_at_least(2))
+    support = _support(dist)
     for eta in etas:
-        yields, numerators = _channel_terms(eta, y0, e_det, dist.n_max)
+        yields, numerators = _channel_terms(eta, y0, e_det, support)
         q = _gain(dist.probs, yields)
         e = _qber(q, dist.probs, numerators)
         _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights)

@@ -179,6 +179,24 @@ class MeasuredRates:
         _check_range("gate_time_s", self.gate_time_s, 0, None, "()")
 
 
+def _support(*dists: PhotonNumberDistribution) -> int:
+    """The highest photon number with a nonzero P(n) in any of ``dists``.
+
+    A bin above it holds ``±0.0``, whose product with a finite channel
+    term is ``±0.0``, which ``math.fsum`` skips, so folding the
+    distributions only up to it gives every sum bit for bit. A heralded
+    source's P(n) is 0 from where its accidentals' Poisson prefix sum
+    rounds to 1."""
+    support = 0
+    for dist in dists:
+        probs = dist.probs
+        n = len(probs) - 1
+        while n > support and probs[n] == 0.0:
+            n -= 1
+        support = max(support, n)
+    return support
+
+
 def _check_n_max(n_max: int) -> None:
     _check_integer("n_max", n_max)
     _check_range("n_max", n_max, 2, N_MAX_LIMIT)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import (
@@ -26,7 +26,8 @@ from decoyqkd import (
     wcs_distribution,
     yield_n,
 )
-from decoyqkd.channel import E0, _channel_terms
+from decoyqkd.channel import E0, _channel_terms, _gain, _qber
+from decoyqkd.sources import _support
 from helpers import (
     BENCH_D_I,
     BENCH_E_DET,
@@ -300,6 +301,57 @@ class TestChannelTerms:
                 yields[: n_max + 1],
                 numerators[: n_max + 1],
             )
+
+
+# the three source kinds at truncations up to 40; distributions whose
+# tail bins are zeros of either sign, which the clamp keeps; and vacuum
+distributions = st.one_of(
+    st.builds(
+        lambda source, n_max: source.distribution(n_max),
+        sources,
+        st.integers(min_value=2, max_value=40),
+    ),
+    st.builds(
+        lambda head, signs: PhotonNumberDistribution(
+            probs=(*head, *(-0.0 if s else 0.0 for s in signs))
+        ),
+        st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.5, 0.25)]),
+        st.lists(st.booleans(), min_size=2, max_size=38),
+    ),
+    st.builds(wcs_distribution, st.just(0.0), st.integers(min_value=2, max_value=40)),
+)
+
+
+def folded(dist, ch, n):
+    """``float.hex`` of the gain and QBER kernels on the channel terms
+    up to n, or the QBER's error."""
+    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, n)
+    q = _gain(dist.probs, yields)
+    try:
+        e = _qber(q, dist.probs, numerators).hex()
+    except (UndefinedStatisticError, InvalidParameterError) as exc:
+        e = (type(exc), str(exc))
+    return q.hex(), e
+
+
+class TestSupport:
+    """The kernels fold a distribution only as far as its channel terms
+    go. Terms up to the support, the highest photon number with a nonzero
+    P(n), give the bits of terms up to ``n_max``: a zero bin adds a zero
+    product, which ``math.fsum`` skips, and an all-zero sum is +0.0."""
+
+    @given(dist=distributions, ch=channels)
+    @example(
+        dist=PhotonNumberDistribution(probs=(0.5, 0.5, -0.0, 0.0, -0.0)),
+        ch=ChannelParams(eta=1e-18, y0=0.0, e_det=0.5),
+    )
+    @example(dist=wcs_distribution(0.0), ch=ChannelParams(eta=0.5, y0=0.0, e_det=0.1))
+    @example(dist=wcs_distribution(0.0), ch=bench_channel())
+    @settings(max_examples=300, deadline=None)
+    def test_terms_to_the_support_give_the_same_bits(self, dist, ch):
+        at_support = folded(dist, ch, _support(dist))
+        assert at_support == folded(dist, ch, dist.n_max)
+        assert at_support[0] == gain(dist, ch).hex()
 
 
 class TestLossConversion:

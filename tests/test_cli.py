@@ -252,6 +252,19 @@ class TestCurveCommand:
         assert losses == [format_float(k / 10) for k in range(11)]
         assert losses[-1] == format_float(1.0)
 
+    @pytest.mark.parametrize("start", ["-0", "-0.0", "-1e-13"])
+    def test_negative_zero_start_is_zero(self, tmp_path, capsys, start):
+        # a start that rounds to -0 prints as the curve from 0 does
+        cfg = write_doc(tmp_path / "c.json", SESSION_DOC)
+        argv = ["curve", "--config", cfg, "--schemes", "ideal-sps"]
+        argv += ["--loss-to", "1", "--loss-step", "1"]
+        assert main([*argv, "--loss-from", "0"]) == 0
+        from_zero = capsys.readouterr().out
+        assert main([*argv, f"--loss-from={start}"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].split(",")[0] == format_float(0.0)
+        assert out == from_zero
+
     def test_cutoff_beyond_grid_is_noted_on_stderr(self, capsys):
         argv = ["curve", "--config", str(CONFIGS / "session-36db.json")]
         argv += ["--schemes", "ideal-sps,wcs-no-decoy"]

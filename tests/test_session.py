@@ -253,7 +253,10 @@ class TestSessionModel:
             fresh.source_decoy.distribution(fresh.n_max),
             wcs_distribution(fresh.vacuum_mu, fresh.n_max),
         )
-        stats = session_mod._expected_statistics(fresh, dists, fresh.channel.eta)
+        # terms up to n_max, past the distributions' support: the same bits
+        stats = session_mod._expected_statistics(
+            fresh, dists, fresh.channel.eta, fresh.n_max
+        )
         assert model_bits(*model) == model_bits(dists, stats)
         assert repr(result) == repr(run_pipeline(fresh, counts))
 

@@ -23,12 +23,14 @@ from decoyqkd import (
     wcs_distribution,
     yield_n,
 )
+from decoyqkd.sources import N_MAX_LIMIT, _support
 from helpers import (
     BENCH_D_I,
     BENCH_MU_SIGNAL,
     BENCH_P_COR,
     bench_channel,
     bench_config,
+    bench_signal_source,
     ref_hsps_distribution,
 )
 
@@ -257,6 +259,30 @@ class TestDistributionType:
         d = wcs_distribution(0.1, n_max=4)
         assert d.p(9) == 0.0
         assert d.p_at_least(9) == 0.0
+
+
+class TestSupport:
+    """``_support`` is the highest photon number with a nonzero P(n): the
+    channel sums run to it, so a sweep point of the bench template
+    computes 8 terms, not 17."""
+
+    @pytest.mark.parametrize("n_max", [16, N_MAX_LIMIT])
+    def test_bench_heralded_signal_ends_at_seven(self, n_max):
+        # the accidentals' Poisson prefix sum rounds to 1 at seven terms,
+        # so P(m >= 8) is 0 at any truncation past it
+        assert _support(bench_signal_source().distribution(n_max)) == 7
+
+    def test_ideal_source_ends_at_one(self):
+        assert _support(ideal_sps_distribution()) == 1
+
+    @pytest.mark.parametrize("mu", [0.0, -0.0])
+    def test_vacuum_ends_at_zero(self, mu):
+        assert _support(wcs_distribution(mu)) == 0
+
+    def test_several_distributions_take_the_largest(self):
+        dists = (wcs_distribution(0.0, 40), bench_signal_source().distribution(3))
+        assert _support(*dists) == 3
+        assert _support(*dists, ideal_sps_distribution()) == 3
 
 
 class TestG2:
