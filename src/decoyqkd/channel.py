@@ -28,7 +28,7 @@ from .errors import (
     _check_integer,
     _check_range,
 )
-from .sources import PhotonNumberDistribution, _support
+from .sources import PhotonNumberDistribution
 
 # error probability of a background detection: a random outcome
 E0 = 0.5
@@ -67,13 +67,21 @@ class GainErrorPoint:
     qber: float
 
 
-def yield_n(ch: ChannelParams, n: int) -> float:
-    """Detection probability for an n-photon pulse."""
+def _term(ch: ChannelParams, n: int) -> tuple[float, float]:
+    """The yield Y_n = min(y0 + s, 1) and the QBER numerator
+    E0 y0 + e_det s of an n-photon pulse, s = 1 - (1 - eta)^n: the terms
+    of :func:`yield_n` and :func:`error_n`."""
     _check_integer("n", n)
     _check_range("n", n, 0)
-    # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1; a numpy
-    # integer n would take numpy's pow, whose last bit can differ
-    return min(ch.y0 + (1.0 - (1.0 - ch.eta) ** operator.index(n)), 1.0)
+    # a numpy integer n would take numpy's pow, whose last bit can differ
+    s = 1.0 - (1.0 - ch.eta) ** operator.index(n)
+    # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
+    return min(ch.y0 + s, 1.0), E0 * ch.y0 + ch.e_det * s
+
+
+def yield_n(ch: ChannelParams, n: int) -> float:
+    """Detection probability for an n-photon pulse."""
+    return _term(ch, n)[0]
 
 
 def error_n(ch: ChannelParams, n: int) -> float:
@@ -82,13 +90,12 @@ def error_n(ch: ChannelParams, n: int) -> float:
     e_0 evaluates to ``E0`` exactly; for large n it approaches
     ``e_det`` as signal detections dominate the background.
     """
-    y = yield_n(ch, n)
+    y, numerator = _term(ch, n)
     if y == 0.0:
         raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
         )
-    signal = 1.0 - (1.0 - ch.eta) ** operator.index(n)
-    return (E0 * ch.y0 + ch.e_det * signal) / y
+    return numerator / y
 
 
 def _channel_terms(
@@ -96,12 +103,14 @@ def _channel_terms(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The yields Y_n = min(y0 + s, 1) and the QBER numerators
     E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
-    terms of :func:`yield_n` and :func:`error_n`, bit for bit. Each term
+    terms of :func:`_term`, bit for bit, written out for speed. Each term
     depends on its own n alone, so a call at a larger ``n_max`` has the
-    terms of a smaller one as its prefix. Callers pass the highest
-    photon number their distributions carry, :func:`sources._support`,
-    not their truncation: the kernels fold a distribution only as far as
-    the terms go, and the bins above the support add nothing."""
+    terms of a smaller one as its prefix. The kernels fold a
+    distribution only as far as the terms go, and the bins above its
+    support, the highest photon number with a nonzero P(n), add nothing:
+    the loss sweep, which finds that support once per scan
+    (:func:`sources._support`), passes it here; every other caller
+    passes ``n_max``."""
     base = 1.0 - eta
     e0_y0 = E0 * y0
     yields = []
@@ -116,18 +125,21 @@ def _channel_terms(
 
 
 def _gain(probs: tuple[float, ...], yields: tuple[float, ...]) -> float:
-    """Kernel of :func:`gain`, on the yields of :func:`_channel_terms`."""
-    return math.fsum(map(operator.mul, probs, yields))
+    """Kernel of :func:`gain`, on the yields of :func:`_channel_terms`.
+    Raises where rounding in a folded distribution pushed the gain above
+    one."""
+    q = math.fsum(map(operator.mul, probs, yields))
+    if q > 1.0:
+        raise InvalidParameterError(f"q_gain={q!r} outside [0, 1]")
+    return q
 
 
 def _qber(q: float, probs: tuple[float, ...], numerators: tuple[float, ...]) -> float:
-    """Kernel of :func:`qber`: the QBER at gain ``q``, on the error
-    numerators of :func:`_channel_terms`. Raises at zero gain, and where
-    rounding in a folded distribution pushed the gain above one."""
+    """Kernel of :func:`qber`: the QBER at the gain ``q`` of :func:`_gain`,
+    on the error numerators of :func:`_channel_terms`. Raises at zero
+    gain."""
     if q <= 0.0:
         raise UndefinedStatisticError("QBER undefined at zero gain")
-    if q > 1.0:
-        raise InvalidParameterError(f"q_gain={q!r} outside [0, 1]")
     return min(math.fsum(map(operator.mul, probs, numerators)) / q, 1.0)
 
 
@@ -135,11 +147,10 @@ def gain(dist: PhotonNumberDistribution, ch: ChannelParams) -> float:
     """Per-gate gain of a source through the channel, sum_n Y_n P(n).
 
     The folded tail bin is weighted with the yield at the truncation
-    order; the bias is bounded by the tail mass itself. The sum runs to
-    the highest photon number with a nonzero P(n), not to ``n_max``: the
-    zero bins above it add nothing, bit for bit.
+    order; the bias is bounded by the tail mass itself. A gain that
+    rounding in the folded distribution pushes above one raises.
     """
-    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e_det, _support(dist))
+    yields, _ = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
     return _gain(dist.probs, yields)
 
 
@@ -149,10 +160,8 @@ def qber(dist: PhotonNumberDistribution, ch: ChannelParams) -> GainErrorPoint:
     The float kernels :func:`_gain` and :func:`_qber` compute and check
     the pair; this wrapper puts it in a record. Sessions and loss sweeps
     call the kernels, with one set of channel terms for all settings.
-    Like :func:`gain`, both sums run to the highest photon number with a
-    nonzero P(n), not to ``n_max``.
     """
-    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, _support(dist))
+    yields, numerators = _channel_terms(ch.eta, ch.y0, ch.e_det, dist.n_max)
     q = _gain(dist.probs, yields)
     return GainErrorPoint(q_gain=q, qber=_qber(q, dist.probs, numerators))
 

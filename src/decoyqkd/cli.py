@@ -16,6 +16,7 @@ codes: 0 success, 2 configuration error, 3 measurement inconsistency.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -159,12 +160,17 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if not schemes:
         raise ConfigError("no schemes given")
 
+    for option in ("--loss-from", "--loss-to", "--loss-step"):
+        value = getattr(args, option[2:].replace("-", "_"))
+        if not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value}")
     if not args.loss_step > 0.0:
         raise ConfigError(f"--loss-step must be > 0, got {args.loss_step}")
     if args.loss_to < args.loss_from:
         raise ConfigError("--loss-to must be >= --loss-from")
     # integer steps: adding the step repeatedly would accumulate rounding;
-    # adding 0.0 turns a start of -0 into 0, which prints without a sign
+    # adding 0.0 turns a start of -0 into 0, which prints without a sign.
+    # A finite start at most the finite end is always the first point
     grid = []
     loss = round(args.loss_from, 12) + 0.0
     while loss <= args.loss_to + 1e-9:
@@ -172,8 +178,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
             raise ConfigError(f"loss grid exceeds {CURVE_POINTS_MAX} points")
         grid.append(loss)
         loss = round(args.loss_from + len(grid) * args.loss_step, 12)
-    if not grid:
-        raise ConfigError("empty loss grid")
 
     curves = [scan_loss(cfg, scheme, grid) for scheme in schemes]
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .channel import E0
 from .errors import DegenerateDistributionError, _check_integer, _check_range
@@ -175,11 +176,8 @@ def check_condition(
     _check_denominator(pair)
     _, _, p2s, p2d, _, _ = pair
     # P(n) is zero beyond a distribution's truncation
-    signal, decoy = dist_signal.probs, dist_decoy.probs
-    top = max(len(signal), len(decoy))
-    signal += (0.0,) * (top - len(signal))
-    decoy += (0.0,) * (top - len(decoy))
-    return all(p2s * d - p2d * s <= 0.0 for s, d in zip(signal[2:], decoy[2:]))
+    tails = zip_longest(dist_signal.probs[2:], dist_decoy.probs[2:], fillvalue=0.0)
+    return all(p2s * d - p2d * s <= 0.0 for s, d in tails)
 
 
 def _half_width(value: float, n_pulses: int, n_sigma: float) -> float:
@@ -222,17 +220,23 @@ def _widened(fb: ObservableBounds) -> Widened:
     return fb.q_decoy_low, fb.q_signal_high, fb.eq_signal_high, fb.y0_low, fb.y0_high
 
 
-def _y1_lower(widened: Widened, pair: Pair) -> tuple[float, tuple[str, ...]]:
-    """Kernel of :func:`estimate_y1_lower`."""
-    _check_denominator(pair)
-    q_decoy_low, q_signal_high, _, _, y0_high = widened
-    _, _, p2s, p2d, c0, den = pair
-    y1 = (p2s * q_decoy_low - p2d * q_signal_high - y0_high * c0) / den
+def _clamp_y1(y1: float) -> tuple[float, tuple[str, ...]]:
+    """A Y1 lower bound clamped into [0, 1], with the flag of the end it
+    hit, as in Ma, Qi, Zhao and Lo, PRA 72, 012326 (2005). The clamp of
+    :func:`estimate_y1_lower` and :func:`no_decoy_bounds` alike."""
     if y1 < 0.0:
         return 0.0, ("y1-negative-clamped",)
     if y1 > 1.0:
         return 1.0, ("y1-clamped-high",)
     return y1, ()
+
+
+def _y1_lower(widened: Widened, pair: Pair) -> tuple[float, tuple[str, ...]]:
+    """Kernel of :func:`estimate_y1_lower`."""
+    _check_denominator(pair)
+    q_decoy_low, q_signal_high, _, _, y0_high = widened
+    _, _, p2s, p2d, c0, den = pair
+    return _clamp_y1((p2s * q_decoy_low - p2d * q_signal_high - y0_high * c0) / den)
 
 
 def estimate_y1_lower(
@@ -306,16 +310,11 @@ def _no_decoy_bounds(
     P(0), P(1) and P(m >= 2)."""
     p0, p1, p_multi = weights
     _check_single_photon_weight(p1)
-    flags: tuple[str, ...] = ()
     g0 = y0_obs * p0
     g1 = q_signal - g0 - p_multi
-    if g1 < 0.0:
-        flags = ("y1-negative-clamped",)
-        g1 = 0.0
-    y1 = g1 / p1
-    if y1 > 1.0:
-        flags = ("y1-clamped-high",)
-        y1 = 1.0
+    # p1 lies in (0, 1], so y1 has the sign of g1, -0.0 included
+    y1, flags = _clamp_y1(g1 / p1)
+    if flags:
         g1 = y1 * p1
     e1, e1_flags = _e1_upper(e_signal * q_signal, y0_obs, p0, p1, y1)
     return y1, e1, g0, g1, flags + e1_flags

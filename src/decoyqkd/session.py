@@ -19,16 +19,16 @@ Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
 flags in a record. A session's expected statistics come from one kernel,
 :func:`_expected_statistics`, which the pipeline and every sweep point
-share. Its channel terms run to the highest photon number the
-distributions carry, not to ``n_max``: the bins above it are zero and
-add nothing to a sum. A session builds its distributions and runs that
-kernel once, when its config's private ``_model`` is first read; the
-config keeps the result, so :func:`sample_counts` and
-:func:`run_pipeline` on one config share it, and a new config starts
-without one. Past that the pipeline goes through the wrappers. A loss
-sweep checks its grid once, finds each scheme's support once, and runs
-the kernels at each point, on floats and without records; the kernels
-keep the checks that can fire there.
+share. A session builds its distributions and runs that kernel once,
+with channel terms up to ``n_max``, when its config's private ``_model``
+is first read; the config keeps the result, so :func:`sample_counts`
+and :func:`run_pipeline` on one config share it, and a new config
+starts without one. Past that the pipeline goes through the wrappers.
+A loss sweep checks its grid once, finds each scheme's support (the
+highest photon number its distributions carry) once, and runs the
+kernels at each point, on floats and without records, with channel
+terms up to that support only: the bins above it are zero and add
+nothing to a sum. The kernels keep the checks that can fire there.
 
 The count sampling draws with the package's own seeded sampler,
 :mod:`decoyqkd._binomial`, which gives the counts that
@@ -138,17 +138,16 @@ class ExperimentConfig:
     @cached_property
     def _model(self) -> tuple[SessionDistributions, Statistics]:
         """The signal, decoy and vacuum distributions and their expected
-        statistics at the channel, built on first use. The cache lives in
-        the instance ``__dict__``, outside the fields, so it never enters
-        ``==``, ``hash``, ``repr`` or :func:`dataclasses.replace`."""
+        statistics at the channel, built on first use, with channel terms
+        up to ``n_max``. The cache lives in the instance ``__dict__``,
+        outside the fields, so it never enters ``==``, ``hash``, ``repr``
+        or :func:`dataclasses.replace`."""
         dists = (
             self.source_signal.distribution(self.n_max),
             self.source_decoy.distribution(self.n_max),
             wcs_distribution(self.vacuum_mu, self.n_max),
         )
-        return dists, _expected_statistics(
-            self, dists, self.channel.eta, _support(*dists)
-        )
+        return dists, _expected_statistics(self, dists, self.channel.eta, self.n_max)
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -248,10 +247,10 @@ def _expected_statistics(
     ``dists`` of ``cfg``, at transmittance ``eta`` and the rest of its
     channel: the fields of :class:`IntensityStatistics`, in order, with
     one set of channel terms for the three settings, checked in the
-    order of the settings. The terms run to ``support``, the highest
-    photon number the distributions carry (:func:`sources._support`),
-    which a sweep finds once per scan; any larger n, up to ``n_max``,
-    gives the same bits."""
+    order of the settings. The terms run to ``support``: a session passes
+    ``n_max``, and a loss sweep the highest photon number the
+    distributions carry (:func:`sources._support`), which it finds once
+    per scan and which gives the same bits."""
     ch = cfg.channel
     dist_signal, dist_decoy, dist_vacuum = dists
     yields, numerators = _channel_terms(eta, ch.y0, ch.e_det, support)

@@ -138,6 +138,17 @@ class TestGain:
         ]
         assert all(b >= a for a, b in zip(qs, qs[1:]))
 
+    def test_gain_past_one_raises_as_qber_does(self):
+        # the folded Poisson bins of a large mu sum past 1 by rounding
+        dist = wcs_distribution(55.0, 132)
+        ch = ChannelParams(eta=1.0, y0=0.0, e_det=0.01)
+        for fn in (gain, qber):
+            with pytest.raises(
+                InvalidParameterError,
+                match=r"^q_gain=1.0000000000000007 outside \[0, 1\]$",
+            ):
+                fn(dist, ch)
+
 
 class TestQber:
     def test_vacuum_only_error_is_background(self):

@@ -265,6 +265,17 @@ class TestCurveCommand:
         assert out.splitlines()[1].split(",")[0] == format_float(0.0)
         assert out == from_zero
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--loss-from", "--loss-to", "--loss-step"])
+    def test_non_finite_loss_option_is_named(self, tmp_path, capsys, option, value):
+        cfg = write_doc(tmp_path / "c.json", SESSION_DOC)
+        grid = {"--loss-from": "0", "--loss-to": "1", "--loss-step": "1", option: value}
+        argv = ["curve", "--config", cfg, "--schemes", "ideal-sps"]
+        assert main(argv + [f"{opt}={v}" for opt, v in grid.items()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {option} must be finite, got {value}\n"
+
     def test_cutoff_beyond_grid_is_noted_on_stderr(self, capsys):
         argv = ["curve", "--config", str(CONFIGS / "session-36db.json")]
         argv += ["--schemes", "ideal-sps,wcs-no-decoy"]

@@ -89,8 +89,14 @@ class TestOutsideInput:
         [
             ("wcs-no-decoy:inf", ("0", "1", "1"), "wcs_mu=inf"),
             ("ideal-sps", ("3000", "4000", "500"), "loss_db=3500.0"),
+            (" , ", ("0", "1", "1"), "no schemes given"),
+            (
+                "hsps-decoy:abc",
+                ("0", "1", "1"),
+                "scheme argument 'abc' is not a number",
+            ),
         ],
-        ids=["infinite-mu", "eta-underflow"],
+        ids=["infinite-mu", "eta-underflow", "no-schemes", "argument-not-a-number"],
     )
     def test_curve_names_the_value(self, scheme, grid, name):
         argv = ["curve", "--config", str(CONFIGS / SESSION), "--schemes", scheme]

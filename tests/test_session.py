@@ -1149,6 +1149,11 @@ class TestScheme:
             Scheme(SchemeKind.HSPS_DECOY)
         with pytest.raises(InvalidParameterError):
             Scheme(SchemeKind.IDEAL_SPS, p_cor=0.4)
+        with pytest.raises(
+            InvalidParameterError,
+            match=r"^wcs_mu only applies to wcs-no-decoy, not ideal-sps$",
+        ):
+            Scheme(SchemeKind.IDEAL_SPS, wcs_mu=0.3)
 
     @pytest.mark.parametrize("token", ["inf", "nan", "0", "-0.1"])
     def test_wcs_mu_is_finite_and_positive(self, token):
