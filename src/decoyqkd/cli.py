@@ -11,6 +11,11 @@ Subcommands:
 Every run with ``--out`` leaves a ``<out>.manifest.json`` sidecar
 recording the tool version, config hash, seed and output paths. Exit
 codes: 0 success, 2 configuration error, 3 measurement inconsistency.
+
+A command loads only the modules it runs: ``distribution`` and ``infer``
+load ``errors``, ``sources`` and ``config``; ``session`` and ``curve``
+also load the decoy-state chain (``channel``, ``decoy``, ``keyrate`` and
+``session``), which they import when they start.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from pathlib import Path
 
 from . import __version__
 from . import config as cfgmod
-from .decoy import FluctuationPolicy
 from .errors import (
     ConfigError,
     DegenerateDistributionError,
@@ -31,7 +35,6 @@ from .errors import (
     InvalidParameterError,
     UndefinedStatisticError,
 )
-from .session import Scheme, run_pipeline, sample_counts, scan_loss
 from .sources import (
     HspsParams,
     HspsSource,
@@ -122,6 +125,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_session(args: argparse.Namespace) -> int:
+    # imported here, so that distribution and infer never load the chain
+    from .decoy import FluctuationPolicy
+    from .session import run_pipeline, sample_counts
+
     doc = cfgmod.load_config(args.config)
     cfg, mode = cfgmod.experiment_from_dict(doc)
     if args.sigma is not None:
@@ -153,6 +160,8 @@ def cmd_session(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from .session import Scheme, scan_loss
+
     doc = cfgmod.load_config(args.config)
     cfg, _ = cfgmod.experiment_from_dict(doc)
 

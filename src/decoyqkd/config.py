@@ -11,6 +11,10 @@ naming its path (``unknown field run.n_sigmaa``).
 Serialization is canonical: floats are rendered in scientific notation
 with nine significant digits, which makes reports byte-reproducible and
 configs stable under parse -> serialize -> parse.
+
+Only the channel and session readers and writers need the decoy-state
+chain, and they import it when called, so reading a source or rates
+document loads ``errors`` and ``sources`` alone.
 """
 
 from __future__ import annotations
@@ -19,13 +23,9 @@ import json
 import math
 import operator
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .channel import E0, ChannelParams, eta_to_loss_db, loss_db_to_eta
-from .decoy import FluctuationPolicy
 from .errors import ConfigError
-from .keyrate import ProtocolParams
-from .session import ExperimentConfig
 from .sources import (
     DI_DEFAULT,
     HspsParams,
@@ -36,6 +36,10 @@ from .sources import (
     SourceModel,
     WcsSource,
 )
+
+if TYPE_CHECKING:
+    from .channel import ChannelParams
+    from .session import ExperimentConfig
 
 
 def format_float(x: float) -> str:
@@ -198,6 +202,9 @@ def source_to_dict(model: SourceModel) -> dict:
 
 
 def channel_from_dict(d: dict, path: str = "channel") -> ChannelParams:
+    # imported here, so that a source or rates document never loads the chain
+    from .channel import E0, ChannelParams, loss_db_to_eta
+
     d = dict(d)
     has_loss = "loss_db" in d
     if has_loss == ("eta" in d):
@@ -254,6 +261,10 @@ def infer_from_dict(doc: dict) -> tuple[MeasuredRates, float]:
 
 def experiment_from_dict(doc: dict) -> tuple[ExperimentConfig, str]:
     """Build an :class:`ExperimentConfig` plus run mode from a document."""
+    from .decoy import FluctuationPolicy
+    from .keyrate import ProtocolParams
+    from .session import ExperimentConfig
+
     doc = dict(doc)
     source = _section(doc, "source")
     channel = _section(doc, "channel")
@@ -299,6 +310,8 @@ def experiment_to_dict(cfg: ExperimentConfig, mode: str = "analytic") -> dict:
     """Canonical document for a config; round-trips through
     :func:`experiment_from_dict` up to float formatting. An integer field
     is written as the int it stands for (a numpy integer included)."""
+    from .channel import eta_to_loss_db
+
     return {
         "source": {
             "signal": source_to_dict(cfg.source_signal),

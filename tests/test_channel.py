@@ -149,6 +149,16 @@ class TestGain:
             ):
                 fn(dist, ch)
 
+    @pytest.mark.xfail(
+        raises=InvalidParameterError,
+        reason="a large mu's folded Poisson bins sum past 1 by rounding",
+    )
+    def test_lossless_gain_of_a_large_mu_is_at_most_one(self):
+        # a valid distribution on a valid channel; the mend changes output
+        # bits, so it waits for the output-change protocol
+        dist = wcs_distribution(55.0, 132)
+        assert gain(dist, ChannelParams(eta=1.0, y0=0.0, e_det=0.0)).q_gain <= 1.0
+
 
 class TestQber:
     def test_vacuum_only_error_is_background(self):

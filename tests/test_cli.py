@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import decoyqkd
 from decoyqkd.cli import main
 from decoyqkd.config import (
     config_sha256,
@@ -500,6 +501,59 @@ class TestManifestImports:
                 sys.exit(f"exit {{code}}, loaded {{loaded}}")
             """
         )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize(
+        "command, config", [("distribution", "source-hsps.json"), ("infer", "rates.json")]
+    )
+    def test_source_commands_leave_the_chain_unloaded(self, command, config):
+        config = str(CONFIGS / config)
+        script = textwrap.dedent(
+            f"""
+            import io, sys
+            from contextlib import redirect_stdout
+            from decoyqkd import cli
+
+            with redirect_stdout(io.StringIO()):
+                code = cli.main([{command!r}, "--config", {config!r}])
+            chain = ("channel", "decoy", "keyrate", "session")
+            loaded = [name for name in chain if f"decoyqkd.{{name}}" in sys.modules]
+            if code != 0 or loaded:
+                sys.exit(f"exit {{code}}, loaded {{loaded}}")
+            """
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_each_public_name_loads_on_first_use(self):
+        imports = "\n".join(f"from decoyqkd import {name}" for name in decoyqkd.__all__)
+        script = textwrap.dedent(
+            """
+            import sys
+            import decoyqkd
+
+            loaded = [name for name in sys.modules if name.startswith("decoyqkd.")]
+            if loaded:
+                sys.exit(f"import decoyqkd loaded {loaded}")
+            if set(decoyqkd.__all__) - set(dir(decoyqkd)):
+                sys.exit("dir(decoyqkd) misses a public name")
+            try:
+                decoyqkd.nope
+            except AttributeError:
+                pass
+            else:
+                sys.exit("decoyqkd.nope resolved")
+            try:
+                from decoyqkd import nope
+            except ImportError:
+                pass
+            else:
+                sys.exit("from decoyqkd import nope resolved")
+            """
+        ) + imports
         result = run_fresh(script)
         assert result.returncode == 0, result.stderr
 

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -168,6 +169,19 @@ class TestVersion:
         assert "version" in pyproject["project"]["dynamic"]
         dynamic = pyproject["tool"]["setuptools"]["dynamic"]["version"]
         assert dynamic == {"attr": "decoyqkd.__version__"}
+
+    def test_version_is_a_literal_assignment(self):
+        # setuptools' attr: directive reads it from the source, statically
+        import decoyqkd
+
+        tree = ast.parse(Path(decoyqkd.__file__).read_text(encoding="utf-8"))
+        versions = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+        ]
+        assert versions == [decoyqkd.__version__]
 
     def test_reports_carry_the_package_version(self, tmp_path, capsys):
         from decoyqkd import __version__

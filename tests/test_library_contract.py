@@ -593,12 +593,23 @@ CASES = {
 
 
 # every callable the package exports but the error types, which are the
-# contract itself; one without a case fails the property with a KeyError
+# contract itself. The package loads its names on first use, so they come
+# from __all__: vars(decoyqkd) holds only the names touched so far
 EXPORTED = sorted(
     name
-    for name, value in vars(decoyqkd).items()
-    if callable(value) and not name.startswith("_") and value not in PACKAGE_ERRORS
+    for name, value in {n: getattr(decoyqkd, n) for n in decoyqkd.__all__}.items()
+    if callable(value) and value not in PACKAGE_ERRORS
 )
+
+
+def test_every_exported_callable_has_a_case():
+    assert set(EXPORTED) == set(CASES)
+
+
+def test_all_names_the_public_surface():
+    # the callables with a case, the five errors and the SourceModel union
+    public = set(CASES) | {error.__name__ for error in PACKAGE_ERRORS} | {"SourceModel"}
+    assert sorted(decoyqkd.__all__) == sorted(public)
 
 
 @settings(max_examples=1000, deadline=None)
