@@ -67,21 +67,12 @@ class GainErrorPoint:
     qber: float
 
 
-def _term(ch: ChannelParams, n: int) -> tuple[float, float]:
-    """The yield Y_n = min(y0 + s, 1) and the QBER numerator
-    E0 y0 + e_det s of an n-photon pulse, s = 1 - (1 - eta)^n: the terms
-    of :func:`yield_n` and :func:`error_n`."""
-    _check_integer("n", n)
-    _check_range("n", n, 0)
-    # a numpy integer n would take numpy's pow, whose last bit can differ
-    s = 1.0 - (1.0 - ch.eta) ** operator.index(n)
-    # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
-    return min(ch.y0 + s, 1.0), E0 * ch.y0 + ch.e_det * s
-
-
 def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
-    return _term(ch, n)[0]
+    _check_integer("n", n, 0)
+    # a numpy integer n would take numpy's pow, whose last bit can differ
+    k = operator.index(n)
+    return _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)[0][0]
 
 
 def error_n(ch: ChannelParams, n: int) -> float:
@@ -90,7 +81,9 @@ def error_n(ch: ChannelParams, n: int) -> float:
     e_0 evaluates to ``E0`` exactly; for large n it approaches
     ``e_det`` as signal detections dominate the background.
     """
-    y, numerator = _term(ch, n)
+    _check_integer("n", n, 0)
+    k = operator.index(n)
+    (y,), (numerator,) = _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)
     if y == 0.0:
         raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
@@ -99,11 +92,12 @@ def error_n(ch: ChannelParams, n: int) -> float:
 
 
 def _channel_terms(
-    eta: float, y0: float, e_det: float, n_max: int
+    eta: float, y0: float, e_det: float, n_max: int, n_min: int = 0
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The yields Y_n = min(y0 + s, 1) and the QBER numerators
-    E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = 0..n_max: the
-    terms of :func:`_term`, bit for bit, written out for speed. Each term
+    E0 y0 + e_det s, with s = 1 - (1 - eta)^n, for n = n_min..n_max: the
+    one home of the channel model, which :func:`yield_n`,
+    :func:`error_n`, :func:`gain` and :func:`qber` read. Each term
     depends on its own n alone, so a call at a larger ``n_max`` has the
     terms of a smaller one as its prefix. The kernels fold a
     distribution only as far as the terms go, and the bins above its
@@ -115,8 +109,9 @@ def _channel_terms(
     e0_y0 = E0 * y0
     yields = []
     numerators = []
-    for n in range(n_max + 1):
+    for n in range(n_min, n_max + 1):
         s = 1.0 - base**n
+        # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1
         y = y0 + s
         # min(y0 + s, 1.0), at a quarter of the cost of the builtin call
         yields.append(y if y < 1.0 else 1.0)

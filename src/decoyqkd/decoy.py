@@ -71,8 +71,7 @@ class ThreeIntensityObservation:
         if self.e_decoy is not None:
             _check_range("e_decoy", self.e_decoy, 0, 1)
         for name in ("n_signal", "n_decoy", "n_vacuum"):
-            _check_integer(name, getattr(self, name))
-            _check_range(name, getattr(self, name), 1)
+            _check_integer(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)

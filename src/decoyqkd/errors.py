@@ -59,11 +59,17 @@ def _check_range(
     raise InvalidParameterError(f"{name}={value!r} {rule}")
 
 
-def _check_integer(name: str, value: int) -> None:
+def _check_integer(
+    name: str, value: int, low: float | None = None, high: float | None = None
+) -> None:
     """Raise :class:`InvalidParameterError` ``name=value ...`` unless
     ``value`` is an integer as :func:`operator.index` reads one: an int,
-    a bool or a numpy integer pass, a float never does, 2.0 included."""
+    a bool or a numpy integer pass, a float never does, 2.0 included.
+    Given a ``low``, the integer must then pass :func:`_check_range`
+    between ``low`` and ``high``, both ends closed."""
     try:
         operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name}={value!r} must be an integer") from None
+    if low is not None:
+        _check_range(name, value, low, high)

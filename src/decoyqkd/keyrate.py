@@ -138,8 +138,7 @@ def secure_bits(rate: float, n_signal: int) -> int:
     or an int past the float range fails the rule on the product, which
     must be finite, and the error names both."""
     _check_range("rate", rate, 0, math.inf)
-    _check_integer("n_signal", n_signal)
-    _check_range("n_signal", n_signal, 0, math.inf)
+    _check_integer("n_signal", n_signal, 0, math.inf)
     # an int past the float range cannot enter a float product
     bits = rate * n_signal if max(rate, n_signal) <= sys.float_info.max else math.inf
     if not bits <= sys.float_info.max:

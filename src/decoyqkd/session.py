@@ -120,8 +120,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_range("vacuum_mu", self.vacuum_mu, 0)
-        _check_integer("total_pulses", self.total_pulses)
-        _check_range("total_pulses", self.total_pulses, 1, _INT64_MAX)
+        _check_integer("total_pulses", self.total_pulses, 1, _INT64_MAX)
         # pulse_split scales total_pulses by each weight
         ratio = self.intensity_ratio
         for i, w in enumerate(ratio):
@@ -131,8 +130,7 @@ class ExperimentConfig:
                 f"intensity_ratio={ratio!r} needs three positive weights whose "
                 "sum times total_pulses is finite"
             )
-        _check_integer("rng_seed", self.rng_seed)
-        _check_range("rng_seed", self.rng_seed, 0, math.inf)
+        _check_integer("rng_seed", self.rng_seed, 0, math.inf)
         _check_n_max(self.n_max)
 
     @cached_property
@@ -186,8 +184,7 @@ class IntensityCounts:
 
     def __post_init__(self) -> None:
         for name in ("gates", "detections", "errors"):
-            _check_integer(name, getattr(self, name))
-            _check_range(name, getattr(self, name), 0)
+            _check_integer(name, getattr(self, name), 0)
         if not self.errors <= self.detections <= self.gates:
             raise InvalidParameterError(
                 f"need errors <= detections <= gates, got {self!r}"

@@ -13,10 +13,14 @@ for bit.
 
 The reference formulas evaluate the channel sums, the infinite-decoy
 bounds, the three-intensity rate and the infinite-decoy coherent-state
-rate term by term from :func:`yield_n` and :func:`error_n`,
-independently of the shared per-channel terms, the estimators and the
-loss-axis evaluation the package uses; tests compare the package with
-them for exact equality.
+rate term by term from :func:`yield_n` and :func:`error_n`, one photon
+number per call, independently of the folded sums, the estimators and
+the loss-axis evaluation the package uses; tests compare the package
+with them for exact equality.
+
+The weak + vacuum decoy bounds are written out from the literature
+instead, calling no package code: an oracle for the three-intensity
+estimator that does not come from it.
 """
 
 from __future__ import annotations
@@ -230,3 +234,23 @@ def ref_three_intensity_rate(cfg, ch, p_cor) -> float:
         + y1 * ds.p(1) * (1.0 - binary_entropy(min(e1, 0.5)))
     )
     return max(raw, 0.0)
+
+
+def ref_weak_vacuum_bounds(mu, nu, q_mu, eq_mu, q_nu, y0) -> tuple[float, float]:
+    """The weak + vacuum decoy bounds of Ma, Qi, Zhao and Lo, PRA 72,
+    012326 (2005), on a Poisson signal of mean ``mu`` and a Poisson decoy
+    of mean ``nu`` < ``mu``, from the gains ``q_mu`` and ``q_nu``, the
+    signal's error gain ``eq_mu`` = E_mu Q_mu and the vacuum yield ``y0``:
+
+        Y1^L = mu / (mu nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2 / mu^2
+                                      - (mu^2 - nu^2) / mu^2 * Y0),
+        e1^U = (E_mu Q_mu e^mu - E0 Y0) / (Y1^L mu),  E0 = 1/2.
+
+    Unclamped, and with no package code."""
+    y1 = (mu / (mu * nu - nu * nu)) * (
+        q_nu * math.exp(nu)
+        - q_mu * math.exp(mu) * (nu * nu) / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
+    )
+    e1 = (eq_mu * math.exp(mu) - 0.5 * y0) / (y1 * mu)
+    return y1, e1

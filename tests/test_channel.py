@@ -283,9 +283,10 @@ class TestAgainstReference:
 
 
 class TestChannelTerms:
-    """``_channel_terms``, which sessions and sweeps run at every point,
-    gives the terms of :func:`yield_n` and of the QBER numerator bit for
-    bit, and each term depends on its own n alone."""
+    """``_channel_terms``, the one home of the channel model, gives the
+    yields that :func:`yield_n` reads one photon number at a time and the
+    written-out QBER numerators bit for bit, and each term depends on its
+    own n alone."""
 
     @given(
         eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),

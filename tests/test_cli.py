@@ -85,6 +85,10 @@ class TestConfigRoundTrip:
         text = dump_json({"a": 1.5, "b": [True, None, "x"], "c": {"d": 3}})
         assert json.loads(text) == {"a": 1.5, "b": [True, None, "x"], "c": {"d": 3}}
 
+    @pytest.mark.parametrize("obj", [{}, {"a": {}}, {"a": []}, [{}]])
+    def test_dump_json_round_trips_empty_containers(self, obj):
+        assert json.loads(dump_json(obj)) == obj
+
 
 class TestSessionCommand:
     def test_deterministic_reports(self, tmp_path, capsys):
@@ -529,16 +533,21 @@ class TestLazyImports:
         assert result.returncode == 0, result.stderr
 
     def test_each_public_name_loads_on_first_use(self):
+        names = dir(decoyqkd)
+        assert names == sorted(names) and set(decoyqkd.__all__) <= set(names)
         imports = "\n".join(f"from decoyqkd import {name}" for name in decoyqkd.__all__)
         script = textwrap.dedent(
             """
             import sys
             import decoyqkd
 
+            names = dir(decoyqkd)
             loaded = [name for name in sys.modules if name.startswith("decoyqkd.")]
             if loaded:
-                sys.exit(f"import decoyqkd loaded {loaded}")
-            if set(decoyqkd.__all__) - set(dir(decoyqkd)):
+                sys.exit(f"import decoyqkd and dir(decoyqkd) loaded {loaded}")
+            if names != sorted(names):
+                sys.exit("dir(decoyqkd) is not sorted")
+            if set(decoyqkd.__all__) - set(names):
                 sys.exit("dir(decoyqkd) misses a public name")
             try:
                 decoyqkd.nope

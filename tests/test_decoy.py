@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from helpers import (
     REF_Q_DECOY,
     REF_Q_SIGNAL,
     bench_channel,
+    ref_weak_vacuum_bounds,
 )
 
 BIG = 10**9
@@ -316,6 +318,58 @@ class TestSoundness:
         assert bounds.y1_lower <= yield_n(ch, 1) + 1e-12
         if bounds.y1_lower > 0.0:
             assert bounds.e1_upper >= error_n(ch, 1) - 1e-12
+
+
+class TestWeakVacuumOracle:
+    """On a Poisson signal and decoy, the three-intensity bounds are the
+    weak + vacuum closed form of Ma, Qi, Zhao and Lo (2005), which
+    :func:`helpers.ref_weak_vacuum_bounds` writes out from the paper.
+
+    Error budget. The estimator reads bins 0..2 of each distribution,
+    which the tail fold at n_max 40 leaves alone, and both sides take the
+    same observables, so neither the truncation nor the package's gain
+    (within criterion 5's 1e-10 of the closed form) enters. What is left
+    is rounding: each side evaluates each bound in fewer than
+    ``ROUNDINGS`` roundings (the bins, the products, the differences and
+    the denominators, whose cancellation is at most 3x at nu <= mu / 2),
+    each at most one epsilon of a term. So the two differ by at most
+    2 * ROUNDINGS * epsilon times the bound's terms taken in absolute
+    value, and e1 inherits Y1's gap on top of its own."""
+
+    ROUNDINGS = 40
+
+    @given(
+        mu=st.floats(min_value=0.3, max_value=0.8),
+        ratio=st.floats(min_value=0.05, max_value=0.5),
+        eta=st.floats(min_value=-5.0, max_value=math.log10(0.3)).map(
+            lambda x: 10.0**x
+        ),
+        y0=st.floats(min_value=-7.0, max_value=-4.0).map(lambda x: 10.0**x),
+        e_det=st.floats(min_value=0.0, max_value=0.05),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_equal_the_closed_form(self, mu, ratio, eta, y0, e_det):
+        nu = mu * ratio
+        q_mu, q_nu = (y0 + 1.0 - math.exp(-eta * m) for m in (mu, nu))
+        e_mu = (0.5 * y0 + e_det * (1.0 - math.exp(-eta * mu))) / q_mu
+        obs = make_obs(q_mu, q_nu, e_mu, y0)
+        bounds = estimate_bounds(
+            obs,
+            wcs_distribution(mu, 40),
+            wcs_distribution(nu, 40),
+            fluctuation_bounds(obs, FluctuationPolicy(0.0)),
+        )
+        y1, e1 = ref_weak_vacuum_bounds(mu, nu, q_mu, q_mu * e_mu, q_nu, y0)
+
+        # each bound's terms in absolute value, relative to the bound
+        y1_terms = (mu / (mu * nu - nu * nu)) * (
+            q_nu * math.exp(nu) + q_mu * math.exp(mu) * (nu / mu) ** 2 + y0
+        ) / y1
+        e1_terms = (q_mu * e_mu * math.exp(mu) + 0.5 * y0) / (y1 * mu) / e1
+        budget = 2 * self.ROUNDINGS * sys.float_info.epsilon
+        assert bounds.flags == ()
+        assert abs(bounds.y1_lower - y1) <= budget * y1_terms * y1
+        assert abs(bounds.e1_upper - e1) <= budget * (y1_terms + e1_terms) * e1
 
 
 class TestPrivacyAboveHalf:

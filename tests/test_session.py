@@ -998,7 +998,7 @@ class TestOptimizeMu:
     # a draw of test_matches_per_point_reference: without background, the
     # rate beyond about 110 dB is flat to rounding over the coarse grid, and
     # the search settles on another grid point than a full scan does
-    @pytest.mark.xfail(reason="coarse search on a rate flat to rounding (ROADMAP item 7)")
+    @pytest.mark.xfail(reason="coarse search on a rate flat to rounding (ROADMAP item 3)")
     def test_equals_scalar_reference_where_the_rate_is_flat(self):
         ch = ChannelParams(
             eta=loss_db_to_eta(114.40902130170272), y0=0.0, e_det=0.010349889697151319
