@@ -107,4 +107,5 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    # dir() sorts what this returns
+    return list({*globals(), *__all__})

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     InvalidParameterError,
     UndefinedStatisticError,
+    _Record,
     _check_integer,
     _check_range,
 )
@@ -34,8 +34,7 @@ from .sources import PhotonNumberDistribution
 E0 = 0.5
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(_Record):
     """Aggregate channel/detector parameters.
 
     eta    combined transmittance times detection efficiency, in (0, 1].
@@ -59,8 +58,7 @@ class ChannelParams:
             )
 
 
-@dataclass(frozen=True)
-class GainErrorPoint:
+class GainErrorPoint(_Record):
     """Per-gate detection probability and its average error ratio."""
 
     q_gain: float
@@ -70,9 +68,7 @@ class GainErrorPoint:
 def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
     _check_integer("n", n, 0)
-    # a numpy integer n would take numpy's pow, whose last bit can differ
-    k = operator.index(n)
-    return _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)[0][0]
+    return _channel_terms(ch.eta, ch.y0, ch.e_det, n, n)[0][0]
 
 
 def error_n(ch: ChannelParams, n: int) -> float:
@@ -82,8 +78,7 @@ def error_n(ch: ChannelParams, n: int) -> float:
     ``e_det`` as signal detections dominate the background.
     """
     _check_integer("n", n, 0)
-    k = operator.index(n)
-    (y,), (numerator,) = _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)
+    (y,), (numerator,) = _channel_terms(ch.eta, ch.y0, ch.e_det, n, n)
     if y == 0.0:
         raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
@@ -109,6 +104,8 @@ def _channel_terms(
     e0_y0 = E0 * y0
     yields = []
     numerators = []
+    # range yields an int whatever integer type the bounds are, so a numpy
+    # integer bound never takes numpy's pow, whose last bit can differ
     for n in range(n_min, n_max + 1):
         s = 1.0 - base**n
         # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1

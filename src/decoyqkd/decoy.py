@@ -27,16 +27,15 @@ than silently. The estimators read observables, never the channel model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import zip_longest
 
 from .channel import E0
-from .errors import DegenerateDistributionError, _check_integer, _check_range
+from .errors import DegenerateDistributionError, _Record, _check_integer, _check_range
 from .sources import PhotonNumberDistribution
 
 
-@dataclass(frozen=True)
-class FluctuationPolicy:
+class FluctuationPolicy(_Record):
     """Number of counting-statistics standard deviations applied to the
     observables; 0 disables fluctuations entirely."""
 
@@ -46,8 +45,7 @@ class FluctuationPolicy:
         _check_range("n_sigma", self.n_sigma, 0)
 
 
-@dataclass(frozen=True)
-class ThreeIntensityObservation:
+class ThreeIntensityObservation(_Record):
     """Observed per-gate statistics of one three-intensity session.
 
     ``y0_obs`` is the counting rate of the vacuum intensity standing in
@@ -74,8 +72,7 @@ class ThreeIntensityObservation:
             _check_integer(name, getattr(self, name), 1)
 
 
-@dataclass(frozen=True)
-class ObservableBounds:
+class ObservableBounds(_Record):
     """Fluctuation envelopes on the raw observables.
 
     ``clamped`` lists the lower bounds whose relative half-width
@@ -96,8 +93,7 @@ class ObservableBounds:
             _check_range(name, getattr(self, name), 0, 1)
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(_Record):
     """Single-photon bounds plus the gain components entering the key rate.
 
     g0 is the background gain y0 * P'(0); g1_lower = y1_lower * P'(1).
@@ -205,12 +201,13 @@ def fluctuation_bounds(
     q_signal, e_signal, y0_obs = obs.q_signal, obs.e_signal, obs.y0_obs
     w_decoy = _half_width(obs.q_decoy, obs.n_decoy, n_sigma)
     w_vacuum = _half_width(y0_obs, obs.n_vacuum, n_sigma)
+    # by keyword, the cheapest call of a record (see errors._Record)
     return ObservableBounds(
-        obs.q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
-        _high(q_signal, obs.n_signal, n_sigma),
-        _high(q_signal * e_signal, obs.n_signal, n_sigma),
-        y0_obs * (1.0 - w_vacuum) if w_vacuum < 1.0 else 0.0,
-        _high(y0_obs, obs.n_vacuum, n_sigma),
+        q_decoy_low=obs.q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
+        q_signal_high=_high(q_signal, obs.n_signal, n_sigma),
+        eq_signal_high=_high(q_signal * e_signal, obs.n_signal, n_sigma),
+        y0_low=y0_obs * (1.0 - w_vacuum) if w_vacuum < 1.0 else 0.0,
+        y0_high=_high(y0_obs, obs.n_vacuum, n_sigma),
         clamped=("q_decoy_low",) * (w_decoy >= 1.0) + ("y0_low",) * (w_vacuum >= 1.0),
     )
 
@@ -299,7 +296,9 @@ def estimate_bounds(
     Y1 lower bound, then e1 upper bound. The background gain g0 uses the
     central ``obs.y0_obs``."""
     pair = _pair(dist_signal, dist_decoy)
-    return BoundsResult(*_estimate_bounds(_widened(fb), obs.y0_obs, pair))
+    # by keyword, the cheapest call of a record (see errors._Record)
+    y1, e1, g0, g1, flags = _estimate_bounds(_widened(fb), obs.y0_obs, pair)
+    return BoundsResult(y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags)
 
 
 def _no_decoy_bounds(

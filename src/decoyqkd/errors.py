@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit, and the range and integer
-rules that raise :class:`InvalidParameterError`."""
+"""Exception types shared across the toolkit, the range and integer
+rules that raise :class:`InvalidParameterError`, and the base of the
+package's frozen records."""
 
+import dataclasses
 import operator
+import reprlib
 import sys
+from inspect import Parameter, Signature
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -73,3 +77,128 @@ def _check_integer(
         raise InvalidParameterError(f"{name}={value!r} must be an integer") from None
     if low is not None:
         _check_range(name, value, low, high)
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A subclass declares its fields as annotations, as a dataclass does,
+    and checks them in ``__post_init__``. Defining the subclass registers
+    it with :mod:`dataclasses`, so :func:`~dataclasses.fields`,
+    :func:`~dataclasses.replace`, :func:`~dataclasses.asdict` and
+    :func:`~dataclasses.is_dataclass` take it, but the registration
+    generates no code: the methods below serve every record. They behave
+    as a frozen dataclass's do: the constructor takes the fields, those
+    with ``kw_only`` by keyword, and a wrong call raises :class:`TypeError`;
+    equality and the hash go by the tuple of the fields; the repr text is
+    the same; assigning or deleting an attribute raises
+    :class:`dataclasses.FrozenInstanceError`.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        missing = dataclasses.MISSING
+        kinds = (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)
+        # keyword-only fields last, as a dataclass orders its parameters
+        cls.__signature__ = Signature(
+            [
+                Parameter(
+                    f.name,
+                    kinds[f.kw_only],
+                    default=Parameter.empty if f.default is missing else f.default,
+                    annotation=f.type,
+                )
+                for f in sorted(fields, key=lambda f: f.kw_only)
+            ],
+            return_annotation=None,
+        )
+        cls._names = tuple(f.name for f in fields)
+        positional = tuple(f.name for f in fields if not f.kw_only)
+        # what the constructor reads: the positional parameters and the
+        # field names, each with its count, the defaults, and the field
+        # checks, None where the record has none
+        cls._layout = (
+            positional,
+            len(positional),
+            frozenset(cls._names),
+            len(cls._names),
+            {f.name: f.default for f in fields if f.default is not missing},
+            None if cls.__post_init__ is _Record.__post_init__ else cls.__post_init__,
+        )
+
+    def __init__(self, /, *args, **kwargs) -> None:
+        positional, n_positional, names, n_names, defaults, check = self._layout
+        # each kind of call takes its own path to the instance dict, and only
+        # a call that fails the checks is bound by the signature. A call by
+        # keyword is the cheapest: its own dict becomes the instance dict,
+        # where positional arguments are first zipped into one
+        if not kwargs:
+            values = dict(zip(positional, args))
+            if len(values) < n_names:
+                values = {**defaults, **values}
+            if len(values) != n_names or len(args) > n_positional:
+                values = self._bind(args, kwargs)
+        elif not args:
+            # the call's own dict, which no one else holds
+            values = kwargs
+            if len(values) < n_names:
+                values = {**defaults, **values}
+            if len(values) != n_names or not names.issuperset(kwargs):
+                values = self._bind(args, kwargs)
+        else:
+            values = dict(zip(positional, args))
+            values.update(kwargs)
+            # an argument past the parameters, given twice, or unknown
+            if (
+                len(args) > n_positional
+                or len(values) < len(args) + len(kwargs)
+                or not names.issuperset(kwargs)
+            ):
+                values = self._bind(args, kwargs)
+            elif len(values) < n_names:
+                values = {**defaults, **values}
+                if len(values) < n_names:
+                    values = self._bind(args, kwargs)
+        # one store past the frozen __setattr__, not one per field
+        _set_dict(self, values)
+        if check is not None:
+            check(self)
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """The fields of a call that the constructor's checks refused: the
+        signature raises the standard :class:`TypeError` for a wrong call
+        and binds any other."""
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound.arguments
+
+    def __post_init__(self) -> None:
+        """Check the fields; a record with no rule keeps this one."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._names])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._names])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# sets an instance's __dict__ past the frozen __setattr__
+_set_dict = _Record.__dict__["__dict__"].__set__

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .decoy import BoundsResult
-from .errors import InvalidParameterError, _check_integer, _check_range
+from .errors import InvalidParameterError, _Record, _check_integer, _check_range
 
 F_EC_DEFAULT = 1.22
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(_Record):
     """Sifting factor and error-correction inefficiency.
 
     q_sift is 1/2 for two-detector BB84 basis sifting, 1/4 for a
@@ -40,8 +38,7 @@ class ProtocolParams:
         _check_range("f_ec", self.f_ec, 1)
 
 
-@dataclass(frozen=True)
-class KeyRateComponents:
+class KeyRateComponents(_Record):
     """Diagnostic breakdown of the rate bracket (before sifting)."""
 
     ec_cost: float
@@ -50,8 +47,11 @@ class KeyRateComponents:
     raw_rate: float
 
 
-@dataclass(frozen=True)
-class KeyRateResult:
+class KeyRateResult(_Record):
+    """Secure key rate per signal gate, floored at zero; ``negative`` is
+    set where the formula gave less. ``secure_bits`` is the integer
+    yield over the signal gates, 0 when their count was not given."""
+
     rate_per_pulse: float
     secure_bits: int
     negative: bool

@@ -42,7 +42,7 @@ import enum
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 
 from .channel import E0, ChannelParams, error_n, loss_db_to_eta, yield_n
@@ -58,6 +58,7 @@ from .decoy import (
 from .errors import (
     InvalidParameterError,
     UndefinedStatisticError,
+    _Record,
     _check_integer,
     _check_range,
 )
@@ -96,8 +97,7 @@ SessionDistributions = tuple[
 Statistics = tuple[float, float, float, float, float, float]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Complete description of one three-intensity session.
 
     ``intensity_ratio`` gives the relative share of gates spent at the
@@ -162,8 +162,7 @@ class ExperimentConfig:
         return n_signal, n_decoy, n_vacuum
 
 
-@dataclass(frozen=True)
-class IntensityStatistics:
+class IntensityStatistics(_Record):
     """Analytic per-gate gain and QBER at the three intensity settings."""
 
     q_signal: float
@@ -174,8 +173,7 @@ class IntensityStatistics:
     e_vacuum: float
 
 
-@dataclass(frozen=True)
-class IntensityCounts:
+class IntensityCounts(_Record):
     """Raw counts accumulated at one intensity setting."""
 
     gates: int
@@ -199,15 +197,16 @@ class IntensityCounts:
         return self.errors / self.detections if self.detections else 0.0
 
 
-@dataclass(frozen=True)
-class SimulatedCounts:
+class SimulatedCounts(_Record):
+    """Raw counts of one sampled session at the signal, decoy and vacuum
+    settings."""
+
     signal: IntensityCounts
     decoy: IntensityCounts
     vacuum: IntensityCounts
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(_Record):
     """Everything the analysis produced, for reporting and audit."""
 
     observation: ThreeIntensityObservation
@@ -350,8 +349,7 @@ class SchemeKind(enum.Enum):
 _SCHEME_ARGUMENT = {SchemeKind.HSPS_DECOY: "p_cor", SchemeKind.WCS_NO_DECOY: "wcs_mu"}
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(_Record):
     """A source/estimator combination for the loss-sweep comparison.
 
     HSPS_DECOY carries the heralding correlation it should assume at
@@ -425,8 +423,10 @@ class Scheme:
         return Scheme(kind=kind, **{field: value})
 
 
-@dataclass(frozen=True)
-class LossCurve:
+class LossCurve(_Record):
+    """Key rate per pulse of one scheme, floored at zero, at each loss (dB)
+    of a sweep grid; the scheme is named by its label."""
+
     scheme_label: str
     loss_db: tuple[float, ...]
     rate: tuple[float, ...]
@@ -549,8 +549,7 @@ def scan_loss(
     )
 
 
-@dataclass(frozen=True)
-class MuOptimum:
+class MuOptimum(_Record):
     """Result of the signal-intensity search; infeasible when no
     intensity in the range delivers positive key."""
 

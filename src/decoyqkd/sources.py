@@ -23,12 +23,12 @@ the HSPS model parameters (accidental flux and correlation probability).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InconsistentDataError,
     InvalidParameterError,
     UndefinedStatisticError,
+    _Record,
     _check_integer,
     _check_range,
 )
@@ -46,8 +46,7 @@ NORMALIZATION_ATOL = 1e-12
 CORRELATION_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PhotonNumberDistribution:
+class PhotonNumberDistribution(_Record):
     """Truncated photon-number distribution P(0..n_max).
 
     ``probs[n]`` is the probability of exactly ``n`` photons in a gate;
@@ -117,8 +116,7 @@ class PhotonNumberDistribution:
         return max(1.0 - math.fsum(self.probs[:k]), 0.0)
 
 
-@dataclass(frozen=True)
-class HspsParams:
+class HspsParams(_Record):
     """Heralded-source model parameters.
 
     p_cor   probability that a herald is accompanied by its partner
@@ -139,8 +137,7 @@ class HspsParams:
         _check_range("d_i", self.d_i, 0, 1, "[)")
 
 
-@dataclass(frozen=True)
-class MeasuredRates:
+class MeasuredRates(_Record):
     """Raw counting rates of the heralding setup.
 
     r0_hz        heralding (gating) rate.
@@ -348,8 +345,7 @@ def infer_correlation(m: MeasuredRates, r_s: float) -> float:
     return min(max(p_cor, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class WcsSource:
+class WcsSource(_Record):
     """Weak coherent state of mean photon number ``mu``."""
 
     mu: float
@@ -361,8 +357,7 @@ class WcsSource:
         return wcs_distribution(self.mu, n_max)
 
 
-@dataclass(frozen=True)
-class HspsSource:
+class HspsSource(_Record):
     """Heralded single-photon source parameterized by :class:`HspsParams`."""
 
     params: HspsParams
@@ -371,8 +366,7 @@ class HspsSource:
         return hsps_distribution(self.params, n_max)
 
 
-@dataclass(frozen=True)
-class IdealSpsSource:
+class IdealSpsSource(_Record):
     """Ideal single-photon emitter."""
 
     def distribution(self, n_max: int = N_MAX_DEFAULT) -> PhotonNumberDistribution:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -309,6 +310,22 @@ class TestChannelTerms:
         assert [x.hex() for x in numerators] == [
             (E0 * y0 + e_det * (1 - (1 - eta) ** n)).hex() for n in range(n_max + 1)
         ]
+
+    @given(
+        eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
+        y0=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+        e_det=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_integer_type_gives_the_int_bits(self, eta, y0, e_det):
+        # the terms run over range(), which yields an int for a numpy
+        # integer or a bool, so neither takes numpy's pow
+        ch = ChannelParams(eta=eta, y0=y0, e_det=e_det)
+        for fn in (yield_n, error_n):
+            for n in range(21):
+                assert fn(ch, np.int64(n)).hex() == fn(ch, n).hex()
+            assert fn(ch, True).hex() == fn(ch, 1).hex()
+            assert fn(ch, False).hex() == fn(ch, 0).hex()
 
     @given(
         eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),
