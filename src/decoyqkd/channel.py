@@ -68,7 +68,10 @@ class GainErrorPoint(_Record):
 def yield_n(ch: ChannelParams, n: int) -> float:
     """Detection probability for an n-photon pulse."""
     _check_integer("n", n, 0)
-    return _channel_terms(ch.eta, ch.y0, ch.e_det, n, n)[0][0]
+    # a numpy integer n would wrap in _channel_terms' n + 1 at the top of
+    # its range, where the int goes on
+    k = operator.index(n)
+    return _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)[0][0]
 
 
 def error_n(ch: ChannelParams, n: int) -> float:
@@ -78,7 +81,8 @@ def error_n(ch: ChannelParams, n: int) -> float:
     ``e_det`` as signal detections dominate the background.
     """
     _check_integer("n", n, 0)
-    (y,), (numerator,) = _channel_terms(ch.eta, ch.y0, ch.e_det, n, n)
+    k = operator.index(n)
+    (y,), (numerator,) = _channel_terms(ch.eta, ch.y0, ch.e_det, k, k)
     if y == 0.0:
         raise UndefinedStatisticError(
             f"error probability undefined at zero yield (y0=0, n={n})"
@@ -105,7 +109,8 @@ def _channel_terms(
     yields = []
     numerators = []
     # range yields an int whatever integer type the bounds are, so a numpy
-    # integer bound never takes numpy's pow, whose last bit can differ
+    # integer bound never takes numpy's pow, whose last bit can differ; the
+    # bounds must still be ints, as n_max + 1 is taken before range sees it
     for n in range(n_min, n_max + 1):
         s = 1.0 - base**n
         # grouping keeps Y_0 == y0 exact instead of (y0 + 1) - 1

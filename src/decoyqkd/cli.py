@@ -108,7 +108,11 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             # rates alone: they lead the report, then the source they imply
             report["inference"] = inference
             model = HspsSource(
-                HspsParams(inference["p_cor"], inference["mu_acc"], inference["d_i"])
+                params=HspsParams(
+                    p_cor=inference["p_cor"],
+                    mu_acc=inference["mu_acc"],
+                    d_i=inference["d_i"],
+                )
             )
     report["source"] = cfgmod.source_to_dict(model)
     report["distribution"] = _distribution_report(model.distribution(n_max))

@@ -177,7 +177,7 @@ def source_from_dict(d: dict, path: str) -> SourceModel:
         model: SourceModel = WcsSource(mu=_field(d, "mu", path))
     elif kind == "hsps":
         model = HspsSource(
-            HspsParams(
+            params=HspsParams(
                 p_cor=_field(d, "p_cor", path),
                 mu_acc=_field(d, "mu_acc", path),
                 d_i=_field(d, "d_i", path, DI_DEFAULT),

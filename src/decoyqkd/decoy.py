@@ -201,7 +201,6 @@ def fluctuation_bounds(
     q_signal, e_signal, y0_obs = obs.q_signal, obs.e_signal, obs.y0_obs
     w_decoy = _half_width(obs.q_decoy, obs.n_decoy, n_sigma)
     w_vacuum = _half_width(y0_obs, obs.n_vacuum, n_sigma)
-    # by keyword, the cheapest call of a record (see errors._Record)
     return ObservableBounds(
         q_decoy_low=obs.q_decoy * (1.0 - w_decoy) if w_decoy < 1.0 else 0.0,
         q_signal_high=_high(q_signal, obs.n_signal, n_sigma),
@@ -296,7 +295,6 @@ def estimate_bounds(
     Y1 lower bound, then e1 upper bound. The background gain g0 uses the
     central ``obs.y0_obs``."""
     pair = _pair(dist_signal, dist_decoy)
-    # by keyword, the cheapest call of a record (see errors._Record)
     y1, e1, g0, g1, flags = _estimate_bounds(_widened(fb), obs.y0_obs, pair)
     return BoundsResult(y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags)
 
@@ -338,4 +336,5 @@ def no_decoy_bounds(
     for name, v in (("q_signal", q_signal), ("e_signal", e_signal), ("y0_obs", y0_obs)):
         _check_range(name, v, 0, 1)
     weights = (dist_signal.p(0), dist_signal.p(1), dist_signal.p_at_least(2))
-    return BoundsResult(*_no_decoy_bounds(q_signal, e_signal, y0_obs, weights))
+    y1, e1, g0, g1, flags = _no_decoy_bounds(q_signal, e_signal, y0_obs, weights)
+    return BoundsResult(y1_lower=y1, e1_upper=e1, g0=g0, g1_lower=g1, flags=flags)

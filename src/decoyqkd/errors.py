@@ -93,6 +93,13 @@ class _Record:
     equality and the hash go by the tuple of the fields; the repr text is
     the same; assigning or deleting an attribute raises
     :class:`dataclasses.FrozenInstanceError`.
+
+    Equality is that of CPython up to 3.12, whose dataclass compares the
+    field tuples. From 3.13 a dataclass compares field by field, which
+    differs only where a field is not equal to itself: two records that
+    hold the same NaN object are equal here and unequal there. A record
+    is equal to itself under both, as tuple equality takes any object to
+    be equal to itself.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -115,13 +122,9 @@ class _Record:
             return_annotation=None,
         )
         cls._names = tuple(f.name for f in fields)
-        positional = tuple(f.name for f in fields if not f.kw_only)
-        # what the constructor reads: the positional parameters and the
-        # field names, each with its count, the defaults, and the field
-        # checks, None where the record has none
+        # what the constructor reads: the field names and their count, the
+        # defaults, and the field checks, None where the record has none
         cls._layout = (
-            positional,
-            len(positional),
             frozenset(cls._names),
             len(cls._names),
             {f.name: f.default for f in fields if f.default is not missing},
@@ -129,45 +132,26 @@ class _Record:
         )
 
     def __init__(self, /, *args, **kwargs) -> None:
-        positional, n_positional, names, n_names, defaults, check = self._layout
-        # each kind of call takes its own path to the instance dict, and only
-        # a call that fails the checks is bound by the signature. A call by
-        # keyword is the cheapest: its own dict becomes the instance dict,
-        # where positional arguments are first zipped into one
-        if not kwargs:
-            values = dict(zip(positional, args))
-            if len(values) < n_names:
-                values = {**defaults, **values}
-            if len(values) != n_names or len(args) > n_positional:
-                values = self._bind(args, kwargs)
-        elif not args:
-            # the call's own dict, which no one else holds
+        names, n_names, defaults, check = self._layout
+        # a call by keyword, the one the package makes, adopts its own dict,
+        # which no one else holds, as the instance dict; a call with
+        # positional arguments, and one that misses a field or names an
+        # unknown one, is bound by the signature
+        if args:
+            values = self._bind(args, kwargs)
+        else:
             values = kwargs
             if len(values) < n_names:
                 values = {**defaults, **values}
             if len(values) != n_names or not names.issuperset(kwargs):
                 values = self._bind(args, kwargs)
-        else:
-            values = dict(zip(positional, args))
-            values.update(kwargs)
-            # an argument past the parameters, given twice, or unknown
-            if (
-                len(args) > n_positional
-                or len(values) < len(args) + len(kwargs)
-                or not names.issuperset(kwargs)
-            ):
-                values = self._bind(args, kwargs)
-            elif len(values) < n_names:
-                values = {**defaults, **values}
-                if len(values) < n_names:
-                    values = self._bind(args, kwargs)
         # one store past the frozen __setattr__, not one per field
         _set_dict(self, values)
         if check is not None:
             check(self)
 
     def _bind(self, args: tuple, kwargs: dict) -> dict:
-        """The fields of a call that the constructor's checks refused: the
+        """The fields of a call that is not all by keyword, or is wrong: the
         signature raises the standard :class:`TypeError` for a wrong call
         and binds any other."""
         bound = self.__signature__.bind(*args, **kwargs)

@@ -114,7 +114,7 @@ class ExperimentConfig(_Record):
     protocol: ProtocolParams
     total_pulses: int
     intensity_ratio: tuple[float, float, float] = (10.0, 4.0, 1.0)
-    fluctuation: FluctuationPolicy = FluctuationPolicy(0.0)
+    fluctuation: FluctuationPolicy = FluctuationPolicy(n_sigma=0.0)
     rng_seed: int = 0
     n_max: int = N_MAX_DEFAULT
 
@@ -233,7 +233,10 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
     ``vacuum_mu`` through the same channel; at zero gain its error
     ratio defaults to the background value.
     """
-    return IntensityStatistics(*cfg._model[1])
+    q_s, e_s, q_d, e_d, q_v, e_v = cfg._model[1]
+    return IntensityStatistics(
+        q_signal=q_s, e_signal=e_s, q_decoy=q_d, e_decoy=e_d, q_vacuum=q_v, e_vacuum=e_v
+    )
 
 
 def _expected_statistics(
@@ -326,7 +329,7 @@ def run_pipeline(
     )
     return PipelineResult(
         observation=obs,
-        expected=IntensityStatistics(*stats),
+        expected=expected_statistics(cfg),
         counts=counts,
         condition_ok=condition_ok,
         observable_bounds=fb,
@@ -694,7 +697,8 @@ def optimize_mu(
     ``channel``; a loss sweep runs it at each point, with no channel
     record, so the constants are computed once per point.
     """
-    return MuOptimum(*_optimize_mu(channel.eta, channel.y0, channel.e_det, protocol))
+    mu, rate = _optimize_mu(channel.eta, channel.y0, channel.e_det, protocol)
+    return MuOptimum(mu=mu, rate=rate)
 
 
 def _optimize_mu(

@@ -319,13 +319,16 @@ class TestChannelTerms:
     @settings(max_examples=100, deadline=None)
     def test_any_integer_type_gives_the_int_bits(self, eta, y0, e_det):
         # the terms run over range(), which yields an int for a numpy
-        # integer or a bool, so neither takes numpy's pow
+        # integer or a bool, so neither takes numpy's pow; at the top of a
+        # numpy type's range n + 1 would wrap, so n is read as an int first
         ch = ChannelParams(eta=eta, y0=y0, e_det=e_det)
         for fn in (yield_n, error_n):
             for n in range(21):
                 assert fn(ch, np.int64(n)).hex() == fn(ch, n).hex()
             assert fn(ch, True).hex() == fn(ch, 1).hex()
             assert fn(ch, False).hex() == fn(ch, 0).hex()
+            for top in (np.int64(2**63 - 1), np.uint64(2**64 - 1)):
+                assert fn(ch, top).hex() == fn(ch, int(top)).hex()
 
     @given(
         eta=st.floats(min_value=1e-18, max_value=1.0, exclude_min=True),

@@ -10,7 +10,8 @@ state, and reject the same wrong calls with :class:`TypeError`.
 
 Drawn floats are never NaN: from CPython 3.13 a generated ``__eq__``
 compares field by field, where up to 3.12 it compares the tuples, and
-the two differ on a NaN field only. The base keeps the tuple rule.
+the two differ on a NaN field only. The base keeps the tuple rule, and
+a record, as under both, equals itself.
 """
 
 from __future__ import annotations
@@ -298,6 +299,7 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     other_fields = {name: getattr(twin(**other), name) for name in names}
 
     assert repr(rec) == repr(ref)
+    assert rec == rec and ref == ref
     assert rec == cls(**values) and ref == twin(**values)
     assert (rec == cls(**other)) == (ref == twin(**other))
     assert (rec != cls(**other)) == (ref != twin(**other))
@@ -348,6 +350,15 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     for call_args, call_kwargs in wrong_calls:
         assert call_error(cls, *call_args, **call_kwargs) is TypeError
         assert call_error(twin, *call_args, **call_kwargs) is TypeError
+
+
+def test_nan_field_equality_follows_the_field_tuples():
+    nan = float("nan")
+    rec = MuOptimum(mu=nan, rate=0.0)
+    assert rec == rec
+    # the tuples hold the same NaN object, which tuple equality takes as equal
+    assert rec == MuOptimum(mu=nan, rate=0.0)
+    assert rec != MuOptimum(mu=float("nan"), rate=0.0)
 
 
 # the methods that a dataclass generates per class, by exec of source text
