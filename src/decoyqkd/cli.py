@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -136,9 +135,9 @@ def cmd_session(args: argparse.Namespace) -> int:
     doc = cfgmod.load_config(args.config)
     cfg, mode = cfgmod.experiment_from_dict(doc)
     if args.sigma is not None:
-        cfg = replace(cfg, fluctuation=FluctuationPolicy(n_sigma=args.sigma))
+        cfg = cfg._replace(fluctuation=FluctuationPolicy(n_sigma=args.sigma))
     if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
+        cfg = cfg._replace(rng_seed=args.seed)
 
     counts = sample_counts(cfg) if mode == "sampled" else None
     result = run_pipeline(cfg, counts)
@@ -150,16 +149,16 @@ def cmd_session(args: argparse.Namespace) -> int:
         "mode": result.mode,
         "seed": seed,
         "config": cfgmod.experiment_to_dict(cfg, mode),
-        "observation": asdict(result.observation),
-        "expected": asdict(result.expected),
+        "observation": result.observation._asdict(),
+        "expected": result.expected._asdict(),
         "condition_ok": result.condition_ok,
-        "observable_bounds": asdict(result.observable_bounds),
-        "bounds": asdict(result.bounds),
+        "observable_bounds": result.observable_bounds._asdict(),
+        "bounds": result.bounds._asdict(),
         "truth": {"y1": result.y1_true, "e1": result.e1_true},
-        "key_rate": asdict(result.key),
+        "key_rate": result.key._asdict(),
     }
     if counts is not None:
-        report["counts"] = asdict(counts)
+        report["counts"] = counts._asdict()
     return _emit(cfgmod.dump_json(report) + "\n", args, doc, seed)
 
 

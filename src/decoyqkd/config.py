@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigError
@@ -197,7 +196,7 @@ def source_to_dict(model: SourceModel) -> dict:
     if isinstance(model, WcsSource):
         return {"kind": "wcs", "mu": model.mu}
     if isinstance(model, HspsSource):
-        return {"kind": "hsps", **asdict(model.params)}
+        return {"kind": "hsps", **model.params._asdict()}
     return {"kind": "ideal"}
 
 

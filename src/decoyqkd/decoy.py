@@ -27,11 +27,16 @@ than silently. The estimators read observables, never the channel model.
 from __future__ import annotations
 
 import math
-from dataclasses import field
 from itertools import zip_longest
 
 from .channel import E0
-from .errors import DegenerateDistributionError, _Record, _check_integer, _check_range
+from .errors import (
+    DegenerateDistributionError,
+    _KwOnly,
+    _Record,
+    _check_integer,
+    _check_range,
+)
 from .sources import PhotonNumberDistribution
 
 
@@ -57,7 +62,7 @@ class ThreeIntensityObservation(_Record):
     q_signal: float
     q_decoy: float
     e_signal: float
-    e_decoy: float | None = field(default=None, kw_only=True)
+    e_decoy: float | None = _KwOnly(None)
     y0_obs: float
     n_signal: int
     n_decoy: int

@@ -2,11 +2,10 @@
 rules that raise :class:`InvalidParameterError`, and the base of the
 package's frozen records."""
 
-import dataclasses
+import _thread
 import operator
 import reprlib
 import sys
-from inspect import Parameter, Signature
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -79,20 +78,77 @@ def _check_integer(
         _check_range(name, value, low, high)
 
 
+class _KwOnly:
+    """The default of a keyword-only record field, written
+    ``name: type = _KwOnly(default)`` where a dataclass would write
+    ``field(default=default, kw_only=True)``."""
+
+    __slots__ = ("default",)
+
+    def __init__(self, default) -> None:
+        self.default = default
+
+
+# stands for "no default" in a record's own field table
+_NO_DEFAULT = object()
+
+# guards the registration of a record with dataclasses: a registration
+# reads its bases' fields, so may register them, under the same lock
+_register_lock = _thread.RLock()
+
+
+class _Registered:
+    """A class attribute of a record that :mod:`dataclasses` or
+    :mod:`inspect` reads, set on each record class until the record is
+    registered: the first read registers the record with
+    :mod:`dataclasses`, which replaces it with the attribute's value. Each
+    class holds its own, so that no class reads its base's registration."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type):
+        with _register_lock:
+            if owner.__dict__[self.name] is self:
+                _register(owner)
+        return owner.__dict__[self.name]
+
+
+_UNREGISTERED = [
+    _Registered(name)
+    for name in ("__dataclass_fields__", "__dataclass_params__", "__signature__")
+]
+
+
 class _Record:
     """Base of the package's frozen records.
 
-    A subclass declares its fields as annotations, as a dataclass does,
-    and checks them in ``__post_init__``. Defining the subclass registers
-    it with :mod:`dataclasses`, so :func:`~dataclasses.fields`,
-    :func:`~dataclasses.replace`, :func:`~dataclasses.asdict` and
-    :func:`~dataclasses.is_dataclass` take it, but the registration
-    generates no code: the methods below serve every record. They behave
-    as a frozen dataclass's do: the constructor takes the fields, those
-    with ``kw_only`` by keyword, and a wrong call raises :class:`TypeError`;
+    A subclass declares its fields as annotations, as a dataclass does, a
+    keyword-only one with a :class:`_KwOnly` default, and checks them in
+    ``__post_init__``. Defining the subclass reads its fields, after its
+    bases' ones, and raises what ``@dataclass`` raises for a field
+    without a default after one with a default, a mutable default, or a
+    :class:`_KwOnly` on an attribute that is not annotated. No code is
+    generated: the methods below serve every record, and they behave as a
+    frozen dataclass's do. The constructor takes the fields, those with
+    ``kw_only`` by keyword, and a wrong call raises :class:`TypeError`;
     equality and the hash go by the tuple of the fields; the repr text is
     the same; assigning or deleting an attribute raises
     :class:`dataclasses.FrozenInstanceError`.
+
+    A record is registered with :mod:`dataclasses` on first use of that
+    API: the first read of ``__dataclass_fields__``,
+    ``__dataclass_params__`` or ``__signature__``, on the class or an
+    instance, makes the registration, so :func:`~dataclasses.fields`,
+    :func:`~dataclasses.replace`, :func:`~dataclasses.asdict`,
+    :func:`~dataclasses.is_dataclass` and :func:`inspect.signature` take
+    every record and return what they did for a record registered at
+    definition. The registration raises :class:`TypeError` if the fields
+    :mod:`dataclasses` reads differ from the record's own reading, as
+    they do for a ``ClassVar`` or a ``dataclasses.field`` default. No
+    command of the package makes it: :meth:`_asdict` and :meth:`_replace`
+    do for the package what :func:`~dataclasses.asdict` and
+    :func:`~dataclasses.replace` do.
 
     Equality is that of CPython up to 3.12, whose dataclass compares the
     field tuples. From 3.13 a dataclass compares field by field, which
@@ -104,30 +160,49 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-        fields = dataclasses.fields(cls)
-        missing = dataclasses.MISSING
-        kinds = (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)
-        # keyword-only fields last, as a dataclass orders its parameters
-        cls.__signature__ = Signature(
-            [
-                Parameter(
-                    f.name,
-                    kinds[f.kw_only],
-                    default=Parameter.empty if f.default is missing else f.default,
-                    annotation=f.type,
+        # name -> (annotation, default, kw_only), collected as a dataclass
+        # collects its fields: the bases' first, then the class's own, a
+        # redefined one in its old place
+        specs: dict = {}
+        for base in cls.__mro__[-1:0:-1]:
+            specs.update(getattr(base, "_specs", {}))
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+            default = getattr(cls, name, _NO_DEFAULT)
+            kw_only = isinstance(default, _KwOnly)
+            if kw_only:
+                default = default.default
+                setattr(cls, name, default)
+            if default.__class__.__hash__ is None:
+                raise ValueError(
+                    f"mutable default {type(default)} for field {name} is not "
+                    "allowed: use default_factory"
                 )
-                for f in sorted(fields, key=lambda f: f.kw_only)
-            ],
-            return_annotation=None,
-        )
-        cls._names = tuple(f.name for f in fields)
+            specs[name] = (annotation, default, kw_only)
+        for name, value in cls.__dict__.items():
+            if isinstance(value, _KwOnly):
+                raise TypeError(f"{name!r} is a field but has no type annotation")
+        seen_default = False
+        for name, (_, default, kw_only) in specs.items():
+            if kw_only:
+                continue
+            if default is not _NO_DEFAULT:
+                seen_default = True
+            elif seen_default:
+                raise TypeError(
+                    f"non-default argument {name!r} follows default argument"
+                )
+        cls._specs = specs
+        cls._names = tuple(specs)
+        for attr in _UNREGISTERED:
+            setattr(cls, attr.name, attr)
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = tuple(n for n, s in specs.items() if not s[2])
         # what the constructor reads: the field names and their count, the
         # defaults, and the field checks, None where the record has none
         cls._layout = (
             frozenset(cls._names),
             len(cls._names),
-            {f.name: f.default for f in fields if f.default is not missing},
+            {n: s[1] for n, s in specs.items() if s[1] is not _NO_DEFAULT},
             None if cls.__post_init__ is _Record.__post_init__ else cls.__post_init__,
         )
 
@@ -178,11 +253,104 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in field order, as :func:`dataclasses.asdict`
+        gives them: a record within becomes a dict, and a tuple, list or
+        dict is rebuilt from its items, each converted the same way. Any
+        other value is taken as it is, where ``asdict`` deep-copies it."""
+        return {name: _plain(getattr(self, name)) for name in self._names}
+
+    def _replace(self, /, **changes):
+        """A copy with ``changes``, made as :func:`dataclasses.replace` makes
+        one: the constructor takes the changed fields, then the others in
+        field order, and raises :class:`TypeError` for an unknown one."""
+        for name in self._names:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return self.__class__(**changes)
+
+    # what copy.replace calls, from CPython 3.13
+    __replace__ = _replace
 
 
 # sets an instance's __dict__ past the frozen __setattr__
 _set_dict = _Record.__dict__["__dict__"].__set__
+
+
+def _plain(value):
+    """A field value as :meth:`_Record._asdict` gives it."""
+    if isinstance(value, _Record):
+        return value._asdict()
+    if isinstance(value, (list, tuple)):
+        return type(value)([_plain(item) for item in value])
+    if isinstance(value, dict):
+        return type(value)({_plain(k): _plain(v) for k, v in value.items()})
+    return value
+
+
+def _register(cls: type) -> None:
+    """Register the record ``cls`` with :mod:`dataclasses`, with no code
+    generated, and set its signature; raise :class:`TypeError`, leaving
+    it unregistered, if :mod:`dataclasses` reads other fields than the
+    record's own ``_specs``. Called under ``_register_lock``."""
+    import dataclasses
+    from inspect import Parameter, Signature
+
+    specs = cls._specs
+    kinds = (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)
+    # keyword-only fields last, as a dataclass orders its parameters; set
+    # first, as dataclass() reads it to write a missing docstring
+    cls.__signature__ = Signature(
+        [
+            Parameter(
+                name,
+                kinds[kw_only],
+                default=Parameter.empty if default is _NO_DEFAULT else default,
+                annotation=annotation,
+            )
+            for name, (annotation, default, kw_only) in sorted(
+                specs.items(), key=lambda item: item[1][2]
+            )
+        ],
+        return_annotation=None,
+    )
+    # dataclass() reads a keyword-only field from a Field class attribute,
+    # which it replaces with the default
+    kw_only_defaults = {
+        name: specs[name][1]
+        for name in cls.__dict__.get("__annotations__", {})
+        if specs[name][2]
+    }
+    for name, default in kw_only_defaults.items():
+        setattr(cls, name, dataclasses.field(default=default, kw_only=True))
+    missing = dataclasses.MISSING
+    try:
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        # defaults by identity: both readings take the class attribute
+        theirs = [
+            (f.name, id(_NO_DEFAULT if f.default is missing else f.default), f.kw_only)
+            for f in dataclasses.fields(cls)
+        ]
+        ours = [(name, id(spec[1]), spec[2]) for name, spec in specs.items()]
+        if theirs != ours:
+            raise TypeError(
+                f"dataclasses reads the fields of {cls.__qualname__} as "
+                f"{[f.name for f in dataclasses.fields(cls)]}, the record as "
+                f"{list(specs)}, or with other defaults or kw_only flags"
+            )
+    except Exception:
+        for attr in _UNREGISTERED:
+            setattr(cls, attr.name, attr)
+        raise
+    finally:
+        for name, default in kw_only_defaults.items():
+            setattr(cls, name, default)

@@ -42,7 +42,6 @@ import enum
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import replace
 from functools import cached_property
 
 from .channel import E0, ChannelParams, error_n, loss_db_to_eta, yield_n
@@ -479,7 +478,7 @@ def _scheme_rates(
         # the point needs no gate split.
         _check_heralded_template(cfg)
         dist_signal, dist_decoy = (
-            hsps_distribution(replace(source.params, p_cor=scheme.p_cor), cfg.n_max)
+            hsps_distribution(source.params._replace(p_cor=scheme.p_cor), cfg.n_max)
             for source in (cfg.source_signal, cfg.source_decoy)
         )
         dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))

@@ -26,7 +26,11 @@ estimator that does not come from it.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from decoyqkd import (
     BoundsResult,
@@ -254,3 +258,18 @@ def ref_weak_vacuum_bounds(mu, nu, q_mu, eq_mu, q_nu, y0) -> tuple[float, float]
     )
     e1 = (eq_mu * math.exp(mu) - 0.5 * y0) / (y1 * mu)
     return y1, e1
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports the package and
+    the test modules from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

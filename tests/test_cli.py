@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -19,8 +16,21 @@ from decoyqkd.config import (
 )
 
 import test_golden
+from helpers import run_fresh
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the six-scheme 0-60 dB curve that the benchmark's cli workload runs
+BENCH_CURVE_ARGS = (
+    "--schemes",
+    "wcs-no-decoy,hsps-no-decoy,wcs-decoy-opt,"
+    "hsps-decoy:0.40,hsps-decoy:0.70,ideal-sps",
+    "--loss-from",
+    "0",
+    "--loss-to",
+    "60",
+    "--loss-step",
+    "0.5",
+)
 
 SESSION_DOC = {
     "source": {
@@ -511,6 +521,39 @@ class TestManifestImports:
 
 class TestLazyImports:
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["session", "--config", "session-36db.json"],
+            ["distribution", "--config", "source-hsps.json"],
+            ["infer", "--config", "rates.json"],
+            ["curve", "--config", "session-36db.json", *BENCH_CURVE_ARGS],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, argv):
+        # the records register with dataclasses only when that API is used;
+        # modules loaded before the package (by site, say) do not count
+        argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+        script = textwrap.dedent(
+            f"""
+            import io, sys
+            from contextlib import redirect_stdout
+
+            before = set(sys.modules)
+            from decoyqkd import cli
+
+            with redirect_stdout(io.StringIO()):
+                code = cli.main({argv!r})
+            names = ("dataclasses", "inspect")
+            loaded = [n for n in names if n in sys.modules and n not in before]
+            if code != 0 or loaded:
+                sys.exit(f"exit {{code}}, loaded {{loaded}}")
+            """
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
         "command, config", [("distribution", "source-hsps.json"), ("infer", "rates.json")]
     )
     def test_source_commands_leave_the_chain_unloaded(self, command, config):
@@ -566,17 +609,3 @@ class TestLazyImports:
         result = run_fresh(script)
         assert result.returncode == 0, result.stderr
 
-
-def run_fresh(script):
-    """Run ``script`` in a fresh interpreter that imports the package and
-    the test modules from this checkout."""
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
-    path = os.pathsep.join(filter(None, paths))
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )

@@ -1,12 +1,20 @@
 """The records keep the contract of a frozen dataclass.
 
-Every record derives from one base, ``errors._Record``, which registers
-it with :mod:`dataclasses` but generates no code for it. Each record is
-checked here against a twin that :func:`dataclasses.make_dataclass`
-builds, frozen, from the record's own fields: on drawn field values the
-two give the same repr, equality, hash, ``asdict``, ``astuple``,
-``replace``, field names, signature, frozen errors, pickle and copy
-state, and reject the same wrong calls with :class:`TypeError`.
+Every record derives from one base, ``errors._Record``, which reads the
+record's fields itself when the class is defined and generates no code
+for it. The record is registered with :mod:`dataclasses` on first use
+of that API, and only then: no command of the package imports
+:mod:`dataclasses` or :mod:`inspect`. Each record is checked here
+against a twin that :func:`dataclasses.make_dataclass` builds, frozen,
+from the record's own fields: on drawn field values the two give the
+same repr, equality, hash, ``asdict``, ``astuple``, ``replace``, field
+names, signature, frozen errors, pickle and copy state, and reject the
+same wrong calls with :class:`TypeError`; the base's ``_asdict`` and
+``_replace``, which the package calls in place of ``asdict`` and
+``replace``, give what those give, in the same key order. Throwaway
+classes check the definition-time errors, inheritance, the registration
+check and a registration that eight threads start together; a fresh
+interpreter checks each first use of the :mod:`dataclasses` API.
 
 Drawn floats are never NaN: from CPython 3.13 a generated ``__eq__``
 compares field by field, where up to 3.12 it compares the tuples, and
@@ -21,7 +29,11 @@ import dataclasses
 import inspect
 import pickle
 import re
+import sys
+import textwrap
+import threading
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +66,9 @@ from decoyqkd import (
     ThreeIntensityObservation,
     WcsSource,
 )
-from decoyqkd.errors import _Record
+from decoyqkd.errors import _KwOnly, _Record
+
+from helpers import run_fresh
 
 # every exported dataclass, which must be a record
 RECORDS = [
@@ -315,6 +329,24 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     )
     assert [f.name for f in dataclasses.fields(rec)] == names
     assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__match_args__ == twin.__match_args__
+
+    # the helpers the package calls: the values and key order of asdict,
+    # nested dicts included, and of replace, whose changed fields come
+    # first; the same TypeError for an unknown field
+    assert rec._asdict() == dataclasses.asdict(ref)
+    assert repr(rec._asdict()) == repr(dataclasses.asdict(rec))
+    changes = dict(reversed(other_fields.items()))
+    for got, want in [
+        (rec._replace(), dataclasses.replace(rec)),
+        (rec._replace(**changes), dataclasses.replace(rec, **changes)),
+    ]:
+        assert type(got) is cls and list(vars(got).items()) == list(vars(want).items())
+    with pytest.raises(TypeError) as mine:
+        rec._replace(not_a_field=1)
+    with pytest.raises(TypeError) as theirs:
+        dataclasses.replace(rec, not_a_field=1)
+    assert str(mine.value) == str(theirs.value)
 
     for name in (*fields, "not_a_field"):
         assert frozen_error(assign, rec, name) == frozen_error(assign, ref, name)
@@ -368,11 +400,241 @@ GENERATED = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__")
 def test_no_record_brings_back_generated_methods():
     package = Path(decoyqkd.__file__).parent
     decorator = re.compile(r"^\s*@(dataclasses\.)?dataclass\b", re.M)
+    # a module-level import, which every command would pay for
+    module_import = re.compile(
+        r"^(from\s+(dataclasses|inspect)\s+import|import\s.*\b(dataclasses|inspect)\b)",
+        re.M,
+    )
     for path in sorted(package.glob("*.py")):
-        assert not decorator.search(path.read_text(encoding="utf-8")), path.name
+        text = path.read_text(encoding="utf-8")
+        assert not decorator.search(text), path.name
+        assert not module_import.search(text), path.name
     for cls in RECORDS:
         for name in GENERATED:
             code = getattr(inspect.unwrap(getattr(cls, name)), "__code__", None)
             assert code is None or code.co_filename != "<string>", (cls, name)
         # a dataclass gives a class without a docstring one from its signature
         assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "("), cls
+
+
+def registered(cls) -> bool:
+    """Whether ``cls`` is registered with dataclasses: until then its
+    ``__dataclass_fields__`` is the placeholder that registers it."""
+    return isinstance(vars(cls)["__dataclass_fields__"], dict)
+
+
+def test_a_definition_raises_what_a_dataclass_definition_raises():
+    # a field without a default after a positional one with a default
+    with pytest.raises(TypeError, match="non-default argument 'y'"):
+
+        class Misordered(_Record):
+            x: int = 1
+            y: int
+
+    with pytest.raises(TypeError, match="non-default argument 'y'"):
+
+        @dataclasses.dataclass(frozen=True)
+        class MisorderedTwin:
+            x: int = 1
+            y: int
+
+    # the same across a subclass
+    class Base(_Record):
+        """A throwaway record."""
+
+        x: int = 1
+
+    with pytest.raises(TypeError, match="non-default argument 'y'"):
+
+        class MisorderedSub(Base):
+            y: int
+
+    # a keyword-only marker on an attribute that is not annotated
+    with pytest.raises(TypeError, match="'x' is a field but has no type annotation"):
+
+        class Unannotated(_Record):
+            x = _KwOnly(1)
+
+    with pytest.raises(TypeError, match="'x' is a field but has no type annotation"):
+
+        @dataclasses.dataclass(frozen=True)
+        class UnannotatedTwin:
+            x = dataclasses.field(default=1, kw_only=True)
+
+    for twin in (False, True):
+        with pytest.raises(ValueError, match="mutable default"):
+            namespace = {"__annotations__": {"x": "list"}, "x": []}
+            if twin:
+                dataclasses.dataclass(frozen=True)(type("MutableTwin", (), namespace))
+            else:
+                type("Mutable", (_Record,), namespace)
+
+
+def test_a_subclass_keeps_its_base_fields():
+    class Base(_Record):
+        """A throwaway record."""
+
+        x: int
+        y: int = 2
+        z: int = _KwOnly(3)
+
+    class Sub(Base):
+        """A throwaway subclass."""
+
+        w: int = 4
+        y: int = 5  # redefined: it keeps its place and takes the new default
+
+    @dataclasses.dataclass(frozen=True)
+    class BaseTwin:
+        x: int
+        y: int = 2
+        z: int = dataclasses.field(default=3, kw_only=True)
+
+    @dataclasses.dataclass(frozen=True)
+    class SubTwin(BaseTwin):
+        w: int = 4
+        y: int = 5
+
+    # the first use of Sub registers its base too
+    assert not registered(Base)
+    assert inspect.signature(Sub) == inspect.signature(SubTwin)
+    assert registered(Base) and registered(Sub)
+    assert Sub._names == ("x", "y", "z", "w")
+    assert [f.name for f in dataclasses.fields(Sub)] == list(Sub._names)
+    assert Sub.__match_args__ == SubTwin.__match_args__ == ("x", "y", "w")
+    assert repr(Sub(x=1)) == repr(SubTwin(x=1)).replace("SubTwin", "Sub")
+    assert Sub(1, 6, 7, z=8) == Sub(x=1, y=6, z=8, w=7)
+    assert Base.z == 3 and Sub.y == 5
+
+    # a subclass of a package record keeps its fields and its checks
+    class Tagged(ThreeIntensityObservation):
+        """A throwaway subclass of a package record."""
+
+        tag: str = ""
+
+    values = {
+        "q_signal": 0.1,
+        "q_decoy": 0.05,
+        "e_signal": 0.02,
+        "y0_obs": 1e-5,
+        "n_signal": 10,
+        "n_decoy": 5,
+        "n_vacuum": 2,
+    }
+    tagged = Tagged(**values, tag="t")
+    assert Tagged._names == (*ThreeIntensityObservation._names, "tag")
+    untagged = ThreeIntensityObservation(**values)
+    assert tagged._asdict() == {**untagged._asdict(), "tag": "t"}
+    assert [f.kw_only for f in dataclasses.fields(Tagged)] == [
+        name == "e_decoy" for name in Tagged._names
+    ]
+    with pytest.raises(decoyqkd.InvalidParameterError):
+        Tagged(**{**values, "q_signal": 2.0})
+
+
+def test_registration_raises_where_dataclasses_reads_other_fields():
+    class WithClassVar(_Record):
+        """A ClassVar, a field to the record, no field to dataclasses."""
+
+        x: int
+        y: ClassVar[int] = 0
+
+    class WithField(_Record):
+        """A dataclasses.field default, taken as it is by the record."""
+
+        x: int = dataclasses.field(default=1)
+
+    for cls in (WithClassVar, WithField):
+        # every use raises, the second as the first
+        for _ in range(2):
+            with pytest.raises(TypeError, match="dataclasses reads the fields"):
+                dataclasses.fields(cls)
+            assert not registered(cls)
+
+
+def test_the_base_is_no_dataclass():
+    assert not dataclasses.is_dataclass(_Record)
+    assert not hasattr(_Record, "__dataclass_fields__")
+    assert not hasattr(_Record, "__dataclass_params__")
+    # the signature of its own constructor
+    assert str(inspect.signature(_Record)) == "(*args, **kwargs) -> None"
+
+
+def test_threads_that_register_one_record_together_agree():
+    class Shared(_Record):
+        """A throwaway record, first used by eight threads at once."""
+
+        a: int
+        b: float = 1.0
+        c: str = _KwOnly("")
+
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results: list = [None] * n_threads
+
+    def first_use(i: int) -> None:
+        barrier.wait(timeout=30)
+        results[i] = (dataclasses.fields(Shared), inspect.signature(Shared))
+
+    threads = [threading.Thread(target=first_use, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # a Field equals itself alone, so equal results come from one registration
+    assert results[0] is not None
+    assert all(result == results[0] for result in results)
+
+
+# first uses of the dataclasses API on a package record, each made in a
+# fresh interpreter, where no record is registered yet
+FIRST_USES = {
+    "is_dataclass-class": "dataclasses.is_dataclass(Cls)",
+    "is_dataclass-instance": "dataclasses.is_dataclass(rec)",
+    "fields-class": "fields_of(Cls)",
+    "fields-instance": "fields_of(rec)",
+    "asdict": "dataclasses.asdict(rec)",
+    "replace": "vars(dataclasses.replace(rec, n_decoy=7, q_signal=0.5))",
+    "signature": "inspect.signature(Cls)",
+    "positional-call": "Cls(0.1, 0.05, 0.02, 1e-05, 10, 5, 2, e_decoy=0.03)",
+}
+FIRST_USE_SETUP = """
+import dataclasses, inspect
+from decoyqkd import ThreeIntensityObservation as Cls
+
+def fields_of(obj):
+    return [
+        (f.name, f.type, "MISSING" if f.default is dataclasses.MISSING else f.default,
+         f.kw_only)
+        for f in dataclasses.fields(obj)
+    ]
+
+rec = Cls(q_signal=0.1, q_decoy=0.05, e_signal=0.02, e_decoy=0.03, y0_obs=1e-05,
+          n_signal=10, n_decoy=5, n_vacuum=2)
+"""
+
+
+@pytest.mark.parametrize("first", list(FIRST_USES), ids=list(FIRST_USES))
+def test_first_use_registers_a_record(first):
+    # the first use, then every use, as the registered record gives them;
+    # the first use registers the record, and no other step does
+    uses = [FIRST_USES[first], *FIRST_USES.values()]
+    script = FIRST_USE_SETUP + textwrap.dedent(
+        f"""
+        import sys
+        if isinstance(vars(Cls)["__dataclass_fields__"], dict):
+            sys.exit("registered before its first use")
+        print(repr([eval(use) for use in {uses!r}]))
+        """
+    )
+    result = run_fresh(script)
+    assert result.returncode == 0, result.stderr
+    scope: dict = {}
+    exec(FIRST_USE_SETUP, scope)
+    assert result.stdout == repr([eval(use, scope) for use in uses]) + "\n"
