@@ -60,7 +60,6 @@ def _emit(
     # imported here, so that only a run that writes a manifest loads it
     from datetime import datetime, timezone
 
-    Path(args.out).write_text(text, encoding="utf-8", newline="")
     manifest = {
         "tool_version": __version__,
         "config_sha256": cfgmod.config_sha256(doc),
@@ -68,9 +67,13 @@ def _emit(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [args.out],
     }
-    Path(f"{args.out}.manifest.json").write_text(
-        cfgmod.dump_json(manifest) + "\n", encoding="utf-8", newline=""
-    )
+    try:
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        Path(f"{args.out}.manifest.json").write_text(
+            cfgmod.dump_json(manifest) + "\n", encoding="utf-8", newline=""
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out!r}: {exc}") from exc
     return EXIT_OK
 
 

@@ -107,8 +107,8 @@ def _finite_float(token: str) -> float:
 
 def load_config(path: str) -> dict:
     """Parse a config document. ``NaN``, ``Infinity``, numbers that
-    overflow a float and integers past Python's digit limit are
-    rejected as invalid JSON."""
+    overflow a float, integers past Python's digit limit and nesting
+    past the parser's depth are rejected as invalid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(
@@ -116,7 +116,7 @@ def load_config(path: str) -> dict:
             )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")

@@ -32,7 +32,6 @@ from itertools import zip_longest
 from .channel import E0
 from .errors import (
     DegenerateDistributionError,
-    _KwOnly,
     _Record,
     _check_integer,
     _check_range,
@@ -55,14 +54,15 @@ class ThreeIntensityObservation(_Record):
 
     ``y0_obs`` is the counting rate of the vacuum intensity standing in
     for the background yield (pessimistic when the vacuum setting
-    leaks). ``e_decoy`` is carried for reporting only; the estimator
-    does not use it.
+    leaks). ``e_decoy``, required and ``None`` when no decoy QBER was
+    measured, is carried for reporting only; the estimator does not use
+    it. It takes its fields in field order, by position or keyword.
     """
 
     q_signal: float
     q_decoy: float
     e_signal: float
-    e_decoy: float | None = _KwOnly(None)
+    e_decoy: float | None
     y0_obs: float
     n_signal: int
     n_decoy: int

@@ -78,17 +78,6 @@ def _check_integer(
         _check_range(name, value, low, high)
 
 
-class _KwOnly:
-    """The default of a keyword-only record field, written
-    ``name: type = _KwOnly(default)`` where a dataclass would write
-    ``field(default=default, kw_only=True)``."""
-
-    __slots__ = ("default",)
-
-    def __init__(self, default) -> None:
-        self.default = default
-
-
 # stands for "no default" in a record's own field table
 _NO_DEFAULT = object()
 
@@ -123,17 +112,15 @@ _UNREGISTERED = [
 class _Record:
     """Base of the package's frozen records.
 
-    A subclass declares its fields as annotations, as a dataclass does, a
-    keyword-only one with a :class:`_KwOnly` default, and checks them in
-    ``__post_init__``. Defining the subclass reads its fields, after its
-    bases' ones, and raises what ``@dataclass`` raises for a field
-    without a default after one with a default, a mutable default, or a
-    :class:`_KwOnly` on an attribute that is not annotated. No code is
-    generated: the methods below serve every record, and they behave as a
-    frozen dataclass's do. The constructor takes the fields, those with
-    ``kw_only`` by keyword, and a wrong call raises :class:`TypeError`;
-    equality and the hash go by the tuple of the fields; the repr text is
-    the same; assigning or deleting an attribute raises
+    A subclass declares its fields as annotations, as a dataclass does,
+    and checks them in ``__post_init__``. Defining the subclass reads its
+    fields, after its bases' ones, and raises what ``@dataclass`` raises
+    for a field without a default after one with a default or for a
+    mutable default. No code is generated: the methods below serve every
+    record, as a frozen dataclass's would. Every record takes its fields
+    in field order, by position or keyword, and a wrong call raises
+    :class:`TypeError`; equality and the hash go by the field tuple; the
+    repr text is a dataclass's; assigning or deleting an attribute raises
     :class:`dataclasses.FrozenInstanceError`.
 
     A record is registered with :mod:`dataclasses` on first use of that
@@ -151,40 +138,29 @@ class _Record:
     :func:`~dataclasses.replace` do.
 
     Equality is that of CPython up to 3.12, whose dataclass compares the
-    field tuples. From 3.13 a dataclass compares field by field, which
-    differs only where a field is not equal to itself: two records that
-    hold the same NaN object are equal here and unequal there. A record
-    is equal to itself under both, as tuple equality takes any object to
-    be equal to itself.
+    field tuples; from 3.13 it compares field by field, so two records
+    that hold the same NaN object are equal here and unequal there. A
+    record equals itself under both.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # name -> (annotation, default, kw_only), collected as a dataclass
-        # collects its fields: the bases' first, then the class's own, a
-        # redefined one in its old place
+        # name -> (annotation, default), collected as a dataclass collects
+        # its fields: the bases' first, then the class's own, a redefined
+        # one in its old place
         specs: dict = {}
         for base in cls.__mro__[-1:0:-1]:
             specs.update(getattr(base, "_specs", {}))
         for name, annotation in cls.__dict__.get("__annotations__", {}).items():
             default = getattr(cls, name, _NO_DEFAULT)
-            kw_only = isinstance(default, _KwOnly)
-            if kw_only:
-                default = default.default
-                setattr(cls, name, default)
             if default.__class__.__hash__ is None:
                 raise ValueError(
                     f"mutable default {type(default)} for field {name} is not "
                     "allowed: use default_factory"
                 )
-            specs[name] = (annotation, default, kw_only)
-        for name, value in cls.__dict__.items():
-            if isinstance(value, _KwOnly):
-                raise TypeError(f"{name!r} is a field but has no type annotation")
+            specs[name] = (annotation, default)
         seen_default = False
-        for name, (_, default, kw_only) in specs.items():
-            if kw_only:
-                continue
+        for name, (_, default) in specs.items():
             if default is not _NO_DEFAULT:
                 seen_default = True
             elif seen_default:
@@ -196,7 +172,7 @@ class _Record:
         for attr in _UNREGISTERED:
             setattr(cls, attr.name, attr)
         if "__match_args__" not in cls.__dict__:
-            cls.__match_args__ = tuple(n for n, s in specs.items() if not s[2])
+            cls.__match_args__ = cls._names
         # what the constructor reads: the field names and their count, the
         # defaults, and the field checks, None where the record has none
         cls._layout = (
@@ -299,58 +275,43 @@ def _plain(value):
 
 def _register(cls: type) -> None:
     """Register the record ``cls`` with :mod:`dataclasses`, with no code
-    generated, and set its signature; raise :class:`TypeError`, leaving
-    it unregistered, if :mod:`dataclasses` reads other fields than the
+    generated, and set its signature: every field in field order, by
+    position or keyword. Raise :class:`TypeError`, leaving the record
+    unregistered, if :mod:`dataclasses` reads other fields than the
     record's own ``_specs``. Called under ``_register_lock``."""
     import dataclasses
     from inspect import Parameter, Signature
 
     specs = cls._specs
-    kinds = (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)
-    # keyword-only fields last, as a dataclass orders its parameters; set
-    # first, as dataclass() reads it to write a missing docstring
+    # set first, as dataclass() reads it to write a missing docstring
     cls.__signature__ = Signature(
         [
             Parameter(
                 name,
-                kinds[kw_only],
+                Parameter.POSITIONAL_OR_KEYWORD,
                 default=Parameter.empty if default is _NO_DEFAULT else default,
                 annotation=annotation,
             )
-            for name, (annotation, default, kw_only) in sorted(
-                specs.items(), key=lambda item: item[1][2]
-            )
+            for name, (annotation, default) in specs.items()
         ],
         return_annotation=None,
     )
-    # dataclass() reads a keyword-only field from a Field class attribute,
-    # which it replaces with the default
-    kw_only_defaults = {
-        name: specs[name][1]
-        for name in cls.__dict__.get("__annotations__", {})
-        if specs[name][2]
-    }
-    for name, default in kw_only_defaults.items():
-        setattr(cls, name, dataclasses.field(default=default, kw_only=True))
     missing = dataclasses.MISSING
     try:
         dataclasses.dataclass(cls, init=False, repr=False, eq=False)
         # defaults by identity: both readings take the class attribute
         theirs = [
-            (f.name, id(_NO_DEFAULT if f.default is missing else f.default), f.kw_only)
+            (f.name, id(_NO_DEFAULT if f.default is missing else f.default))
             for f in dataclasses.fields(cls)
         ]
-        ours = [(name, id(spec[1]), spec[2]) for name, spec in specs.items()]
+        ours = [(name, id(default)) for name, (_, default) in specs.items()]
         if theirs != ours:
             raise TypeError(
                 f"dataclasses reads the fields of {cls.__qualname__} as "
                 f"{[f.name for f in dataclasses.fields(cls)]}, the record as "
-                f"{list(specs)}, or with other defaults or kw_only flags"
+                f"{list(specs)}, or with other defaults"
             )
     except Exception:
         for attr in _UNREGISTERED:
             setattr(cls, attr.name, attr)
         raise
-    finally:
-        for name, default in kw_only_defaults.items():
-            setattr(cls, name, default)

@@ -391,7 +391,8 @@ class Scheme(_Record):
         arg = self.wcs_mu if self.p_cor is None else self.p_cor
         if arg is None:
             return self.kind.value
-        text = f"{arg:.2f}"
+        # adding 0.0 turns -0 into 0, which prints without a sign
+        text = f"{arg + 0.0:.2f}"
         if float(text) != arg:
             text = repr(float(arg))
         return f"{self.kind.value}-{text}"

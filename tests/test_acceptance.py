@@ -80,6 +80,7 @@ class TestCriterion1ReferenceKeyRate:
             q_signal=REF_Q_SIGNAL,
             q_decoy=REF_Q_DECOY,
             e_signal=REF_E_SIGNAL,
+            e_decoy=None,
             y0_obs=BENCH_Y0,
             n_signal=1_000_000_000,
             n_decoy=400_000_000,
@@ -225,6 +226,7 @@ class TestCriterion4EstimatorSoundness:
                 q_signal=point.q_gain,
                 q_decoy=gain(dd, ch),
                 e_signal=point.qber,
+                e_decoy=None,
                 y0_obs=y0,
                 n_signal=10**9,
                 n_decoy=10**9,
@@ -243,6 +245,7 @@ class TestCriterion4EstimatorSoundness:
             q_signal=0.3,
             q_decoy=0.22,
             e_signal=0.0,
+            e_decoy=None,
             y0_obs=0.0,
             n_signal=1,
             n_decoy=1,

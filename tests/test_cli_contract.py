@@ -190,6 +190,53 @@ class TestOutsideInput:
             FluctuationPolicy(math.inf)
 
 
+# the arguments each command needs besides --config
+COMMAND_ARGS = {
+    "distribution": [],
+    "infer": [],
+    "session": [],
+    "curve": ["--schemes", "ideal-sps", "--loss-from", "0", "--loss-to", "1"]
+    + ["--loss-step", "1"],
+}
+
+
+class TestParserLimits:
+    """Input past what the JSON parser or the file system takes exits 2,
+    naming what failed, never with a traceback."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    # deep enough for every CPython the package supports: from 3.13 the
+    # parser takes 5,000 nested objects
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"rates": ' + '{"a": ' * 100_000 + "1" + "}" * 100_001],
+        ids=["arrays", "objects-in-a-section"],
+    )
+    def test_nesting_past_the_parser_depth(self, tmp_path, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        argv = [command, "--config", str(path), *COMMAND_ARGS[command]]
+        assert run(argv, err)[0] == 2
+        assert err.getvalue().startswith(
+            f"config error: config {str(path)!r} is not valid JSON: "
+        )
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "manifest"])
+    def test_unwritable_out(self, tmp_path, target):
+        out = tmp_path / "x.json"
+        if target == "missing-dir":
+            out = tmp_path / "missing" / "x.json"
+        elif target == "directory":
+            out.mkdir()
+        else:
+            Path(f"{out}.manifest.json").mkdir()
+        err = io.StringIO()
+        argv = ["infer", "--config", str(CONFIGS / "rates.json"), "--out", str(out)]
+        assert run(argv, err)[0] == 2
+        assert err.getvalue().startswith(f"config error: cannot write --out {str(out)!r}")
+
+
 class TestUnknownKeys:
     """A key no reader pops exits 2 naming its path; it never stands in
     for a default."""

@@ -58,6 +58,7 @@ def make_obs(q_signal, q_decoy, e_signal, y0_obs, n_signal=BIG, n_decoy=BIG, n_v
         q_signal=q_signal,
         q_decoy=q_decoy,
         e_signal=e_signal,
+        e_decoy=None,
         y0_obs=y0_obs,
         n_signal=n_signal,
         n_decoy=n_decoy,

@@ -138,6 +138,7 @@ OBSERVATION = ThreeIntensityObservation(
     q_signal=REF_Q_SIGNAL,
     q_decoy=REF_Q_DECOY,
     e_signal=REF_E_SIGNAL,
+    e_decoy=None,
     y0_obs=1e-5,
     n_signal=10**9,
     n_decoy=4 * 10**8,

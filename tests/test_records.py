@@ -66,7 +66,7 @@ from decoyqkd import (
     ThreeIntensityObservation,
     WcsSource,
 )
-from decoyqkd.errors import _KwOnly, _Record
+from decoyqkd.errors import _Record
 
 from helpers import run_fresh
 
@@ -157,12 +157,12 @@ VALUES = {
             "q_signal": UNIT,
             "q_decoy": UNIT,
             "e_signal": UNIT,
+            "e_decoy": st.none() | UNIT,
             "y0_obs": UNIT,
             "n_signal": COUNT,
             "n_decoy": COUNT,
             "n_vacuum": COUNT,
         },
-        {"e_decoy": st.none() | UNIT},
     ),
     ObservableBounds: fields_of(
         {
@@ -261,7 +261,7 @@ def twin_of(cls):
     return dataclasses.make_dataclass(
         cls.__name__,
         [
-            (f.name, f.type, dataclasses.field(default=f.default, kw_only=f.kw_only))
+            (f.name, f.type, dataclasses.field(default=f.default))
             for f in dataclasses.fields(cls)
         ],
         frozen=True,
@@ -288,11 +288,6 @@ def frozen_error(action, obj, name) -> str:
     with pytest.raises(dataclasses.FrozenInstanceError) as info:
         action(obj, name)
     return str(info.value)
-
-
-def names_by_position(cls) -> list[str]:
-    params = inspect.signature(cls).parameters.values()
-    return [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
 
 
 def test_every_record_has_values_and_derives_from_the_base():
@@ -359,19 +354,15 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     # what pickle and copy carry: the same state, in whatever order
     assert rec.__reduce_ex__(2)[2] == ref.__reduce_ex__(2)[2]
 
-    # every field by position, keyword-only ones by keyword; then the last
-    # positional one by keyword
-    by_position = names_by_position(twin)
-    args = [fields[name] for name in by_position]
-    kwonly = {name: v for name, v in fields.items() if name not in by_position}
-    assert repr(cls(*args, **kwonly)) == repr(ref)
+    # every field by position; then the last one by keyword
+    args = list(fields.values())
+    assert repr(cls(*args)) == repr(ref)
     if args:
-        last = {by_position[-1]: args[-1]}
-        assert repr(cls(*args[:-1], **kwonly, **last)) == repr(ref)
+        assert repr(cls(*args[:-1], **{names[-1]: args[-1]})) == repr(ref)
 
     # wrong calls: an unknown, an extra positional, a missing, a missing
     # swapped for an unknown, and a repeated argument
-    wrong_calls = [((), {**fields, "not_a_field": 1}), ((*args, 1), kwonly)]
+    wrong_calls = [((), {**fields, "not_a_field": 1}), ((*args, 1), {})]
     params = inspect.signature(twin).parameters.values()
     required = [p.name for p in params if p.default is p.empty]
     if required:
@@ -382,6 +373,16 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     for call_args, call_kwargs in wrong_calls:
         assert call_error(cls, *call_args, **call_kwargs) is TypeError
         assert call_error(twin, *call_args, **call_kwargs) is TypeError
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_takes_its_fields_in_field_order(cls):
+    # one field kind: by position or keyword, in field order
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls._names)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert cls.__match_args__ == cls._names
+    assert not any(f.kw_only for f in dataclasses.fields(cls))
 
 
 def test_nan_field_equality_follows_the_field_tuples():
@@ -449,18 +450,6 @@ def test_a_definition_raises_what_a_dataclass_definition_raises():
         class MisorderedSub(Base):
             y: int
 
-    # a keyword-only marker on an attribute that is not annotated
-    with pytest.raises(TypeError, match="'x' is a field but has no type annotation"):
-
-        class Unannotated(_Record):
-            x = _KwOnly(1)
-
-    with pytest.raises(TypeError, match="'x' is a field but has no type annotation"):
-
-        @dataclasses.dataclass(frozen=True)
-        class UnannotatedTwin:
-            x = dataclasses.field(default=1, kw_only=True)
-
     for twin in (False, True):
         with pytest.raises(ValueError, match="mutable default"):
             namespace = {"__annotations__": {"x": "list"}, "x": []}
@@ -476,7 +465,7 @@ def test_a_subclass_keeps_its_base_fields():
 
         x: int
         y: int = 2
-        z: int = _KwOnly(3)
+        z: int = 3
 
     class Sub(Base):
         """A throwaway subclass."""
@@ -488,7 +477,7 @@ def test_a_subclass_keeps_its_base_fields():
     class BaseTwin:
         x: int
         y: int = 2
-        z: int = dataclasses.field(default=3, kw_only=True)
+        z: int = 3
 
     @dataclasses.dataclass(frozen=True)
     class SubTwin(BaseTwin):
@@ -501,9 +490,9 @@ def test_a_subclass_keeps_its_base_fields():
     assert registered(Base) and registered(Sub)
     assert Sub._names == ("x", "y", "z", "w")
     assert [f.name for f in dataclasses.fields(Sub)] == list(Sub._names)
-    assert Sub.__match_args__ == SubTwin.__match_args__ == ("x", "y", "w")
+    assert Sub.__match_args__ == SubTwin.__match_args__ == Sub._names
     assert repr(Sub(x=1)) == repr(SubTwin(x=1)).replace("SubTwin", "Sub")
-    assert Sub(1, 6, 7, z=8) == Sub(x=1, y=6, z=8, w=7)
+    assert Sub(1, 6, 8, 7) == Sub(x=1, y=6, z=8, w=7)
     assert Base.z == 3 and Sub.y == 5
 
     # a subclass of a package record keeps its fields and its checks
@@ -516,6 +505,7 @@ def test_a_subclass_keeps_its_base_fields():
         "q_signal": 0.1,
         "q_decoy": 0.05,
         "e_signal": 0.02,
+        "e_decoy": None,
         "y0_obs": 1e-5,
         "n_signal": 10,
         "n_decoy": 5,
@@ -525,9 +515,11 @@ def test_a_subclass_keeps_its_base_fields():
     assert Tagged._names == (*ThreeIntensityObservation._names, "tag")
     untagged = ThreeIntensityObservation(**values)
     assert tagged._asdict() == {**untagged._asdict(), "tag": "t"}
-    assert [f.kw_only for f in dataclasses.fields(Tagged)] == [
-        name == "e_decoy" for name in Tagged._names
-    ]
+    assert Tagged(*values.values(), "t") == tagged
+    # e_decoy is required: a call without it misses a field
+    without = {k: v for k, v in values.items() if k != "e_decoy"}
+    for args, kwargs in (((), without), (tuple(without.values()), {})):
+        assert call_error(ThreeIntensityObservation, *args, **kwargs) is TypeError
     with pytest.raises(decoyqkd.InvalidParameterError):
         Tagged(**{**values, "q_signal": 2.0})
 
@@ -566,7 +558,7 @@ def test_threads_that_register_one_record_together_agree():
 
         a: int
         b: float = 1.0
-        c: str = _KwOnly("")
+        c: str = ""
 
     n_threads = 8
     barrier = threading.Barrier(n_threads)
@@ -602,7 +594,7 @@ FIRST_USES = {
     "asdict": "dataclasses.asdict(rec)",
     "replace": "vars(dataclasses.replace(rec, n_decoy=7, q_signal=0.5))",
     "signature": "inspect.signature(Cls)",
-    "positional-call": "Cls(0.1, 0.05, 0.02, 1e-05, 10, 5, 2, e_decoy=0.03)",
+    "positional-call": "Cls(0.1, 0.05, 0.02, 0.03, 1e-05, 10, 5, 2)",
 }
 FIRST_USE_SETUP = """
 import dataclasses, inspect

@@ -1135,6 +1135,9 @@ class TestScheme:
         assert s.label == "hsps-decoy-0.70"
         w = Scheme.parse("wcs-no-decoy:0.2")
         assert w.wcs_mu == 0.2
+        # a zero argument is written without its sign
+        for token in ("hsps-decoy:-0", "hsps-decoy:0"):
+            assert Scheme.parse(token).label == "hsps-decoy-0.00"
 
     def test_parse_errors(self):
         with pytest.raises(InvalidParameterError):
