@@ -15,15 +15,23 @@ codes: 0 success, 2 configuration error, 3 measurement inconsistency.
 A command loads only the modules it runs: ``distribution`` and ``infer``
 load ``errors``, ``sources`` and ``config``; ``session`` and ``curve``
 also load the decoy-state chain (``channel``, ``decoy``, ``keyrate`` and
-``session``), which they import when they start.
+``session``), which they import when they start. The options are read
+from one table (``_COMMANDS``) by the rules of argparse, which the tool
+used before, with no import of ``argparse``, ``gettext`` or ``locale``:
+``--opt value`` or ``--opt=value``, an unambiguous prefix of a flag, the
+last of repeated options, a negative number as a value, and ``-h``. A
+usage error writes the usage line and a message naming the option or
+token to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import __version__
 from . import config as cfgmod
@@ -51,7 +59,7 @@ CURVE_POINTS_MAX = 10_000
 
 
 def _emit(
-    text: str, args: argparse.Namespace, doc: dict, seed: int | None = None
+    text: str, args: SimpleNamespace, doc: dict, seed: int | None = None
 ) -> int:
     """Write ``text`` to stdout, or to ``--out`` plus its manifest."""
     if args.out is None:
@@ -67,11 +75,17 @@ def _emit(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [args.out],
     }
+    out = Path(args.out)
     try:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
-        Path(f"{args.out}.manifest.json").write_text(
-            cfgmod.dump_json(manifest) + "\n", encoding="utf-8", newline=""
-        )
+        out.write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(f"{args.out}.manifest.json").write_text(
+                cfgmod.dump_json(manifest) + "\n", encoding="utf-8", newline=""
+            )
+        except OSError:
+            # a report is never left without its manifest
+            out.unlink()
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write --out {args.out!r}: {exc}") from exc
     return EXIT_OK
@@ -100,7 +114,7 @@ def _infer_block(rates, d_i: float) -> dict:
     return {"r_s_hz": r_s, "mu_acc": mu_acc, "p_cor": p_cor, "d_i": d_i}
 
 
-def cmd_distribution(args: argparse.Namespace) -> int:
+def cmd_distribution(args: SimpleNamespace) -> int:
     doc = cfgmod.load_config(args.config)
     model, measured, n_max = cfgmod.distribution_from_dict(doc)
     report: dict = {"report": "distribution", "tool_version": __version__}
@@ -123,14 +137,14 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
+def cmd_infer(args: SimpleNamespace) -> int:
     doc = cfgmod.load_config(args.config)
     report = {"report": "infer", "tool_version": __version__}
     report.update(_infer_block(*cfgmod.infer_from_dict(doc)))
     return _emit(cfgmod.dump_json(report) + "\n", args, doc)
 
 
-def cmd_session(args: argparse.Namespace) -> int:
+def cmd_session(args: SimpleNamespace) -> int:
     # imported here, so that distribution and infer never load the chain
     from .decoy import FluctuationPolicy
     from .session import run_pipeline, sample_counts
@@ -165,7 +179,7 @@ def cmd_session(args: argparse.Namespace) -> int:
     return _emit(cfgmod.dump_json(report) + "\n", args, doc, seed)
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: SimpleNamespace) -> int:
     from .session import Scheme, scan_loss
 
     doc = cfgmod.load_config(args.config)
@@ -214,65 +228,235 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return _emit("\n".join(lines) + "\n", args, doc)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="decoyqkd",
-        description=(
-            "Decoy-state QKD analysis with heralded and coherent-state "
-            "sources: photon statistics, session security bounds and "
-            "loss-sweep scheme comparisons."
+# The commands: the help line, handler and options of each. An option is
+# (flag, type, required, help); its value is stored under the flag with
+# the leading dashes dropped and "-" read as "_", converted by its type
+_CONFIG = ("--config", str, True, "JSON config path")
+_OUT = ("--out", str, False, "output file (default: stdout)")
+_COMMANDS = {
+    "distribution": (
+        "photon-number statistics of a source",
+        cmd_distribution,
+        (_CONFIG, _OUT),
+    ),
+    "infer": (
+        "source parameters from measured counting rates",
+        cmd_infer,
+        (_CONFIG, _OUT),
+    ),
+    "session": (
+        "full session analysis report",
+        cmd_session,
+        (
+            _CONFIG,
+            _OUT,
+            ("--seed", int, False, "override run.rng_seed"),
+            ("--sigma", float, False, "override run.n_sigma (fluctuation width)"),
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="output file (default: stdout)")
-
-    p_dist = sub.add_parser(
-        "distribution", help="photon-number statistics of a source"
-    )
-    common(p_dist)
-    p_dist.set_defaults(func=cmd_distribution)
-
-    p_infer = sub.add_parser(
-        "infer", help="source parameters from measured counting rates"
-    )
-    common(p_infer)
-    p_infer.set_defaults(func=cmd_infer)
-
-    p_sess = sub.add_parser("session", help="full session analysis report")
-    common(p_sess)
-    p_sess.add_argument("--seed", type=int, help="override run.rng_seed")
-    p_sess.add_argument(
-        "--sigma", type=float, help="override run.n_sigma (fluctuation width)"
-    )
-    p_sess.set_defaults(func=cmd_session)
-
-    p_curve = sub.add_parser("curve", help="key rate vs total loss (CSV)")
-    common(p_curve)
-    p_curve.add_argument(
-        "--schemes",
-        required=True,
-        help=(
-            "comma-separated scheme list: wcs-no-decoy[:mu], hsps-no-decoy, "
-            "wcs-decoy-opt, hsps-decoy:<p_cor>, ideal-sps"
+    ),
+    "curve": (
+        "key rate vs total loss (CSV)",
+        cmd_curve,
+        (
+            _CONFIG,
+            _OUT,
+            (
+                "--schemes",
+                str,
+                True,
+                "comma-separated scheme list: wcs-no-decoy[:mu], hsps-no-decoy, "
+                "wcs-decoy-opt, hsps-decoy:<p_cor>, ideal-sps",
+            ),
+            ("--loss-from", float, True, "dB"),
+            ("--loss-to", float, True, "dB"),
+            ("--loss-step", float, True, "dB"),
         ),
-    )
-    p_curve.add_argument("--loss-from", type=float, required=True, help="dB")
-    p_curve.add_argument("--loss-to", type=float, required=True, help="dB")
-    p_curve.add_argument("--loss-step", type=float, required=True, help="dB")
-    p_curve.set_defaults(func=cmd_curve)
+    ),
+}
+_PROG = "decoyqkd"
+_DESCRIPTION = (
+    "Decoy-state QKD analysis with heralded and coherent-state sources: "
+    "photon statistics, session security bounds and loss-sweep scheme "
+    "comparisons."
+)
+_HELP = ("-h", "--help")
+_WIDTH = 79
 
-    return parser
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _wrap(head: str, words: list[str], indent: int) -> str:
+    """``head`` followed by ``words``, filled to ``_WIDTH`` columns with
+    each further line indented by ``indent``."""
+    lines = [head]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > _WIDTH:
+            lines.append(" " * indent + word)
+        else:
+            lines[-1] += " " + word
+    return "\n".join(lines) + "\n"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        prog, parts = _PROG, ["[-h]", "{" + ",".join(_COMMANDS) + "}", "..."]
+    else:
+        prog, parts = f"{_PROG} {command}", ["[-h]"]
+        for flag, _, required, _ in _COMMANDS[command][2]:
+            part = f"{flag} {_dest(flag).upper()}"
+            parts.append(part if required else f"[{part}]")
+    return _wrap(f"usage: {prog}", parts, len(prog) + 8)
+
+
+def _rows(title: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(name) for name, _ in rows) + 1
+    lines = "".join(
+        _wrap(f"  {name:<{width}}", text.split(), width + 3) for name, text in rows
+    )
+    return f"\n{title}:\n{lines}"
+
+
+def _help(command: str | None) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        first, *words = _DESCRIPTION.split()
+        about = _wrap(first, words, 0)
+        listing = _rows("commands", [(name, c[0]) for name, c in _COMMANDS.items()])
+    else:
+        about = _COMMANDS[command][0] + "\n"
+        listing = ""
+        for flag, _, _, text in _COMMANDS[command][2]:
+            options.append((f"{flag} {_dest(flag).upper()}", text))
+    return f"{_usage(command)}\n{about}{listing}{_rows('options', options)}"
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """Write the usage line and ``message`` to stderr and exit 2."""
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _option(token: str, flags: tuple[str, ...], command: str | None):
+    """How ``token`` reads among ``flags``: ``None`` for a value, else
+    ``(flag, value given in the token or None)``, the flag ``None`` for an
+    unknown option. As in argparse, an unambiguous prefix of a long flag
+    names it, and a negative number or a token with a space is a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        value = value if eq else None
+        found = [(flag, value) for flag in flags if flag.startswith(name)]
+    else:
+        # "-h" is the one short flag; the rest of the token is its value
+        found = [(flag, token[2:]) for flag in flags if flag == token[:2]]
+    if len(found) > 1:
+        matches = ", ".join(flag for flag, _ in found)
+        _fail(command, f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _help_flag(command: str | None, flag: str, value: str | None) -> NoReturn:
+    """Print the help of ``command``, or of the tool, and exit 0. As in
+    argparse, the flag takes no value but more ``h``s after ``-h``."""
+    if value is not None:
+        rest = value.lstrip("h") if flag == "-h" else value
+        if rest or not value:
+            _fail(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read a command line by the rules of the argparse parser that the
+    tool used before, exiting 2 with a usage line on a usage error and 0
+    after ``-h``: the handler as ``func`` and every option's value under
+    its name, ``None`` where it is not given."""
+    extras: list[str] = []
+    # the options before the command: -h and unknown ones
+    for i, token in enumerate(argv):
+        option = None if token == "--" else _option(token, _HELP, None)
+        if option is None:
+            break
+        if option[0] is None:
+            extras.append(token)
+        else:
+            _help_flag(None, *option)
+    else:
+        _fail(None, "the following arguments are required: command")
+    command = token
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        message = f"invalid choice: {command!r} (choose from {choices})"
+        _fail(None, f"argument command: {message}")
+    _, func, options = _COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    flags = (*_HELP, *kinds)
+
+    # every token is read before any is taken, so an ambiguous prefix
+    # fails even after -h; no token from "--" on is an option
+    rest = argv[i + 1 :]
+    end = rest.index("--") if "--" in rest else len(rest)
+    read = [_option(token, flags, command) for token in rest[:end]]
+    read += [None] * (len(rest) - end)
+    values: dict[str, object] = {}
+    j = 0
+    while j < len(rest):
+        option = read[j]
+        j += 1
+        if option is None or option[0] is None:
+            extras.append(rest[j - 1])
+            continue
+        flag, value = option
+        if flag in _HELP:
+            _help_flag(command, flag, value)
+        if value is None:
+            # "--" is no value, though every token after it is one
+            if j in (end, len(rest)) or read[j] is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value = rest[j]
+            j += 1
+        if value == "--":
+            # "--option=--" gives no value; a later one may still replace it
+            values[flag] = None
+            continue
+        try:
+            values[flag] = kinds[flag](value)
+        except ValueError:
+            name = kinds[flag].__name__
+            _fail(command, f"argument {flag}: invalid {name} value: {value!r}")
+
+    missing = [flag for flag, _, needed, _ in options if needed and flag not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    for flag, value in values.items():
+        if value is None:
+            _fail(command, f"argument {flag}: expected one argument")
+    return SimpleNamespace(
+        func=func,
+        **{
+            _dest(flag): values.get(flag)
+            for c in _COMMANDS.values()
+            for flag, _, _, _ in c[2]
+        },
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse reads "--option=--" as an empty list, not as a value
-    if [] in vars(args).values():
-        parser.error("an option was given '--' as its value")
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except InconsistentDataError as exc:

@@ -260,16 +260,75 @@ def ref_weak_vacuum_bounds(mu, nu, q_mu, eq_mu, q_nu, y0) -> tuple[float, float]
     return y1, e1
 
 
-def run_fresh(script):
-    """Run ``script`` in a fresh interpreter that imports the package and
-    the test modules from this checkout."""
+def run_fresh(script, *args):
+    """Run ``script`` with the arguments ``args`` in a fresh interpreter
+    that imports the package and the test modules from this checkout."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
     path = os.pathsep.join(filter(None, paths))
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def reference_parser():
+    """The tool's command-line parser as it was written with argparse,
+    calling no package code: each command's name is stored as
+    ``command`` where the tool stored its handler as ``func``. The
+    table-driven parser in :mod:`decoyqkd.cli` is tested against it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="decoyqkd",
+        description=(
+            "Decoy-state QKD analysis with heralded and coherent-state "
+            "sources: photon statistics, session security bounds and "
+            "loss-sweep scheme comparisons."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", help="output file (default: stdout)")
+
+    common(sub.add_parser("distribution", help="photon-number statistics of a source"))
+    common(
+        sub.add_parser("infer", help="source parameters from measured counting rates")
+    )
+
+    p_sess = sub.add_parser("session", help="full session analysis report")
+    common(p_sess)
+    p_sess.add_argument("--seed", type=int, help="override run.rng_seed")
+    p_sess.add_argument(
+        "--sigma", type=float, help="override run.n_sigma (fluctuation width)"
+    )
+
+    p_curve = sub.add_parser("curve", help="key rate vs total loss (CSV)")
+    common(p_curve)
+    p_curve.add_argument(
+        "--schemes",
+        required=True,
+        help=(
+            "comma-separated scheme list: wcs-no-decoy[:mu], hsps-no-decoy, "
+            "wcs-decoy-opt, hsps-decoy:<p_cor>, ideal-sps"
+        ),
+    )
+    p_curve.add_argument("--loss-from", type=float, required=True, help="dB")
+    p_curve.add_argument("--loss-to", type=float, required=True, help="dB")
+    p_curve.add_argument("--loss-step", type=float, required=True, help="dB")
+    return parser
+
+
+def reference_parse(parser, argv):
+    """``parser.parse_args(argv)``, refusing an option whose last value
+    was ``--option=--`` (which argparse reads as an empty list) with exit
+    2, as the tool did."""
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():
+        parser.error("an option was given '--' as its value")
+    return args

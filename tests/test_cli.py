@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import decoyqkd
+from decoyqkd import cli
 from decoyqkd.cli import main
 from decoyqkd.config import (
     config_sha256,
@@ -519,6 +520,40 @@ class TestManifestImports:
         assert result.returncode == 0, result.stderr
 
 
+# runs the command line in sys.argv as ``python -m decoyqkd.cli`` does
+RUN_CLI = (
+    "import runpy; "
+    "runpy.run_module('decoyqkd.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_tool_help_lists_the_commands(self, flag):
+        result = run_fresh(RUN_CLI, flag)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: decoyqkd ")
+        for command in ("distribution", "infer", "session", "curve"):
+            assert re.search(rf"^ +{command} +\S", result.stdout, re.M), command
+
+    @pytest.mark.parametrize("command", ["distribution", "infer", "session", "curve"])
+    def test_command_help_lists_every_option(self, command):
+        result = run_fresh(RUN_CLI, command, "--help")
+        assert result.returncode == 0, result.stderr
+        text = " ".join(result.stdout.split())
+        assert text.startswith(f"usage: decoyqkd {command} ")
+        for flag, _, _, help_text in cli._COMMANDS[command][2]:
+            metavar = flag[2:].replace("-", "_").upper()
+            assert f" {flag} {metavar} {help_text} " in f"{text} ", flag
+
+    def test_no_arguments_is_a_usage_error(self):
+        result = run_fresh(RUN_CLI)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: decoyqkd ")
+        assert "required: command" in result.stderr
+        assert result.stdout == ""
+
+
 class TestLazyImports:
     @pytest.mark.parametrize(
         "argv",
@@ -531,8 +566,9 @@ class TestLazyImports:
         ids=lambda argv: argv[0],
     )
     def test_no_command_loads_dataclasses_or_inspect(self, argv):
-        # the records register with dataclasses only when that API is used;
-        # modules loaded before the package (by site, say) do not count
+        # the records register with dataclasses only when that API is used,
+        # and the options are read without argparse; modules loaded before
+        # the package (by site, say) do not count
         argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
         script = textwrap.dedent(
             f"""
@@ -544,7 +580,7 @@ class TestLazyImports:
 
             with redirect_stdout(io.StringIO()):
                 code = cli.main({argv!r})
-            names = ("dataclasses", "inspect")
+            names = ("dataclasses", "inspect", "argparse", "gettext", "locale")
             loaded = [n for n in names if n in sys.modules and n not in before]
             if code != 0 or loaded:
                 sys.exit(f"exit {{code}}, loaded {{loaded}}")

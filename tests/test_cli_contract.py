@@ -4,8 +4,9 @@ Fixed reproductions of inputs that once crashed, printed invalid JSON or
 were read with a misspelled key silently dropped; a Hypothesis property
 that swaps leaves of the shipped configs for arbitrary JSON values and
 renames or inserts keys; one that swaps a whole section, or the whole
-document; and one that runs ``curve`` on extreme scheme arguments, loss
-grids and session leaves.
+document; one that runs ``curve`` on extreme scheme arguments, loss
+grids and session leaves; and one that reads argument lists with the
+tool's parser and with the argparse parser it replaced, which must agree.
 """
 
 from __future__ import annotations
@@ -14,17 +15,21 @@ import contextlib
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import FluctuationPolicy, InvalidParameterError
+from decoyqkd import cli
 from decoyqkd.cli import CURVE_POINTS_MAX, main
 from decoyqkd.config import experiment_from_dict
 from decoyqkd.sources import N_MAX_LIMIT
+
+from helpers import reference_parse, reference_parser
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SESSION = "session-36db.json"
@@ -235,6 +240,14 @@ class TestParserLimits:
         argv = ["infer", "--config", str(CONFIGS / "rates.json"), "--out", str(out)]
         assert run(argv, err)[0] == 2
         assert err.getvalue().startswith(f"config error: cannot write --out {str(out)!r}")
+
+    def test_failed_manifest_leaves_no_report(self, tmp_path):
+        # every report written with --out has its sidecar, or is removed
+        out = tmp_path / "x.json"
+        Path(f"{out}.manifest.json").mkdir()
+        argv = ["infer", "--config", str(CONFIGS / "rates.json"), "--out", str(out)]
+        assert run(argv)[0] == 2
+        assert not out.exists()
 
 
 class TestUnknownKeys:
@@ -482,3 +495,127 @@ def test_curve_keeps_the_contract(workdir, target):
             assert len(row) == 1 + len(tokens)
             rates = [float(v) for v in row[1:]]
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
+
+
+# the argument-list grammar on which the parser must agree with argparse
+COMMANDS = ("distribution", "infer", "session", "curve")
+REQUIRED = {
+    "distribution": ["--config", "c.json"],
+    "infer": ["--config", "c.json"],
+    "session": ["--config", "c.json"],
+    "curve": ["--config", "c.json", "--schemes", "ideal-sps"]
+    + ["--loss-from", "0", "--loss-to", "1", "--loss-step", "0.5"],
+}
+FLAGS = ("--config", "--out", "--seed", "--sigma", "--schemes", "--loss-from")
+FLAGS += ("--loss-to", "--loss-step", "-h", "--help")
+# unambiguous and ambiguous prefixes ("--=x" is one of every long flag)
+FLAGS += ("--conf", "--o", "--se", "--loss-t", "--he", "--s", "--loss", "--")
+# unknown flags, and tokens that are no flag at all
+FLAGS += ("--bogus", "---", "-x", "-c", "-hh", "-hx", "-", "-5")
+VALUES = ("c.json", "ideal-sps", "7", "0.5", "-5", "-.5", "-1e3", "nan", "-inf")
+VALUES += (" 7", "1_0", "+3", "", "--", "- x", "-", "-x", "-h", "--config")
+# tokens from the characters flags and values are made of
+PIECES = st.text(alphabet="-=.hcos1e x_", max_size=5)
+PARSE_FIELDS = ("config", "out", "seed", "sigma", "schemes")
+PARSE_FIELDS += ("loss_from", "loss_to", "loss_step")
+REFERENCE = reference_parser()
+
+
+@st.composite
+def argument_lists(draw):
+    """A command, an unknown command or none, with options before and
+    after it: ``--opt value``, ``--opt=value``, a flag missing its value,
+    or a lone token."""
+
+    def item():
+        flag = draw(st.sampled_from(FLAGS) | PIECES)
+        value = draw(st.sampled_from(VALUES) | PIECES)
+        form = draw(st.sampled_from(["apart", "joined", "alone", "token"]))
+        if form == "apart":
+            return [flag, value]
+        return {"joined": [f"{flag}={value}"], "alone": [flag], "token": [value]}[form]
+
+    argv = [token for _ in range(draw(st.integers(0, 1))) for token in item()]
+    command = draw(st.sampled_from(COMMANDS) | st.sampled_from(["bogus", "", None]))
+    if command is None:
+        return argv
+    body = list(REQUIRED.get(command, [])) if draw(st.booleans()) else []
+    # repeats, insertions and the options that are not required
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(body)))
+        body[pos:pos] = item()
+    return [*argv, command, *body]
+
+
+def argparse_313_differs(argv: list[str]) -> bool:
+    """Whether ``argv`` holds, before any ``--``, a form that the argparse
+    of CPython 3.13 reads otherwise than 3.10-3.12, whose reading the
+    tool keeps on every version: ``-h`` with a tail (``-hx`` exits 2 and
+    ``-h=h`` is help, where 3.13 gives help and an unknown ``-x``, and
+    refuses ``-h=h``) and ``--option=--`` (no value, where 3.13 takes
+    ``--`` as the value)."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    return any(
+        (token.startswith("-h") and len(token) > 2)
+        or (token.startswith("--") and token.partition("=")[2] == "--")
+        for token in head
+    )
+
+
+def parse_outcome(parse, argv: list[str]):
+    """What ``parse(argv)`` returns, or the code it exits with."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                args = parse(argv)
+    except SystemExit as exc:
+        return exc.code
+    return args
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=argument_lists())
+# argparse's quirks, kept: -h after a bad value or beside an ambiguous
+# prefix, "-" as a value, a "--option=--" that a later value replaces
+@example(argv=["session", "--config", "c.json", "--seed", "x", "-h"])
+@example(argv=["session", "--config=--", "-h"])
+@example(argv=["session", "-h", "--s", "1"])
+@example(argv=["--bogus", "session", "-h"])
+@example(argv=["session", "--c", "-"])
+@example(argv=["session", "--c=--", "--c", "c.json"])
+@example(argv=["session", "--c", "c.json", "--seed", "-5", "--sigma", "-.5"])
+@example(argv=["session", "--c", "c.json", "--sigma", "-1e3"])
+@example(argv=["-hh"])
+def test_parser_agrees_with_argparse(argv):
+    if sys.version_info >= (3, 13) and argparse_313_differs(argv):
+        # checked on every version by test_forms_argparse_313_reads_otherwise
+        return
+    ours = parse_outcome(cli._parse, argv)
+    theirs = parse_outcome(lambda a: reference_parse(REFERENCE, a), argv)
+    if isinstance(ours, int) or isinstance(theirs, int):
+        assert ours == theirs
+        return
+    assert ours.func is cli._COMMANDS[theirs.command][1]
+    for name in PARSE_FIELDS:
+        # repr tells nan and -0.0 apart
+        assert repr(getattr(ours, name)) == repr(getattr(theirs, name, None)), name
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-hx", "session"], 2),
+        (["session", "-h=h"], 0),
+        (["session", "-hh"], 0),
+        (["session", "--config=--"], 2),
+        (["session", "--config=--", "--config", "c.json"], None),
+    ],
+)
+def test_forms_argparse_313_reads_otherwise(argv, code):
+    # the reading of argparse up to CPython 3.12, on every version
+    assert argparse_313_differs(argv)
+    outcome = parse_outcome(cli._parse, argv)
+    if code is None:
+        assert outcome.config == "c.json"
+    else:
+        assert outcome == code
