@@ -11,9 +11,9 @@ Ties the source, channel, estimator and key-rate pieces together:
   each scheme evaluated over the whole loss axis with its channel-
   independent setup done once per sweep;
 * optimization of the coherent-state signal intensity in the
-  infinite-decoy limit: a search over a coarse grid, built at import,
-  then golden-section refinement. The rate is one closure of the
-  intensity mu that writes out the GLLP bracket itself.
+  infinite-decoy limit: a Fibonacci search over a coarse grid, grid and
+  first bracket built at import, then golden-section refinement. The
+  rate is one closure of mu that writes out the GLLP bracket itself.
 
 Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
@@ -593,13 +593,12 @@ def _wcs_rate(
         raise UndefinedStatisticError(
             f"QBER undefined: zero gain at mu={mu_low!r} (eta={eta!r}, y0=0)"
         )
-    yields, numerators = _channel_terms(eta, y0, e_det, 1)
-    y1 = yields[1]
+    (y1,), (numerator_1,) = _channel_terms(eta, y0, e_det, 1, 1)
     if y1 == 0.0:
         raise UndefinedStatisticError(
             f"e1 undefined: zero single-photon yield (eta={eta!r}, y0=0)"
         )
-    privacy = _privacy(numerators[1] / y1)
+    privacy = _privacy(numerator_1 / y1)
     e0_y0 = E0 * y0
     f_ec, q_sift = protocol.f_ec, protocol.q_sift
     exp = math.exp
@@ -632,48 +631,59 @@ _COARSE_MU = tuple(
     for k in range(MU_COARSE_POINTS - 1)
 ) + (MU_SEARCH_RANGE[1],)
 
+# _coarse_argmax's first bracket: the first Fibonacci pair lo < hi from
+# (1, 2) on with lo + hi > MU_COARSE_POINTS, (233, 377) for 512 points
+_FIB_START = (1, 2)
+while sum(_FIB_START) <= MU_COARSE_POINTS:
+    _FIB_START = _FIB_START[1], sum(_FIB_START)
+
 
 def _coarse_argmax(rate: Callable[[float], float]) -> tuple[int, float]:
     """First index of the largest rate over the coarse grid, and that
     rate, for a rate of mu that rises to one peak and then falls, or only falls.
 
     A Fibonacci search narrows an open bracket of grid indices around the
-    peak. Each step keeps one probe, whose rate it carries, and evaluates
-    one new probe, so no grid point is evaluated twice: every rate goes
-    into one cache of the grid points. The last four candidates are
-    compared one by one from that cache, and then with index 0, since the
+    peak, from the pair ``_FIB_START`` found at import. Each step keeps
+    one probe, whose rate it carries, and evaluates one new one, so no
+    grid point is evaluated twice; a probe past the grid reads -inf. The
+    last four candidates are compared in order, and then index 0, as the
     grid rates can fall over the first few points before they rise to an
     interior peak. Ties go to the first index, as in ``np.argmax``.
     """
-    grid: dict[int, float] = {}
-
-    def at(k: int) -> float:
-        r = grid.get(k)
-        if r is None:
-            r = grid[k] = rate(_COARSE_MU[k]) if k < MU_COARSE_POINTS else -math.inf
-        return r
-
+    mus = _COARSE_MU
+    n = MU_COARSE_POINTS
     # the peak lies in (a, a + lo + hi), probed at a + lo and a + hi, for
-    # consecutive Fibonacci numbers lo < hi. The next bracket keeps one
-    # probe: the old a + hi is its a + lo if the bracket moved up, else
-    # the old a + lo is its a + hi
-    lo, hi = 1, 2
-    while lo + hi <= MU_COARSE_POINTS:
-        lo, hi = hi, lo + hi
+    # consecutive Fibonacci numbers lo < hi; the next bracket keeps one
+    # probe, the old a + hi as its a + lo if it moved up (only on a rate
+    # above -inf, so a + lo stays on the grid), else the old a + lo as a + hi
+    lo, hi = _FIB_START
     a = -1
-    r_lo, r_hi = at(a + lo), at(a + hi)
+    r_lo = rate(mus[a + lo])
+    r_hi = rate(mus[a + hi])
     while lo + hi > 5:
+        lo, hi = hi - lo, lo
         if r_lo < r_hi:
-            a += lo
-            lo, hi = hi - lo, lo
-            r_lo, r_hi = r_hi, at(a + hi)
+            a += hi
+            r_lo = r_hi
+            r_hi = rate(mus[a + hi]) if a + hi < n else -math.inf
         else:
-            lo, hi = hi - lo, lo
-            r_lo, r_hi = at(a + lo), r_lo
-    best = max(range(a + 1, a + lo + hi), key=at)
-    if at(0) >= grid[best]:
-        best = 0
-    return best, grid[best]
+            r_hi = r_lo
+            r_lo = rate(mus[a + lo])
+    # (lo, hi) is now (2, 3), probed at a + 2 and a + 3; no probe was ever
+    # at a + 1, a + 4 or 0, so index 0 is new unless it is a + 1
+    best = a + 1
+    r_best = r_first = rate(mus[best])
+    if r_lo > r_best:
+        best, r_best = a + 2, r_lo
+    if r_hi > r_best:
+        best, r_best = a + 3, r_hi
+    r = rate(mus[a + 4]) if a + 4 < n else -math.inf
+    if r > r_best:
+        best, r_best = a + 4, r
+    r_0 = r_first if a < 0 else rate(mus[0])
+    if r_0 >= r_best:
+        return 0, r_0
+    return best, r_best
 
 
 def optimize_mu(

@@ -21,6 +21,10 @@ with them for exact equality.
 The weak + vacuum decoy bounds are written out from the literature
 instead, calling no package code: an oracle for the three-intensity
 estimator that does not come from it.
+
+The coarse intensity search is kept as it was first written, over grid
+indices and calling no package code: an oracle for the probe sequence
+and the result of ``session._coarse_argmax``.
 """
 
 from __future__ import annotations
@@ -258,6 +262,41 @@ def ref_weak_vacuum_bounds(mu, nu, q_mu, eq_mu, q_nu, y0) -> tuple[float, float]
     )
     e1 = (eq_mu * math.exp(mu) - 0.5 * y0) / (y1 * mu)
     return y1, e1
+
+
+def ref_coarse_argmax(rate_at, points: int) -> tuple[int, float]:
+    """The coarse intensity search over grid indices 0..points-1 as
+    ``session._coarse_argmax`` first wrote it, calling no package code:
+    ``rate_at(k)`` is the rate at index ``k``. The first Fibonacci pair
+    comes from a loop at each call, every rate goes through a closure over
+    a dict, where an index past the grid reads -inf, and the last
+    candidates are compared with ``max(..., key=...)``, then with
+    index 0, which wins ties."""
+    grid: dict[int, float] = {}
+
+    def at(k: int) -> float:
+        r = grid.get(k)
+        if r is None:
+            r = grid[k] = rate_at(k) if k < points else -math.inf
+        return r
+
+    lo, hi = 1, 2
+    while lo + hi <= points:
+        lo, hi = hi, lo + hi
+    a = -1
+    r_lo, r_hi = at(a + lo), at(a + hi)
+    while lo + hi > 5:
+        if r_lo < r_hi:
+            a += lo
+            lo, hi = hi - lo, lo
+            r_lo, r_hi = r_hi, at(a + hi)
+        else:
+            lo, hi = hi - lo, lo
+            r_lo, r_hi = at(a + lo), r_lo
+    best = max(range(a + 1, a + lo + hi), key=at)
+    if at(0) >= grid[best]:
+        best = 0
+    return best, grid[best]
 
 
 def run_fresh(script, *args):

@@ -64,6 +64,7 @@ from helpers import (
     bench_config,
     bench_decoy_source,
     bench_signal_source,
+    ref_coarse_argmax,
     ref_infinite_decoy_bounds,
     ref_qber,
     ref_three_intensity_rate,
@@ -1124,6 +1125,162 @@ class TestOptimizeMu:
         ]
         for ch in channels:
             assert optimize_mu(ch, protocol) == scalar_optimize_mu(ch, protocol)
+
+
+def both_coarse_searches(rate_at):
+    """The package's coarse search and the reference search on a rate
+    given by grid index: for each, the index it returns, its rate as
+    ``float.hex`` and the grid indices it evaluated, in order."""
+    index_of = {mu: k for k, mu in enumerate(session_mod._COARSE_MU)}
+    runs = []
+    for search in (
+        lambda rate: session_mod._coarse_argmax(lambda mu: rate(index_of[mu])),
+        lambda rate: ref_coarse_argmax(rate, session_mod.MU_COARSE_POINTS),
+    ):
+        evaluated = []
+
+        def rate(k):
+            evaluated.append(k)
+            return rate_at(k)
+
+        best, r_best = search(rate)
+        runs.append((best, r_best.hex(), evaluated))
+    return runs
+
+
+# grid rates that tie, sit at the ends of the float range, or are signed
+# zeros; each table of runs of them has plateaus, ties and several peaks
+TABLE_RATES = (-1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0)
+
+
+@st.composite
+def rate_tables(draw):
+    points = session_mod.MU_COARSE_POINTS
+    value = st.one_of(
+        st.sampled_from(TABLE_RATES), st.floats(-1.0, 1.0, allow_nan=False)
+    )
+    if draw(st.booleans()):
+        table = []
+        while len(table) < points:
+            table += [draw(value)] * draw(st.integers(1, 200))
+        return table[:points]
+    # peaks of any width, which round to plateaus at small scales
+    peaks = draw(
+        st.lists(
+            st.tuples(st.integers(0, points - 1), value, st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e-310)))
+    return [
+        max(scale * (h - w * abs(k - p)) for p, h, w in peaks) for k in range(points)
+    ]
+
+
+class TestCoarseSearchAgainstReference:
+    """``_coarse_argmax`` returns the reference search's index and rate,
+    and evaluates the same grid indices in the same order."""
+
+    @given(table=rate_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_on_rate_tables(self, table):
+        package, reference = both_coarse_searches(table.__getitem__)
+        assert package == reference
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [0.0] * 512,
+            [float(k) for k in range(512)],
+            [float(-k) for k in range(512)],
+            # falls over the first points, then rises to an interior peak
+            [1.0, 0.5] + [0.5 + k * (511 - k) for k in range(510)],
+            # two equal peaks
+            [-abs(k - 100.0) if k < 300 else -abs(k - 400.0) for k in range(512)],
+            [k * 1e-300 for k in range(512)],
+        ],
+        ids=["flat", "rising", "falling", "dip-then-peak", "two-peaks", "tiny"],
+    )
+    def test_on_shaped_tables(self, table):
+        package, reference = both_coarse_searches(table.__getitem__)
+        assert package == reference
+
+    def test_on_every_peak_position(self):
+        # a single peak, a plateau around it, and a peak on a plateau below
+        # the first point, at each index of the grid
+        for p in range(512):
+            for table in (
+                [-abs(k - p) * 1.0 for k in range(512)],
+                [max(-abs(k - p), -3) * 1.0 for k in range(512)],
+                [-3.0] + [max(-abs(k - p), -9) * 1.0 for k in range(1, 512)],
+            ):
+                package, reference = both_coarse_searches(table.__getitem__)
+                assert package == reference, p
+
+    # real rates, without background and at transmittances of 1e-16 to
+    # 1e-11 too: there the rate is flat to rounding over the grid, and the
+    # search path, not the argmax, decides the index
+    @given(
+        exponent=st.one_of(st.floats(-16.0, -11.0), st.floats(-11.0, 0.0)),
+        y0=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3)),
+        e_det=st.floats(0.0, 0.5),
+        q_sift=st.floats(0.01, 1.0),
+        f_ec=st.floats(1.0, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_on_wcs_rates(self, exponent, y0, e_det, q_sift, f_ec):
+        protocol = ProtocolParams(q_sift, f_ec)
+        low = session_mod.MU_SEARCH_RANGE[0]
+        try:
+            rate = session_mod._wcs_rate(10.0**exponent, y0, e_det, protocol, low)
+        except UndefinedStatisticError:
+            return  # zero gain without background: nothing to search
+        self.check_wcs_rate(rate)
+
+    @pytest.mark.parametrize(
+        "loss_db, e_det, protocol",
+        [
+            # the flat-rate draw of the strict xfail above
+            (114.40902130170272, 0.010349889697151319, ProtocolParams(1.0, 2.734375)),
+            (110.0, 0.025, ProtocolParams()),
+            (115.0, 0.0, ProtocolParams()),
+            (118.0, 0.05, ProtocolParams(0.5, 1.22)),
+            (119.5, 0.1, ProtocolParams()),
+        ],
+    )
+    def test_on_flat_wcs_rates(self, loss_db, e_det, protocol):
+        eta, low = loss_db_to_eta(loss_db), session_mod.MU_SEARCH_RANGE[0]
+        self.check_wcs_rate(session_mod._wcs_rate(eta, 0.0, e_det, protocol, low))
+
+    @staticmethod
+    def check_wcs_rate(rate):
+        mus = session_mod._COARSE_MU
+        package, reference = both_coarse_searches(lambda k: rate(mus[k]))
+        assert package == reference
+
+    def test_rate_evaluations_on_the_golden_losses(self, monkeypatch):
+        # the bench sweep's template at the 121 losses of the golden grid;
+        # counted as in TestOptimizeMu.test_scalar_rate_evaluations_bounded
+        evals = [0]
+        make_rate = session_mod._wcs_rate
+
+        def counting_rate(*args):
+            rate = make_rate(*args)
+
+            def counted(mu):
+                evals[0] += 1
+                return rate(mu)
+
+            return counted
+
+        monkeypatch.setattr(session_mod, "_wcs_rate", counting_rate)
+        scan_loss(
+            bench_config(q_sift=0.5, vacuum_mu=0.0),
+            Scheme.parse("wcs-decoy-opt"),
+            [0.5 * k for k in range(121)],
+        )
+        assert evals[0] == 4758
 
 
 class TestScheme:
