@@ -4,7 +4,8 @@
 ``numpy.random.default_rng([seed, i])`` does (SeedSequence, then PCG64)
 and draws ``x = binomial(n, p)`` and then ``binomial(x, p2)`` from it,
 consuming the stream exactly as numpy's ``random_binomial``: inversion
-when n·r <= 30 with r = min(p, 1 - p), BTPE otherwise.
+when n·r <= 30 with r = min(p, 1 - p), BTPE otherwise. The seeding's
+lane constants, which no seed changes, are derived once per count.
 
 References: O'Neill, "PCG: a family of simple fast space-efficient
 statistically good algorithms for random number generation",
@@ -20,6 +21,7 @@ the wrap is reproduced; and where numpy sums in doubles, so does this.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from math import exp, floor, log, log1p, sqrt
 
 _M32 = 0xFFFFFFFF
@@ -41,10 +43,6 @@ def _powers(start: int, mult: int, count: int) -> tuple[int, ...]:
 # SeedSequence's entropy hash: its call j xors with _HASH_A[j] and
 # multiplies by _HASH_A[j + 1]. The multipliers do not depend on the data.
 _HASH_A = _powers(0x43B0D7E5, _MULT_A, 17)
-# pool words that a short entropy leaves empty hold the hash of 0
-_ZERO_FILL = tuple(
-    (v := _HASH_A[i] * _HASH_A[i + 1] & _M32) ^ v >> 16 for i in range(4)
-)
 # calls 4..15 mix each pool word into every other: (src, dst, xor, mult)
 _CROSS = tuple(
     (src, dst, _HASH_A[j], _HASH_A[j + 1])
@@ -65,6 +63,20 @@ _OUTPUT = tuple(
 _MIX_L, _MIX_R = 0xCA01F9DD, (1 << 32) - 0x4973F715
 
 
+@lru_cache(maxsize=16)
+def _lanes(count: int) -> tuple:
+    """The words of :func:`_generators` that no seed changes, for ``count`` lanes."""
+    rep = sum(1 << 128 * i for i in range(count))
+    m32 = _M32 * rep
+    first = tuple((_HASH_A[i] * rep, _HASH_A[i + 1]) for i in range(4))
+    # pool words that a short entropy leaves empty hold the hash of 0
+    zero_fill = tuple((v ^ v >> 16) & m32 for v in (x * m & m32 for x, m in first))
+    cross = tuple((s, d, x * rep, m) for s, d, x, m in _CROSS)
+    output = tuple((i, x * rep, m, shift) for i, x, m, shift in _OUTPUT)
+    index = sum(i << 128 * i for i in range(count))
+    return rep, m32, index, zero_fill, first, cross, output
+
+
 def _generators(seed: int, count: int) -> list[list[int]]:
     """The PCG64 ``[state, inc]`` of ``default_rng([seed, i])`` for each
     i < count.
@@ -72,38 +84,38 @@ def _generators(seed: int, count: int) -> list[list[int]]:
     The entropies ``[seed, i]`` differ only in their last word, so the
     SeedSequence hashes of all of them run at once: generator i lives in
     the 128-bit lane at bit ``128 * i`` of every pool int. Each step keeps
-    its lane values below 2**65 and masks them back to 32 bits.
+    its lane values below 2**65 and masks them back to 32 bits. A call
+    does only the seed's mixing: :func:`_lanes` makes the rest per count.
     """
-    rep = sum(1 << 128 * i for i in range(count))
-    m32 = _M32 * rep
+    rep, m32, index, zero_fill, first, cross, output = _lanes(count)
     entropy = []
     while True:  # the seed's 32-bit words, little end first; 0 is [0]
         entropy.append((seed & _M32) * rep)
         seed >>= 32
         if not seed:
             break
-    entropy.append(sum(i << 128 * i for i in range(count)))
+    entropy.append(index)
     # words past the pool sit after it, for the steps that mix them in
-    pool = [z * rep for z in _ZERO_FILL] + entropy[4:]
-    for i, word in enumerate(entropy[:4]):
-        v = (word ^ _HASH_A[i] * rep) * _HASH_A[i + 1] & m32
+    pool = [*zero_fill, *entropy[4:]]
+    for i, (word, (hx, hm)) in enumerate(zip(entropy, first)):
+        v = (word ^ hx) * hm & m32
         pool[i] = (v ^ v >> 16) & m32
-    # after the cross mix, each word past the pool mixes into every pool
-    # word, the hash running on
-    h = _powers(_HASH_A[16], _MULT_A, 4 * len(entropy) - 15)
-    steps = _CROSS + tuple(
-        (src, dst, h[k], h[k + 1])
-        for k, (src, dst) in enumerate(
-            (s, d) for s in range(4, len(entropy)) for d in range(4)
+    steps = cross
+    if len(entropy) > 4:  # each word past the pool mixes into every pool word
+        h = _powers(_HASH_A[16], _MULT_A, 4 * len(entropy) - 15)
+        steps += tuple(
+            (src, dst, h[k] * rep, h[k + 1])
+            for k, (src, dst) in enumerate(
+                (s, d) for s in range(4, len(entropy)) for d in range(4)
+            )
         )
-    )
     for src, dst, hx, hm in steps:
-        v = (pool[src] ^ hx * rep) * hm & m32
+        v = (pool[src] ^ hx) * hm & m32
         v = (_MIX_L * pool[dst] + _MIX_R * ((v ^ v >> 16) & m32)) & m32
         pool[dst] = (v ^ v >> 16) & m32
     seeds = [0, 0]
-    for k, (i, gx, gm, shift) in enumerate(_OUTPUT):
-        v = (pool[i] ^ gx * rep) * gm & m32
+    for k, (i, gx, gm, shift) in enumerate(output):
+        v = (pool[i] ^ gx) * gm & m32
         seeds[k >> 2] |= ((v ^ v >> 16) & m32) << shift
     gens = []
     for i in range(count):

@@ -35,8 +35,7 @@ from .errors import (
 
 N_MAX_DEFAULT = 16
 # largest accepted truncation: P(n) underflows long before it, and the
-# heralded-source build grows quadratically with n_max until its Poisson
-# prefix sum rounds to 1
+# heralded-source build stops its Poisson terms where their sum rounds to 1
 N_MAX_LIMIT = 256
 DI_DEFAULT = 1e-3
 
@@ -52,7 +51,8 @@ class PhotonNumberDistribution(_Record):
     ``probs[n]`` is the probability of exactly ``n`` photons in a gate;
     when ``tail_folded`` is set, ``probs[-1]`` additionally absorbs all
     mass above the truncation so the vector sums to one within
-    ``NORMALIZATION_ATOL``.
+    ``NORMALIZATION_ATOL``. One pass each of min, max and fsum checks it;
+    it is stored as a tuple, rebuilt only to clamp a bin into [0, 1].
 
     ``p_ge1`` optionally records the source-statistics value of
     P(m >= 1) when it differs from ``1 - probs[0]``. A heralded source
@@ -71,10 +71,15 @@ class PhotonNumberDistribution(_Record):
                 "distribution needs at least bins 0..2, got "
                 f"{len(self.probs)} bins"
             )
-        for n, p in enumerate(self.probs):
-            if not (-NORMALIZATION_ATOL <= p <= 1.0 + NORMALIZATION_ATOL):
-                raise InvalidParameterError(f"probs[{n}]={p!r} outside [0, 1]")
-        total = math.fsum(self.probs)
+        # min and max keep inf and huge ints from fsum; a NaN slips past them
+        # but not total == total, and the loop then names the first bad bin
+        lo, hi = min(self.probs), max(self.probs)
+        in_range = -NORMALIZATION_ATOL <= lo and hi <= 1.0 + NORMALIZATION_ATOL
+        total = math.fsum(self.probs) if in_range else math.nan
+        if total != total:
+            for n, p in enumerate(self.probs):
+                if not (-NORMALIZATION_ATOL <= p <= 1.0 + NORMALIZATION_ATOL):
+                    raise InvalidParameterError(f"probs[{n}]={p!r} outside [0, 1]")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise InvalidParameterError(
                 f"probabilities sum to {total!r}, expected 1 within "
@@ -84,11 +89,9 @@ class PhotonNumberDistribution(_Record):
             _check_range("p_ge1", self.p_ge1, 0, 1)
         # clamp float dust so downstream sums never see negative mass; the
         # same bits as min(max(p, 0.0), 1.0), -0.0 included
-        object.__setattr__(
-            self,
-            "probs",
-            tuple([0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in self.probs]),
-        )
+        if lo < 0.0 or hi > 1.0 or type(self.probs) is not tuple:
+            clamped = [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in self.probs]
+            object.__setattr__(self, "probs", tuple(clamped))
 
     @property
     def n_max(self) -> int:
@@ -234,8 +237,9 @@ def hsps_distribution(
 
         P(m >= k) = p_cor * A(k - 1) + (1 - p_cor) * A(k),
 
-    with A(k) the Poisson tail of mean ``mu_acc``. The vacuum bin is
-    corrected for heralds that were detector dark counts,
+    with A(k) the Poisson tail of mean ``mu_acc``, its terms built only
+    until their prefix sum rounds to 1. The vacuum bin is corrected for
+    heralds that were detector dark counts,
 
         P(0) = p_cor * d_i + (1 - p_cor) * exp(-mu_acc),
 
@@ -247,32 +251,31 @@ def hsps_distribution(
     _check_n_max(n_max)
     p_cor, mu, d_i = params.p_cor, params.mu_acc, params.d_i
 
-    pmf = _poisson_pmf(mu, n_max - 1)
+    pmf = [math.exp(-mu)]
     # A(k) = Poisson tail P_acc(m >= k) = 1 - fsum(pmf[:k]), A(0) = 1. fsum
     # rounds correctly and the terms are non-negative, so once a prefix sum
     # reaches 1 every later one does, and A is 0 from there on.
     acc_tail = [1.0] + [0.0] * n_max
     for k in range(1, n_max + 1):
-        head = math.fsum(pmf[:k])
+        head = math.fsum(pmf)
         if head >= 1.0:
             break
         acc_tail[k] = 1.0 - head
-    # p_ge[k] = P(m >= k) for k = 1..n_max; p_ge[0] is a placeholder
-    p_ge = [0.0] + [
-        p_cor * acc_tail[k - 1] + (1.0 - p_cor) * acc_tail[k]
-        for k in range(1, n_max + 1)
-    ]
+        pmf.append(pmf[-1] * mu / k)
+    q_cor = 1.0 - p_cor
+    # p_ge[k] = P(m >= k + 1) for k < n_max
+    p_ge = [p_cor * a + q_cor * b for a, b in zip(acc_tail, acc_tail[1:])]
 
-    p0 = p_cor * d_i + (1.0 - p_cor) * math.exp(-mu)
-    p1 = 1.0 - p0 - p_ge[2]
+    p0 = p_cor * d_i + q_cor * pmf[0]
+    p1 = 1.0 - p0 - p_ge[1]
     if p1 < -NORMALIZATION_ATOL:
         raise InvalidParameterError(
             "inconsistent heralded-source parameters: single-photon "
             f"probability would be {p1!r} (is d_i too large for "
             f"mu_acc={mu!r}?)"
         )
-    probs = (p0, p1, *[p_ge[n] - p_ge[n + 1] for n in range(2, n_max)], p_ge[n_max])
-    return PhotonNumberDistribution(probs=probs, p_ge1=p_ge[1])
+    probs = (p0, p1, *[a - b for a, b in zip(p_ge[1:], p_ge[2:])], p_ge[-1])
+    return PhotonNumberDistribution(probs=probs, p_ge1=p_ge[0])
 
 
 def ideal_sps_distribution(n_max: int = 2) -> PhotonNumberDistribution:

@@ -9,7 +9,8 @@ The reference heralded-source build writes out every step of
 :func:`hsps_distribution`: a prefix sum for every tail, each tail
 evaluated where it is used, and the validation and clamp of
 :class:`PhotonNumberDistribution`. Tests compare the package with it bit
-for bit.
+for bit. That validation is also written out on its own, for any vector
+of bins, with the package's refusal messages.
 
 The reference formulas evaluate the channel sums, the infinite-decoy
 bounds, the three-intensity rate and the infinite-decoy coherent-state
@@ -145,6 +146,31 @@ def ref_hsps_distribution(params, n_max: int) -> tuple[tuple[float, ...], float]
     if not 0.0 <= p_ge1 <= 1.0:
         raise InvalidParameterError(f"p_ge1={p_ge1!r} outside [0, 1]")
     return tuple(min(max(p, 0.0), 1.0) for p in probs), p_ge1
+
+
+def ref_distribution_check(probs, p_ge1=None) -> tuple:
+    """The bins :class:`PhotonNumberDistribution` stores for ``probs``,
+    checked and clamped bin by bin, calling no package code: at least
+    three bins, each within 1e-12 of [0, 1] (the first one outside is
+    named), fsum within 1e-12 of 1, ``p_ge1`` None or in [0, 1], then
+    every bin clamped into [0, 1] with its sign of zero kept. Raises
+    :class:`InvalidParameterError` with the package's message where the
+    package refuses."""
+    if len(probs) < 3:
+        raise InvalidParameterError(
+            f"distribution needs at least bins 0..2, got {len(probs)} bins"
+        )
+    for n, p in enumerate(probs):
+        if not -1e-12 <= p <= 1.0 + 1e-12:
+            raise InvalidParameterError(f"probs[{n}]={p!r} outside [0, 1]")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidParameterError(
+            f"probabilities sum to {total!r}, expected 1 within 1e-12"
+        )
+    if p_ge1 is not None and not 0 <= p_ge1 <= 1:
+        raise InvalidParameterError(f"p_ge1={p_ge1!r} outside [0, 1]")
+    return tuple(min(max(p, 0.0), 1.0) for p in probs)
 
 
 def ref_gain(dist, ch) -> float:

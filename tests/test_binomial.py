@@ -5,13 +5,15 @@ the reference it must reproduce, so that seeded reports keep their bytes.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decoyqkd._binomial import binomial_pairs
+from decoyqkd._binomial import _generators, binomial_pairs
 
 INT64_MAX = 2**63 - 1
 
@@ -101,3 +103,53 @@ def test_many_moderate_btpe_sessions():
         p2 = rng.random(3)
         draws = [(int(a), float(b), float(c)) for a, b, c in zip(n, p, p2)]
         assert binomial_pairs(seed, draws) == numpy_pairs(seed, draws), seed
+
+
+# seeds of one to 35 32-bit words; past four, SeedSequence runs its second
+# mixing pass
+LANE_SEEDS = (0, 2**32 - 1, 2**32, 2**96, 2**127 + 5, 3**700)
+
+
+def numpy_generators(seed, count):
+    states = [
+        np.random.default_rng([seed, i]).bit_generator.state["state"]
+        for i in range(count)
+    ]
+    return [[state["state"], state["inc"]] for state in states]
+
+
+def test_generators_for_every_count():
+    # counts 0..8 in one process, up and then down again, so that each
+    # count's lane constants are made once and then met again
+    for count in [*range(9), *range(8, -1, -1)]:
+        for seed in LANE_SEEDS:
+            assert _generators(seed, count) == numpy_generators(seed, count), (
+                seed,
+                count,
+            )
+
+
+def test_generators_of_a_new_count_from_many_threads():
+    # no other test asks for 23 generators, so the threads, more than the
+    # cores and released together, are its first users
+    count, seed, workers = 23, 2**127 + 5, 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def run(slot):
+        barrier.wait(timeout=60)
+        results[slot] = _generators(seed, count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = numpy_generators(seed, count)
+    assert all(result == expected for result in results)

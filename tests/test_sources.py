@@ -31,6 +31,7 @@ from helpers import (
     bench_channel,
     bench_config,
     bench_signal_source,
+    ref_distribution_check,
     ref_hsps_distribution,
 )
 
@@ -259,6 +260,102 @@ class TestDistributionType:
         d = wcs_distribution(0.1, n_max=4)
         assert d.p(9) == 0.0
         assert d.p_at_least(9) == 0.0
+
+
+class _Bins(tuple):
+    """A tuple subclass, which the record stores as a plain tuple."""
+
+
+# bins at and just past every edge of the range check, signed zeros,
+# subnormals, and ints a float cannot hold
+EDGE_BINS = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    NORM_TOL,
+    -NORM_TOL,
+    math.nextafter(NORM_TOL, 1.0),
+    -math.nextafter(NORM_TOL, 1.0),
+    1.0 + NORM_TOL,
+    math.nextafter(1.0 + NORM_TOL, 2.0),
+    1.0,
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    0,
+    1,
+    2,
+    -1,
+    10**400,
+    -(10**400),
+)
+
+
+@st.composite
+def bin_vectors(draw):
+    """3 to 20 bins, small valid ones mixed with edge bins, often closed to
+    a sum of 1 through one bin, as a tuple, a list or a tuple subclass,
+    with ``p_ge1`` None or drawn."""
+    size = draw(st.integers(min_value=3, max_value=20))
+    valid = st.floats(min_value=0.0, max_value=1.0 / size)
+    bins = draw(st.lists(valid, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        bins[draw(st.integers(min_value=0, max_value=size - 1))] = draw(
+            st.sampled_from(EDGE_BINS)
+        )
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=size - 1))
+        rest = bins[:i] + bins[i + 1 :]
+        if all(-2 <= p <= 2 for p in rest):
+            bins[i] = 1.0 - math.fsum(rest)
+    shape = draw(st.sampled_from((tuple, list, _Bins)))
+    p_ge1 = draw(
+        st.one_of(
+            st.none(),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(),
+            st.sampled_from(EDGE_BINS),
+        )
+    )
+    return shape(bins), p_ge1
+
+
+def bin_keys(probs):
+    return [(type(p), float(p).hex()) for p in probs]
+
+
+class TestDistributionCheckParity:
+    """The one-pass check of :class:`PhotonNumberDistribution` refuses what
+    the per-bin check refused, with the same message, and stores the same
+    bins as a plain tuple."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=bin_vectors())
+    @example(case=((math.nan, 0.5, 0.5), None))
+    @example(case=((0.5, math.nan, 0.5), None))
+    @example(case=((0.5, 0.5, math.nan), None))
+    @example(case=((0.5, math.nan, math.inf, 0.5), None))
+    @example(case=((math.nan, -math.inf, 1.0), None))
+    @example(case=((0.5, 0.5, 10**400), None))
+    @example(case=((1.0, -(10**400), 0.0), None))
+    @example(case=([1.0, NORM_TOL, -NORM_TOL], None))
+    @example(case=(_Bins((1.0 + NORM_TOL, -NORM_TOL, 0.0)), 0.5))
+    @example(case=((1.0, 0.0, -0.0), math.nan))
+    @example(case=((0.5, 0.25, 0.25), 10**400))
+    def test_matches_per_bin_reference(self, case):
+        probs, p_ge1 = case
+        try:
+            expected = ref_distribution_check(probs, p_ge1)
+        except InvalidParameterError as exc:
+            with pytest.raises(InvalidParameterError) as info:
+                PhotonNumberDistribution(probs, True, p_ge1)
+            assert str(info.value) == str(exc)
+            return
+        dist = PhotonNumberDistribution(probs, True, p_ge1)
+        assert type(dist.probs) is tuple
+        assert bin_keys(dist.probs) == bin_keys(expected)
 
 
 class TestSupport:
