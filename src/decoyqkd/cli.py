@@ -15,13 +15,22 @@ codes: 0 success, 2 configuration error, 3 measurement inconsistency.
 A command loads only the modules it runs: ``distribution`` and ``infer``
 load ``errors``, ``sources`` and ``config``; ``session`` and ``curve``
 also load the decoy-state chain (``channel``, ``decoy``, ``keyrate`` and
-``session``), which they import when they start. The options are read
-from one table (``_COMMANDS``) by the rules of argparse, which the tool
-used before, with no import of ``argparse``, ``gettext`` or ``locale``:
-``--opt value`` or ``--opt=value``, an unambiguous prefix of a flag, the
-last of repeated options, a negative number as a value, and ``-h``. A
-usage error writes the usage line and a message naming the option or
-token to stderr and exits 2.
+``session``), which they import when they start.
+
+The command line is read left to right against one table
+(``_COMMANDS``), with no import of ``argparse``, ``gettext`` or
+``locale``. The command comes first; only ``-h``/``--help`` may stand in
+its place, and prints the tool's help. Then come options, ``--opt value``
+or ``--opt=value``, each flag named exactly or by an unambiguous prefix
+of a long flag; the last of a repeated option wins. A value apart may
+start with ``-`` only as a negative number or as ``-`` itself, one
+joined by ``=`` may start with anything, and ``--`` is no value.
+``-h``/``--help`` prints the command's help and exits 0 where it is
+read, and ``--`` ends the options: it and every token after it are
+unrecognized. A usage error writes the usage line and a message naming
+the option or token to stderr and exits 2: an ambiguous prefix or a
+missing or invalid value where it is read, then a missing required
+option, then unrecognized tokens.
 """
 
 from __future__ import annotations
@@ -190,7 +199,7 @@ def cmd_curve(args: SimpleNamespace) -> int:
         raise ConfigError("no schemes given")
 
     for option in ("--loss-from", "--loss-to", "--loss-step"):
-        value = getattr(args, option[2:].replace("-", "_"))
+        value = getattr(args, _dest(option))
         if not math.isfinite(value):
             raise ConfigError(f"{option} must be finite, got {value}")
     if not args.loss_step > 0.0:
@@ -339,64 +348,40 @@ def _fail(command: str | None, message: str) -> NoReturn:
     raise SystemExit(EXIT_CONFIG)
 
 
-def _option(token: str, flags: tuple[str, ...], command: str | None):
-    """How ``token`` reads among ``flags``: ``None`` for a value, else
-    ``(flag, value given in the token or None)``, the flag ``None`` for an
-    unknown option. As in argparse, an unambiguous prefix of a long flag
-    names it, and a negative number or a token with a space is a value."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":
-        value = value if eq else None
-        found = [(flag, value) for flag in flags if flag.startswith(name)]
+def _flag(token: str, flags: tuple[str, ...], command: str | None):
+    """The flag that ``token`` names among ``flags`` and the value joined
+    to it by ``=`` (``None`` if none), or ``None`` if it names no flag. A
+    help flag prints the help of ``command``, or of the tool, and exits 0
+    here; an ambiguous prefix exits 2."""
+    if token == "-h":
+        flag, value = token, None
+    elif token[:2] == "--" and token != "--":
+        name, eq, value = token.partition("=")
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        if not found:
+            return None
+        flag, value = found[0], value if eq else None
     else:
-        # "-h" is the one short flag; the rest of the token is its value
-        found = [(flag, token[2:]) for flag in flags if flag == token[:2]]
-    if len(found) > 1:
-        matches = ", ".join(flag for flag, _ in found)
-        _fail(command, f"ambiguous option: {token} could match {matches}")
-    if found:
-        return found[0]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
         return None
-    return None, None
-
-
-def _help_flag(command: str | None, flag: str, value: str | None) -> NoReturn:
-    """Print the help of ``command``, or of the tool, and exit 0. As in
-    argparse, the flag takes no value but more ``h``s after ``-h``."""
-    if value is not None:
-        rest = value.lstrip("h") if flag == "-h" else value
-        if rest or not value:
-            _fail(command, f"argument -h/--help: ignored explicit argument {rest!r}")
-    sys.stdout.write(_help(command))
-    raise SystemExit(EXIT_OK)
+    if flag in _HELP:
+        if value is not None:
+            _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    return flag, value
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
-    """Read a command line by the rules of the argparse parser that the
-    tool used before, exiting 2 with a usage line on a usage error and 0
-    after ``-h``: the handler as ``func`` and every option's value under
-    its name, ``None`` where it is not given."""
-    extras: list[str] = []
-    # the options before the command: -h and unknown ones
-    for i, token in enumerate(argv):
-        option = None if token == "--" else _option(token, _HELP, None)
-        if option is None:
-            break
-        if option[0] is None:
-            extras.append(token)
-        else:
-            _help_flag(None, *option)
-    else:
+    """Read a command line left to right by the grammar in the module
+    docstring: the handler as ``func`` and every option's value under its
+    name, ``None`` where it is not given."""
+    if not argv:
         _fail(None, "the following arguments are required: command")
-    command = token
+    command = argv[0]
     if command not in _COMMANDS:
+        _flag(command, _HELP, None)
         choices = ", ".join(map(repr, _COMMANDS))
         message = f"invalid choice: {command!r} (choose from {choices})"
         _fail(None, f"argument command: {message}")
@@ -404,33 +389,24 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     kinds = {flag: kind for flag, kind, _, _ in options}
     flags = (*_HELP, *kinds)
 
-    # every token is read before any is taken, so an ambiguous prefix
-    # fails even after -h; no token from "--" on is an option
-    rest = argv[i + 1 :]
-    end = rest.index("--") if "--" in rest else len(rest)
-    read = [_option(token, flags, command) for token in rest[:end]]
-    read += [None] * (len(rest) - end)
     values: dict[str, object] = {}
-    j = 0
-    while j < len(rest):
-        option = read[j]
-        j += 1
-        if option is None or option[0] is None:
-            extras.append(rest[j - 1])
+    extras: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = _flag(token, flags, command)
+        if option is None:
+            # "--" ends the options: it and every token after it are extras
+            extras += [token, *tokens] if token == "--" else [token]
             continue
         flag, value = option
-        if flag in _HELP:
-            _help_flag(command, flag, value)
         if value is None:
-            # "--" is no value, though every token after it is one
-            if j in (end, len(rest)) or read[j] is not None:
-                _fail(command, f"argument {flag}: expected one argument")
-            value = rest[j]
-            j += 1
-        if value == "--":
-            # "--option=--" gives no value; a later one may still replace it
-            values[flag] = None
-            continue
+            value = next(tokens, None)
+            # a value apart may start with "-" only as "-" or a negative number
+            if value and value[0] == "-" and value != "-":
+                if not re.match(r"^-\d+$|^-\d*\.\d+$", value):
+                    value = None
+        if value is None or value == "--":
+            _fail(command, f"argument {flag}: expected one argument")
         try:
             values[flag] = kinds[flag](value)
         except ValueError:
@@ -442,9 +418,6 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    for flag, value in values.items():
-        if value is None:
-            _fail(command, f"argument {flag}: expected one argument")
     return SimpleNamespace(
         func=func,
         **{

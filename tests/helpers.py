@@ -344,7 +344,8 @@ def reference_parser():
     """The tool's command-line parser as it was written with argparse,
     calling no package code: each command's name is stored as
     ``command`` where the tool stored its handler as ``func``. The
-    table-driven parser in :mod:`decoyqkd.cli` is tested against it."""
+    parser in :mod:`decoyqkd.cli` is tested against it on command lines
+    of the grammar it documents, where the two agree."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -555,61 +555,85 @@ class TestHelp:
 
 
 class TestLazyImports:
+    # a command line run in a fresh interpreter: the exit code, caught as
+    # SystemExit on help and usage errors, then the modules it loaded
+    SCRIPT = """
+        import io, sys
+        from contextlib import redirect_stderr, redirect_stdout
+
+        before = set(sys.modules)
+        from decoyqkd import cli
+
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main({argv!r})
+        except SystemExit as exc:
+            code = exc.code
+        names = {names!r}
+        loaded = [n for n in names if n in sys.modules and n not in before]
+        if code != {code!r} or loaded != {expected!r}:
+            sys.exit(f"exit {{code}}, loaded {{loaded}}")
+        """
+
+    def run_command(self, argv, code, names, expected=()):
+        argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+        script = textwrap.dedent(self.SCRIPT).format(
+            argv=argv, code=code, names=tuple(names), expected=list(expected)
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code",
         [
-            ["session", "--config", "session-36db.json"],
-            ["distribution", "--config", "source-hsps.json"],
-            ["infer", "--config", "rates.json"],
-            ["curve", "--config", "session-36db.json", *BENCH_CURVE_ARGS],
+            (["session", "--config", "session-36db.json"], 0),
+            (["distribution", "--config", "source-hsps.json"], 0),
+            (["infer", "--config", "rates.json"], 0),
+            (["curve", "--config", "session-36db.json", *BENCH_CURVE_ARGS], 0),
+            (["-h"], 0),
+            (["session", "--help"], 0),
+            (["session", "--bogus"], 2),
         ],
-        ids=lambda argv: argv[0],
+        ids=["session", "distribution", "infer", "curve"]
+        + ["help", "session-help", "session-bogus"],
     )
-    def test_no_command_loads_dataclasses_or_inspect(self, argv):
+    def test_no_command_loads_dataclasses_or_inspect(self, argv, code):
         # the records register with dataclasses only when that API is used,
         # and the options are read without argparse; modules loaded before
         # the package (by site, say) do not count
-        argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
-        script = textwrap.dedent(
-            f"""
-            import io, sys
-            from contextlib import redirect_stdout
-
-            before = set(sys.modules)
-            from decoyqkd import cli
-
-            with redirect_stdout(io.StringIO()):
-                code = cli.main({argv!r})
-            names = ("dataclasses", "inspect", "argparse", "gettext", "locale")
-            loaded = [n for n in names if n in sys.modules and n not in before]
-            if code != 0 or loaded:
-                sys.exit(f"exit {{code}}, loaded {{loaded}}")
-            """
-        )
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
+        names = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+        self.run_command(argv, code, names)
 
     @pytest.mark.parametrize(
-        "command, config", [("distribution", "source-hsps.json"), ("infer", "rates.json")]
+        "argv, code",
+        [
+            (["distribution", "--config", "source-hsps.json"], 0),
+            (["infer", "--config", "rates.json"], 0),
+            (["-h"], 0),
+            (["session", "--help"], 0),
+            (["session", "--bogus"], 2),
+        ],
+        ids=["distribution-source-hsps.json", "infer-rates.json"]
+        + ["help", "session-help", "session-bogus"],
     )
-    def test_source_commands_leave_the_chain_unloaded(self, command, config):
-        config = str(CONFIGS / config)
-        script = textwrap.dedent(
-            f"""
-            import io, sys
-            from contextlib import redirect_stdout
-            from decoyqkd import cli
+    def test_source_commands_leave_the_chain_unloaded(self, argv, code):
+        chain = ("channel", "decoy", "keyrate", "session")
+        self.run_command(argv, code, [f"decoyqkd.{name}" for name in chain])
 
-            with redirect_stdout(io.StringIO()):
-                code = cli.main([{command!r}, "--config", {config!r}])
-            chain = ("channel", "decoy", "keyrate", "session")
-            loaded = [name for name in chain if f"decoyqkd.{{name}}" in sys.modules]
-            if code != 0 or loaded:
-                sys.exit(f"exit {{code}}, loaded {{loaded}}")
-            """
-        )
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
+    @pytest.mark.parametrize("command", ["curve", "analytic", "sampled"])
+    def test_sampler_loads_on_the_first_draw(self, tmp_path, command):
+        # only a sampled session draws counts; the shipped session config
+        # is sampled, so the analytic one is written here
+        config = str(CONFIGS / "session-36db.json")
+        argv = ["session", "--config", config]
+        if command == "curve":
+            argv = ["curve", "--config", config, *BENCH_CURVE_ARGS]
+        elif command == "analytic":
+            doc = json.loads(Path(config).read_text(encoding="utf-8"))
+            doc["run"]["mode"] = "analytic"
+            argv[2] = write_doc(tmp_path / "analytic.json", doc)
+        names = ["decoyqkd._binomial"]
+        self.run_command(argv, 0, names, names if command == "sampled" else [])
 
     def test_each_public_name_loads_on_first_use(self):
         names = dir(decoyqkd)

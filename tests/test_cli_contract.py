@@ -5,8 +5,9 @@ were read with a misspelled key silently dropped; a Hypothesis property
 that swaps leaves of the shipped configs for arbitrary JSON values and
 renames or inserts keys; one that swaps a whole section, or the whole
 document; one that runs ``curve`` on extreme scheme arguments, loss
-grids and session leaves; and one that reads argument lists with the
-tool's parser and with the argparse parser it replaced, which must agree.
+grids and session leaves; and one that reads command lines of the
+documented grammar with the tool's parser and with the argparse parser
+it replaced, which must agree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import contextlib
 import io
 import json
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -497,7 +497,7 @@ def test_curve_keeps_the_contract(workdir, target):
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
 
 
-# the argument-list grammar on which the parser must agree with argparse
+# the documented grammar, on which the parser must agree with argparse
 COMMANDS = ("distribution", "infer", "session", "curve")
 REQUIRED = {
     "distribution": ["--config", "c.json"],
@@ -506,16 +506,21 @@ REQUIRED = {
     "curve": ["--config", "c.json", "--schemes", "ideal-sps"]
     + ["--loss-from", "0", "--loss-to", "1", "--loss-step", "0.5"],
 }
-FLAGS = ("--config", "--out", "--seed", "--sigma", "--schemes", "--loss-from")
-FLAGS += ("--loss-to", "--loss-step", "-h", "--help")
-# unambiguous and ambiguous prefixes ("--=x" is one of every long flag)
-FLAGS += ("--conf", "--o", "--se", "--loss-t", "--he", "--s", "--loss", "--")
-# unknown flags, and tokens that are no flag at all
-FLAGS += ("--bogus", "---", "-x", "-c", "-hh", "-hx", "-", "-5")
+# flags of the table, named exactly or by an unambiguous prefix
+KNOWN = ("--config", "--out", "--seed", "--sigma", "--schemes", "--loss-from")
+KNOWN += ("--loss-to", "--loss-step", "--conf", "--o", "--se", "--loss-t")
+# ambiguous prefixes ("--=x" is one of every long flag), unknown flags,
+# "--", and tokens that are no flag at all
+OTHER = ("--s", "--loss", "--", "--bogus", "---", "-x", "-c", "-", "-5")
+HELP = ("-h", "--help", "--he", "--h")
 VALUES = ("c.json", "ideal-sps", "7", "0.5", "-5", "-.5", "-1e3", "nan", "-inf")
-VALUES += (" 7", "1_0", "+3", "", "--", "- x", "-", "-x", "-h", "--config")
-# tokens from the characters flags and values are made of
-PIECES = st.text(alphabet="-=.hcos1e x_", max_size=5)
+VALUES += ("1_0", "+3", "", "--", "-", "-x", "-5.", "--config")
+# tokens from the characters flags and values are made of; a token with
+# a space never starts with "-", and "--" is no value, joined or apart
+LONG_PIECES = st.text(alphabet="-=cfilmnoprstu", max_size=5).map("--{}".format)
+PIECES = st.text(alphabet="-=.15e_", max_size=5)
+SPACED = st.sampled_from((" 7", "a b")) | st.text(alphabet="=.1e x_", max_size=5)
+JOINED = (st.sampled_from((*VALUES, "-h")) | PIECES).filter(lambda v: v != "--")
 PARSE_FIELDS = ("config", "out", "seed", "sigma", "schemes")
 PARSE_FIELDS += ("loss_from", "loss_to", "loss_step")
 REFERENCE = reference_parser()
@@ -523,43 +528,34 @@ REFERENCE = reference_parser()
 
 @st.composite
 def argument_lists(draw):
-    """A command, an unknown command or none, with options before and
-    after it: ``--opt value``, ``--opt=value``, a flag missing its value,
-    or a lone token."""
+    """A command line of the documented grammar: a command (or an unknown
+    one) followed by ``--opt value``, ``--opt=value``, flags missing their
+    value and lone tokens, in any order and repeated, then perhaps help; or
+    help first, followed by anything."""
 
     def item():
-        flag = draw(st.sampled_from(FLAGS) | PIECES)
-        value = draw(st.sampled_from(VALUES) | PIECES)
-        form = draw(st.sampled_from(["apart", "joined", "alone", "token"]))
-        if form == "apart":
-            return [flag, value]
-        return {"joined": [f"{flag}={value}"], "alone": [flag], "token": [value]}[form]
+        if draw(st.booleans()):
+            flag, value = draw(st.sampled_from(KNOWN)), draw(st.sampled_from(VALUES))
+        else:
+            flag = draw(st.sampled_from(KNOWN + OTHER) | LONG_PIECES)
+            value = draw(PIECES | SPACED)
+        form = draw(st.sampled_from(["apart", "apart", "joined", "alone", "token"]))
+        if form == "joined":
+            return [f"{flag}={draw(JOINED)}"]
+        return {"apart": [flag, value], "alone": [flag], "token": [value]}[form]
 
-    argv = [token for _ in range(draw(st.integers(0, 1))) for token in item()]
-    command = draw(st.sampled_from(COMMANDS) | st.sampled_from(["bogus", "", None]))
-    if command is None:
-        return argv
-    body = list(REQUIRED.get(command, [])) if draw(st.booleans()) else []
+    other = draw(st.integers(0, 3)) == 0
+    first = draw(st.sampled_from((*HELP, "bogus", "") if other else COMMANDS))
+    body = list(REQUIRED.get(first, [])) if draw(st.booleans()) else []
     # repeats, insertions and the options that are not required
     for _ in range(draw(st.integers(0, 4))):
         pos = draw(st.integers(0, len(body)))
         body[pos:pos] = item()
-    return [*argv, command, *body]
-
-
-def argparse_313_differs(argv: list[str]) -> bool:
-    """Whether ``argv`` holds, before any ``--``, a form that the argparse
-    of CPython 3.13 reads otherwise than 3.10-3.12, whose reading the
-    tool keeps on every version: ``-h`` with a tail (``-hx`` exits 2 and
-    ``-h=h`` is help, where 3.13 gives help and an unknown ``-x``, and
-    refuses ``-h=h``) and ``--option=--`` (no value, where 3.13 takes
-    ``--`` as the value)."""
-    head = argv[: argv.index("--")] if "--" in argv else argv
-    return any(
-        (token.startswith("-h") and len(token) > 2)
-        or (token.startswith("--") and token.partition("=")[2] == "--")
-        for token in head
-    )
+    # help comes last: argparse checks every flag for ambiguity before it
+    # acts on any, so it refuses "-h --s" where the grammar reads help
+    if draw(st.integers(0, 3)) == 0:
+        body.append(draw(st.sampled_from((*HELP, "--help=", "--he=x"))))
+    return [first, *body]
 
 
 def parse_outcome(parse, argv: list[str]):
@@ -575,21 +571,17 @@ def parse_outcome(parse, argv: list[str]):
 
 @settings(max_examples=1000, deadline=None)
 @given(argv=argument_lists())
-# argparse's quirks, kept: -h after a bad value or beside an ambiguous
-# prefix, "-" as a value, a "--option=--" that a later value replaces
 @example(argv=["session", "--config", "c.json", "--seed", "x", "-h"])
-@example(argv=["session", "--config=--", "-h"])
-@example(argv=["session", "-h", "--s", "1"])
-@example(argv=["--bogus", "session", "-h"])
+@example(argv=["session", "--s", "1", "-h"])
 @example(argv=["session", "--c", "-"])
-@example(argv=["session", "--c=--", "--c", "c.json"])
 @example(argv=["session", "--c", "c.json", "--seed", "-5", "--sigma", "-.5"])
 @example(argv=["session", "--c", "c.json", "--sigma", "-1e3"])
-@example(argv=["-hh"])
+@example(argv=["session", "--c", "c.json", "--sigma=-1e3"])
+@example(argv=["session", "--c=- x", "--out=a b"])
+@example(argv=["session", "--c", "c.json", "--", "--seed", "1"])
+@example(argv=["--he", "bogus", "--s"])
+@example(argv=[])
 def test_parser_agrees_with_argparse(argv):
-    if sys.version_info >= (3, 13) and argparse_313_differs(argv):
-        # checked on every version by test_forms_argparse_313_reads_otherwise
-        return
     ours = parse_outcome(cli._parse, argv)
     theirs = parse_outcome(lambda a: reference_parse(REFERENCE, a), argv)
     if isinstance(ours, int) or isinstance(theirs, int):
@@ -604,18 +596,23 @@ def test_parser_agrees_with_argparse(argv):
 @pytest.mark.parametrize(
     "argv, code",
     [
+        # help where it is read, before the ambiguous --s
+        (["session", "-h", "--s", "1"], 0),
+        # "--" is no value, and the line stops there
+        (["session", "--config=--", "-h"], 2),
+        (["session", "--c=--", "--c", "c.json"], 2),
+        # no token but help comes before the command
+        (["--bogus", "session", "-h"], 2),
+        # -h takes no tail
+        (["-hh"], 2),
         (["-hx", "session"], 2),
-        (["session", "-h=h"], 0),
-        (["session", "-hh"], 0),
-        (["session", "--config=--"], 2),
-        (["session", "--config=--", "--config", "c.json"], None),
+        (["session", "-hh"], 2),
+        (["session", "-h=h"], 2),
+        # a value apart starting with "-" is a negative number or "-"
+        (["session", "--c", "- x"], 2),
     ],
 )
-def test_forms_argparse_313_reads_otherwise(argv, code):
-    # the reading of argparse up to CPython 3.12, on every version
-    assert argparse_313_differs(argv)
-    outcome = parse_outcome(cli._parse, argv)
-    if code is None:
-        assert outcome.config == "c.json"
-    else:
-        assert outcome == code
+def test_forms_argparse_read_otherwise(argv, code):
+    # the grammar's reading of forms that argparse read otherwise, on
+    # CPython 3.10-3.12 or on 3.13
+    assert parse_outcome(cli._parse, argv) == code
