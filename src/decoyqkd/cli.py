@@ -206,16 +206,21 @@ def cmd_curve(args: SimpleNamespace) -> int:
         raise ConfigError(f"--loss-step must be > 0, got {args.loss_step}")
     if args.loss_to < args.loss_from:
         raise ConfigError("--loss-to must be >= --loss-from")
-    # integer steps: adding the step repeatedly would accumulate rounding;
-    # adding 0.0 turns a start of -0 into 0, which prints without a sign.
-    # A finite start at most the finite end is always the first point
-    grid = []
-    loss = round(args.loss_from, 12) + 0.0
-    while loss <= args.loss_to + 1e-9:
-        if len(grid) == CURVE_POINTS_MAX:
-            raise ConfigError(f"loss grid exceeds {CURVE_POINTS_MAX} points")
-        grid.append(loss)
-        loss = round(args.loss_from + len(grid) * args.loss_step, 12)
+    # count the points in steps, with a slack of 1e-9 step and of the
+    # rounding of the two ends, and take each from its index, as adding
+    # the step would accumulate rounding; adding 0.0 turns a point of -0
+    # into 0, which prints without a sign
+    start, step = args.loss_from, args.loss_step
+    end = args.loss_to + 4 * math.ulp(max(abs(start), abs(args.loss_to)))
+    steps = (end - start) / step + 1e-9
+    if not steps < CURVE_POINTS_MAX:  # inf too
+        raise ConfigError(f"loss grid exceeds {CURVE_POINTS_MAX} points")
+    grid = [round(start + k * step, 12) + 0.0 for k in range(int(steps) + 1)]
+    if len(set(grid)) < len(grid):
+        raise ConfigError(
+            f"--loss-step {step} is too small for the grid: two points round "
+            "to the same loss"
+        )
 
     curves = [scan_loss(cfg, scheme, grid) for scheme in schemes]
 

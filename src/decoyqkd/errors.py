@@ -241,8 +241,9 @@ class _Record:
     def _asdict(self) -> dict:
         """The fields by name, in field order, as :func:`dataclasses.asdict`
         gives them: a record within becomes a dict, and a tuple, list or
-        dict is rebuilt from its items, each converted the same way. Any
-        other value is taken as it is, where ``asdict`` deep-copies it."""
+        dict is rebuilt from its items (a namedtuple's by position), each
+        converted the same way. Any other value is taken as it is, where
+        ``asdict`` deep-copies it."""
         return {name: _plain(getattr(self, name)) for name in self._names}
 
     def _replace(self, /, **changes):
@@ -267,7 +268,10 @@ def _plain(value):
     if isinstance(value, _Record):
         return value._asdict()
     if isinstance(value, (list, tuple)):
-        return type(value)([_plain(item) for item in value])
+        items = [_plain(item) for item in value]
+        if isinstance(value, tuple) and hasattr(value, "_fields"):
+            return type(value)(*items)
+        return type(value)(items)
     if isinstance(value, dict):
         return type(value)({_plain(k): _plain(v) for k, v in value.items()})
     return value

@@ -347,48 +347,40 @@ class SchemeKind(enum.Enum):
     IDEAL_SPS = "ideal-sps"
 
 
-# the Scheme field that a token's ':' argument sets, by kind
-_SCHEME_ARGUMENT = {SchemeKind.HSPS_DECOY: "p_cor", SchemeKind.WCS_NO_DECOY: "wcs_mu"}
-
-
 class Scheme(_Record):
     """A source/estimator combination for the loss-sweep comparison.
 
-    HSPS_DECOY carries the heralding correlation it should assume at
-    both intensities; WCS_NO_DECOY optionally overrides its fixed
-    signal intensity.
+    ``arg`` is the token's ``:`` argument: the heralding correlation
+    p_cor that HSPS_DECOY needs and assumes at both intensities, or the
+    signal intensity that WCS_NO_DECOY may take in place of its default.
+    No other kind takes one.
     """
 
     kind: SchemeKind
-    p_cor: float | None = None
-    wcs_mu: float | None = None
+    arg: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is SchemeKind.HSPS_DECOY:
-            if self.p_cor is None:
+        kind, arg = self.kind, self.arg
+        if kind is SchemeKind.HSPS_DECOY:
+            if arg is None:
                 raise InvalidParameterError(
                     "hsps-decoy needs a correlation p_cor in [0, 1], e.g. "
                     "hsps-decoy:0.40; got None"
                 )
-            _check_range("p_cor", self.p_cor, 0, 1)
-        elif self.p_cor is not None:
-            raise InvalidParameterError(
-                f"p_cor only applies to hsps-decoy, not {self.kind.value}"
-            )
-        if self.wcs_mu is not None:
-            if self.kind is not SchemeKind.WCS_NO_DECOY:
+            _check_range("p_cor", arg, 0, 1)
+        elif arg is not None:
+            if kind is not SchemeKind.WCS_NO_DECOY:
                 raise InvalidParameterError(
-                    f"wcs_mu only applies to wcs-no-decoy, not {self.kind.value}"
+                    f"scheme {kind.value!r} takes no argument, got {arg!r}"
                 )
-            _check_range("wcs_mu", self.wcs_mu, 0, None, "()")
+            _check_range("wcs_mu", arg, 0, None, "()")
 
     @property
     def label(self) -> str:
         """The token, with its ``:`` argument written as ``-`` and two
         decimals where those give the argument back, else in its shortest
         repr, so that two different arguments never share a label."""
-        # at most one of the two is set, by the token's kind
-        arg = self.wcs_mu if self.p_cor is None else self.p_cor
+        arg = self.arg
         if arg is None:
             return self.kind.value
         # adding 0.0 turns -0 into 0, which prints without a sign
@@ -401,8 +393,8 @@ class Scheme(_Record):
     def parse(token: str) -> "Scheme":
         """Parse a scheme token such as 'ideal-sps' or 'hsps-decoy:0.40'.
 
-        The token only names the fields; :class:`Scheme` checks them."""
-        name, _, arg = token.strip().partition(":")
+        The token only names the kind and argument; :class:`Scheme` checks them."""
+        name, _, text = token.strip().partition(":")
         try:
             kind = SchemeKind(name)
         except ValueError:
@@ -410,20 +402,15 @@ class Scheme(_Record):
             raise InvalidParameterError(
                 f"unknown scheme {name!r} (valid: {valid})"
             ) from None
-        if not arg:
+        if not text:
             return Scheme(kind=kind)
-        field = _SCHEME_ARGUMENT.get(kind)
-        if field is None:
-            raise InvalidParameterError(
-                f"scheme {name!r} takes no argument, got {arg!r}"
-            )
         try:
-            value = float(arg)
+            arg = float(text)
         except ValueError:
             raise InvalidParameterError(
-                f"scheme argument {arg!r} is not a number"
+                f"scheme argument {text!r} is not a number"
             ) from None
-        return Scheme(kind=kind, **{field: value})
+        return Scheme(kind=kind, arg=arg)
 
 
 class LossCurve(_Record):
@@ -479,7 +466,7 @@ def _scheme_rates(
         # the point needs no gate split.
         _check_heralded_template(cfg)
         dist_signal, dist_decoy = (
-            hsps_distribution(source.params._replace(p_cor=scheme.p_cor), cfg.n_max)
+            hsps_distribution(source.params._replace(p_cor=scheme.arg), cfg.n_max)
             for source in (cfg.source_signal, cfg.source_decoy)
         )
         dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))
@@ -497,7 +484,7 @@ def _scheme_rates(
     if scheme.kind is SchemeKind.IDEAL_SPS:
         dist = ideal_sps_distribution()
     elif scheme.kind is SchemeKind.WCS_NO_DECOY:
-        mu = scheme.wcs_mu if scheme.wcs_mu is not None else WCS_NO_DECOY_MU_DEFAULT
+        mu = scheme.arg if scheme.arg is not None else WCS_NO_DECOY_MU_DEFAULT
         dist = wcs_distribution(mu, cfg.n_max)
     else:
         _check_heralded_template(cfg)

@@ -157,8 +157,8 @@ class TestCriterion3SchemeComparison:
             "a": Scheme(SchemeKind.WCS_NO_DECOY),
             "b": Scheme(SchemeKind.HSPS_NO_DECOY),
             "c": Scheme(SchemeKind.WCS_DECOY_INF_OPT),
-            "d": Scheme(SchemeKind.HSPS_DECOY, p_cor=0.40),
-            "e": Scheme(SchemeKind.HSPS_DECOY, p_cor=0.70),
+            "d": Scheme(SchemeKind.HSPS_DECOY, arg=0.40),
+            "e": Scheme(SchemeKind.HSPS_DECOY, arg=0.70),
             "f": Scheme(SchemeKind.IDEAL_SPS),
         }
         curves = {k: scan_loss(cfg, s, grid) for k, s in schemes.items()}

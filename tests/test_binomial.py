@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decoyqkd import _binomial as _binomial_mod
 from decoyqkd._binomial import _generators, binomial_pairs
 
 INT64_MAX = 2**63 - 1
@@ -153,3 +154,89 @@ def test_generators_of_a_new_count_from_many_threads():
         sys.setswitchinterval(interval)
     expected = numpy_generators(seed, count)
     assert all(result == expected for result in results)
+
+
+# Scripted uniforms that reach the branches a seeded draw seldom meets.
+# Each case: n, p, the uniforms in the order numpy's
+# random_binomial_inversion / random_binomial_btpe read them, the count
+# they give and how many they read. At n = 1000, p = 0.4 BTPE has m = 400,
+# xm = 400.5, p1 = 31.5, xl = 369 and p1 < p2 = 43.05 < p3 = 44.44 < p4 =
+# 45.86, so a first uniform u lands at u * p4: 0.96 in the left tail, 0.99
+# in the right one, and the redraw (0.0, 0.5) is in the triangle, where
+# it accepts floor(xm - p1 * 0.5) = 384.
+BRANCHES = {
+    # inversion at n = 100, p = 0.01 gives up past its bound of 15 and
+    # draws again, and 0.0 is at most P(0)
+    "inversion-restart": (100, 0.01, [1.0 - 2**-53, 0.0], 0, 2),
+    # a zero v in either tail is rejected before its log is taken
+    "btpe-left-tail-v-zero": (1000, 0.4, [0.96, 0.0, 0.0, 0.5], 384, 4),
+    "btpe-right-tail-v-zero": (1000, 0.4, [0.99, 0.0, 0.0, 0.5], 384, 4),
+    # the least u * p4 past p1 puts x on xl, so v = 0 after the
+    # parallelogram step and the squeeze, at k = 31 > 20, accepts y = 369
+    "btpe-squeeze-v-zero": (1000, 0.4, [6186892250928374 * 2**-53, 0.0], 369, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(BRANCHES))
+def test_scripted_uniforms_reach_each_branch(monkeypatch, case):
+    n, p, uniforms, count, reads = BRANCHES[case]
+    script = iter(uniforms)
+    read = []
+
+    def next_double(gen):
+        read.append(next(script))
+        return read[-1]
+
+    monkeypatch.setattr(_binomial_mod, "_next_double", next_double)
+    assert _binomial_mod._binomial([0, 1], n, p) == count
+    assert len(read) == reads
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_drawing(first, second):
+    """A PCG64 ``[state, inc]`` whose next two doubles are ``first`` and
+    ``second``, each a multiple of 2**-53 in [0, 1).
+
+    A stepped state whose top six bits are 0 outputs its high word xor
+    its low word, unrotated, so each stepped state is set by its output;
+    the increment joins the two, and flipping the second output's low
+    bit, which no double reads, makes the increment odd."""
+    high = 0x0123456789ABCDEF
+    outputs = [int(u * 2**53) << 11 for u in (first, second)]
+    s1, s2 = ((high << 64) | (out ^ high) for out in outputs)
+    if (s1 ^ s2) & 1 == 0:
+        s2 ^= 1
+    inc = (s2 - s1 * PCG_MULT) % 2**128
+    return [(s1 - inc) * pow(PCG_MULT, -1, 2**128) % 2**128, inc]
+
+
+def numpy_bits(state, inc):
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bits
+
+
+@pytest.mark.parametrize("case", list(BRANCHES))
+def test_numpy_draws_the_branch_as_the_package_does(case):
+    # numpy from a state whose first two uniforms are the case's: the
+    # same count, having read the same uniforms, as the package from it
+    n, p, uniforms, count, reads = BRANCHES[case]
+    state, inc = pcg64_drawing(*uniforms[:2])
+    first_two = numpy_bits(state, inc)
+    assert list(np.random.Generator(first_two).random(2)) == uniforms[:2]
+    bits = numpy_bits(state, inc)
+    drawn = int(np.random.Generator(bits).binomial(n, p))
+    gen = [state, inc]
+    assert _binomial_mod._binomial(gen, n, p) == drawn
+    assert gen[0] == bits.state["state"]["state"]
+    if reads == 2:
+        # every uniform read is scripted: numpy reads those two alone
+        assert drawn == count
+        assert gen[0] == first_two.state["state"]["state"]

@@ -268,6 +268,34 @@ class TestCurveCommand:
         assert losses == [format_float(k / 10) for k in range(11)]
         assert losses[-1] == format_float(1.0)
 
+    @pytest.mark.parametrize(
+        "grid, losses",
+        [
+            (("0", "0", "1e-10"), [0.0]),
+            (("10", "10", "4e-10"), [10.0]),
+            (("0", "1e-12", "1e-12"), [0.0, 1e-12]),
+            (("5", "5.3", "0.1"), [5.0, 5.1, 5.2, 5.3]),
+            # 36.000001 - 36 is two steps less 5e-9 step, the end's own rounding
+            (("36", "36.000001", "5e-7"), [36.0, 36.0000005, 36.000001]),
+        ],
+        ids=[
+            "sub-nanodb-step",
+            "sub-nanodb-step-at-10",
+            "picodb-step",
+            "decimal-step",
+            "fine-step-far-from-0",
+        ],
+    )
+    def test_grid_stays_inside_loss_to(self, tmp_path, capsys, grid, losses):
+        # the end is found in steps, so a step below 1e-9 dB ends there too
+        cfg = write_doc(tmp_path / "c.json", SESSION_DOC)
+        argv = ["curve", "--config", cfg, "--schemes", "ideal-sps"]
+        argv += [f"--loss-from={grid[0]}", f"--loss-to={grid[1]}"]
+        assert main([*argv, f"--loss-step={grid[2]}"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        printed = [row.split(",")[0] for row in rows if not row.startswith("#")]
+        assert printed == [format_float(loss) for loss in losses]
+
     @pytest.mark.parametrize("start", ["-0", "-0.0", "-1e-13"])
     def test_negative_zero_start_is_zero(self, tmp_path, capsys, start):
         # a start that rounds to -0 prints as the curve from 0 does

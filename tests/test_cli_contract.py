@@ -100,8 +100,40 @@ class TestOutsideInput:
                 ("0", "1", "1"),
                 "scheme argument 'abc' is not a number",
             ),
+            (
+                "ideal-sps:0.3",
+                ("0", "1", "1"),
+                "scheme 'ideal-sps' takes no argument, got 0.3",
+            ),
+            ("ideal-sps:abc", ("0", "1", "1"), "scheme argument 'abc' is not a number"),
+            (
+                "ideal-sps",
+                ("0", "1e-12", "1e-13"),
+                "config error: --loss-step 1e-13 is too small for the grid: two "
+                "points round to the same loss",
+            ),
+            (
+                "ideal-sps",
+                ("0", "1", "0"),
+                "config error: --loss-step must be > 0, got 0.0",
+            ),
+            (
+                "ideal-sps",
+                ("0", "1", "-1"),
+                "config error: --loss-step must be > 0, got -1.0",
+            ),
         ],
-        ids=["infinite-mu", "eta-underflow", "no-schemes", "argument-not-a-number"],
+        ids=[
+            "infinite-mu",
+            "eta-underflow",
+            "no-schemes",
+            "argument-not-a-number",
+            "argument-to-a-kind-without-one",
+            "argument-not-a-number-to-a-kind-without-one",
+            "step-repeats-points",
+            "zero-step",
+            "negative-step",
+        ],
     )
     def test_curve_names_the_value(self, scheme, grid, name):
         argv = ["curve", "--config", str(CONFIGS / SESSION), "--schemes", scheme]

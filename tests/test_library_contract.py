@@ -220,10 +220,10 @@ def distribution(draw):
 
 def scheme(draw):
     kind = draw(st.sampled_from(list(SchemeKind)))
-    if kind is SchemeKind.HSPS_DECOY:
-        return Scheme(kind, p_cor=draw(NUMBERS))
-    if kind is SchemeKind.WCS_NO_DECOY and draw(st.booleans()):
-        return Scheme(kind, wcs_mu=draw(NUMBERS))
+    if kind is SchemeKind.HSPS_DECOY or (
+        kind is SchemeKind.WCS_NO_DECOY and draw(st.booleans())
+    ):
+        return Scheme(kind, arg=draw(NUMBERS))
     return Scheme(kind)
 
 

@@ -24,6 +24,7 @@ a record, as under both, equals itself.
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import inspect
@@ -134,10 +135,10 @@ def rates_values(draw):
 def scheme_values(draw):
     kind = draw(st.sampled_from(list(SchemeKind)))
     if kind is SchemeKind.HSPS_DECOY:
-        return {"kind": kind, "p_cor": draw(UNIT)}
+        return {"kind": kind, "arg": draw(UNIT)}
     if kind is SchemeKind.WCS_NO_DECOY:
         mu = st.floats(min_value=1e-9, max_value=10.0)
-        return draw(fields_of({"kind": st.just(kind)}, {"wcs_mu": mu}))
+        return draw(fields_of({"kind": st.just(kind)}, {"arg": mu}))
     return {"kind": kind}
 
 
@@ -373,6 +374,21 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     for call_args, call_kwargs in wrong_calls:
         assert call_error(cls, *call_args, **call_kwargs) is TypeError
         assert call_error(twin, *call_args, **call_kwargs) is TypeError
+
+
+def test_asdict_rebuilds_containers_as_dataclasses_does():
+    # a namedtuple from its items by position, a list and a dict from
+    # theirs, and a record within any of them as a dict
+    R = collections.namedtuple("R", "a b c")
+    inner = ChannelParams(eta=0.5, y0=1e-5, e_det=0.01)
+    values = {
+        "scheme_label": {"k": R(inner, [1.0], {"x": (2,)}), (3, 4): "v"},
+        "loss_db": R(1.0, 2.0, 3.0),
+        "rate": [0.1, R([inner], (), {})],
+    }
+    rec, ref = LossCurve(**values), TWINS[LossCurve](**values)
+    assert repr(rec._asdict()) == repr(dataclasses.asdict(ref))
+    assert repr(dataclasses.asdict(rec)) == repr(dataclasses.asdict(ref))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -404,7 +404,7 @@ class TestScanLoss:
             Scheme(SchemeKind.WCS_NO_DECOY),
             Scheme(SchemeKind.HSPS_NO_DECOY),
             Scheme(SchemeKind.WCS_DECOY_INF_OPT),
-            Scheme(SchemeKind.HSPS_DECOY, p_cor=0.40),
+            Scheme(SchemeKind.HSPS_DECOY, arg=0.40),
             Scheme(SchemeKind.IDEAL_SPS),
         ):
             curve = scan_loss(cfg, scheme, grid)
@@ -442,7 +442,7 @@ class TestScanLoss:
 
     def test_curve_refinement_shrinks_jumps(self):
         cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
-        scheme = Scheme(SchemeKind.HSPS_DECOY, p_cor=0.40)
+        scheme = Scheme(SchemeKind.HSPS_DECOY, arg=0.40)
         coarse = scan_loss(cfg, scheme, [20.0 + k * 1.0 for k in range(11)])
         fine = scan_loss(cfg, scheme, [20.0 + k * 0.5 for k in range(21)])
 
@@ -454,7 +454,7 @@ class TestScanLoss:
     def test_hsps_schemes_need_heralded_template(self):
         cfg = ideal_config()
         with pytest.raises(InvalidParameterError):
-            scan_loss(cfg, Scheme(SchemeKind.HSPS_DECOY, p_cor=0.4), [1.0, 2.0])
+            scan_loss(cfg, Scheme(SchemeKind.HSPS_DECOY, arg=0.4), [1.0, 2.0])
 
     @pytest.mark.parametrize("token", SCHEME_TOKENS)
     @pytest.mark.parametrize("vacuum_mu", [0.0, BENCH_MU_VACUUM])
@@ -478,7 +478,7 @@ class TestScanLoss:
             ("wcs_distribution", "hsps_distribution", "ideal_sps_distribution"),
         )
         grid = [0.5 * k for k in range(121)]
-        scan_loss(bench_config(), Scheme(SchemeKind.HSPS_DECOY, p_cor=0.4), grid)
+        scan_loss(bench_config(), Scheme(SchemeKind.HSPS_DECOY, arg=0.4), grid)
         assert 0 < builds[0] <= 3
 
 
@@ -894,11 +894,11 @@ def per_point_rate(scheme, cfg, ch):
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
         return scalar_optimize_mu(ch, protocol).rate
     if scheme.kind is SchemeKind.WCS_NO_DECOY:
-        mu = scheme.wcs_mu if scheme.wcs_mu is not None else 0.1
+        mu = scheme.arg if scheme.arg is not None else 0.1
         return no_decoy_rate(wcs_distribution(mu, cfg.n_max), ch, protocol)
     if scheme.kind is SchemeKind.HSPS_NO_DECOY:
         return no_decoy_rate(cfg.source_signal.distribution(cfg.n_max), ch, protocol)
-    return ref_three_intensity_rate(cfg, ch, scheme.p_cor)
+    return ref_three_intensity_rate(cfg, ch, scheme.arg)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -1283,15 +1283,42 @@ class TestCoarseSearchAgainstReference:
         assert evals[0] == 4758
 
 
+# each kind that takes a ':' argument, and the range it takes it in
+SCHEME_ARGUMENT_RANGES = {
+    SchemeKind.HSPS_DECOY: (0.0, 1.0),
+    SchemeKind.WCS_NO_DECOY: (5e-324, sys.float_info.max),
+}
+
+
+@st.composite
+def scheme_argument_pairs(draw):
+    """A kind that takes an argument and two valid arguments for it, the
+    second often the first, a neighbour, or its two-decimal rounding."""
+    kind = draw(st.sampled_from(list(SCHEME_ARGUMENT_RANGES)))
+    low, high = SCHEME_ARGUMENT_RANGES[kind]
+    values = st.floats(low, high) | st.sampled_from([low, high, 0.4, 1.0])
+    first = draw(values)
+    near = [
+        first,
+        -first,
+        math.nextafter(first, -math.inf),
+        math.nextafter(first, math.inf),
+        round(first, 2),
+        float(f"{first:.3f}"),
+    ]
+    near = [x for x in near if low <= x <= high]
+    return kind, first, draw(st.sampled_from(near) | values)
+
+
 class TestScheme:
     def test_parse_tokens(self):
         assert Scheme.parse("ideal-sps").kind is SchemeKind.IDEAL_SPS
         s = Scheme.parse("hsps-decoy:0.70")
         assert s.kind is SchemeKind.HSPS_DECOY
-        assert s.p_cor == 0.70
+        assert s.arg == 0.70
         assert s.label == "hsps-decoy-0.70"
         w = Scheme.parse("wcs-no-decoy:0.2")
-        assert w.wcs_mu == 0.2
+        assert w.arg == 0.2
         # a zero argument is written without its sign
         for token in ("hsps-decoy:-0", "hsps-decoy:0"):
             assert Scheme.parse(token).label == "hsps-decoy-0.00"
@@ -1307,13 +1334,30 @@ class TestScheme:
     def test_scheme_validation(self):
         with pytest.raises(InvalidParameterError):
             Scheme(SchemeKind.HSPS_DECOY)
-        with pytest.raises(InvalidParameterError):
-            Scheme(SchemeKind.IDEAL_SPS, p_cor=0.4)
         with pytest.raises(
             InvalidParameterError,
-            match=r"^wcs_mu only applies to wcs-no-decoy, not ideal-sps$",
+            match=r"^scheme 'ideal-sps' takes no argument, got 0.3$",
         ):
-            Scheme(SchemeKind.IDEAL_SPS, wcs_mu=0.3)
+            Scheme(SchemeKind.IDEAL_SPS, arg=0.3)
+        # the old field names are gone
+        for name in ("p_cor", "wcs_mu"):
+            with pytest.raises(TypeError):
+                Scheme(SchemeKind.HSPS_DECOY, **{name: 0.4})
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=scheme_argument_pairs())
+    @example(case=(SchemeKind.HSPS_DECOY, 0.0, -0.0))
+    @example(case=(SchemeKind.HSPS_DECOY, 0.4, 0.4000000000000001))
+    @example(case=(SchemeKind.WCS_NO_DECOY, 0.125, 0.13))
+    @example(case=(SchemeKind.WCS_NO_DECOY, 1e16, 1e16 + 2.0))
+    def test_labels_equal_exactly_when_arguments_do(self, case):
+        # the label names the argument, and the token written from the
+        # argument's repr parses back to the same scheme
+        kind, a, b = case
+        first, second = Scheme(kind=kind, arg=a), Scheme(kind=kind, arg=b)
+        assert (first.label == second.label) == (a == b)
+        for arg, scheme in ((a, first), (b, second)):
+            assert Scheme.parse(f"{kind.value}:{arg!r}") == scheme
 
     @pytest.mark.parametrize("token", ["inf", "nan", "0", "-0.1"])
     def test_wcs_mu_is_finite_and_positive(self, token):
