@@ -99,11 +99,13 @@ def _channel_terms(
     :func:`error_n`, :func:`gain` and :func:`qber` read. Each term
     depends on its own n alone, so a call at a larger ``n_max`` has the
     terms of a smaller one as its prefix. The kernels fold a
-    distribution only as far as the terms go, and the bins above its
-    support, the highest photon number with a nonzero P(n), add nothing:
-    the loss sweep, which finds that support once per scan
-    (:func:`sources._support`), passes it here; every other caller
-    passes ``n_max``."""
+    distribution only as far as both it and the terms go, and the bins
+    above its support, the highest photon number with a nonzero P(n),
+    add nothing: the loss sweep finds that support once per scan
+    (:func:`sources._support`), cuts the distributions there, and reads
+    terms computed once per loss up to the largest support of the
+    schemes scanned on its config (:func:`session._loss_points`); every
+    other caller passes ``n_max``."""
     base = 1.0 - eta
     e0_y0 = E0 * y0
     yields = []

@@ -9,7 +9,8 @@ Ties the source, channel, estimator and key-rate pieces together:
   intermediate quantities echoed for audit;
 * loss sweeps comparing source/estimator schemes on a common channel,
   each scheme evaluated over the whole loss axis with its channel-
-  independent setup done once per sweep;
+  independent setup done once per scan, and each loss's transmittance
+  and channel terms computed once per config and grid for every scheme;
 * optimization of the coherent-state signal intensity in the
   infinite-decoy limit: a Fibonacci search over a coarse grid, grid and
   first bracket built at import, then golden-section refinement. The
@@ -26,14 +27,20 @@ and :func:`run_pipeline` on one config share it, and a new config
 starts without one. Past that the pipeline goes through the wrappers.
 A loss sweep checks its grid once, finds each scheme's support (the
 highest photon number its distributions carry) once, and runs the
-kernels at each point, on floats and without records, with channel
-terms up to that support only: the bins above it are zero and add
-nothing to a sum. The kernels keep the checks that can fire there.
+kernels at each point, on floats and without records, with the
+distributions cut at that support: the bins above it are zero and add
+nothing to a sum. The kernels keep the checks that can fire there. Each
+point's transmittance and channel terms are kept, like ``_model``, in
+the config's instance ``__dict__``, for the last grid scanned on it
+(:func:`_loss_points`): the schemes of a comparison scanned one after
+another on one config convert each loss once, and compute its terms
+again only for a larger support than the kept one, whose prefix serves
+every smaller one.
 
 The count sampling draws with the package's own seeded sampler,
 :mod:`decoyqkd._binomial`, which gives the counts that
 ``numpy.random.default_rng([seed, index])`` draws, without numpy; it is
-imported on the first draw.
+imported on the first draw, which binds it for every later one.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 
 from .channel import E0, ChannelParams, error_n, loss_db_to_eta, yield_n
@@ -144,7 +151,9 @@ class ExperimentConfig(_Record):
             self.source_decoy.distribution(self.n_max),
             wcs_distribution(self.vacuum_mu, self.n_max),
         )
-        return dists, _expected_statistics(self, dists, self.channel.eta, self.n_max)
+        ch = self.channel
+        terms = _channel_terms(ch.eta, ch.y0, ch.e_det, self.n_max)
+        return dists, _expected_statistics([d.probs for d in dists], *terms)
 
     def pulse_split(self) -> tuple[int, int, int]:
         """Gate counts per intensity; the signal share absorbs rounding."""
@@ -239,26 +248,27 @@ def expected_statistics(cfg: ExperimentConfig) -> IntensityStatistics:
 
 
 def _expected_statistics(
-    cfg: ExperimentConfig, dists: SessionDistributions, eta: float, support: int
+    probs: Iterable[tuple[float, ...]],
+    yields: tuple[float, ...],
+    numerators: tuple[float, ...],
 ) -> Statistics:
-    """Kernel of :func:`expected_statistics` for the distributions
-    ``dists`` of ``cfg``, at transmittance ``eta`` and the rest of its
-    channel: the fields of :class:`IntensityStatistics`, in order, with
-    one set of channel terms for the three settings, checked in the
-    order of the settings. The terms run to ``support``: a session passes
-    ``n_max``, and a loss sweep the highest photon number the
-    distributions carry (:func:`sources._support`), which it finds once
-    per scan and which gives the same bits."""
-    ch = cfg.channel
-    dist_signal, dist_decoy, dist_vacuum = dists
-    yields, numerators = _channel_terms(eta, ch.y0, ch.e_det, support)
-    q_signal = _gain(dist_signal.probs, yields)
-    e_signal = _qber(q_signal, dist_signal.probs, numerators)
-    q_decoy = _gain(dist_decoy.probs, yields)
-    e_decoy = _qber(q_decoy, dist_decoy.probs, numerators)
-    q_vacuum = _gain(dist_vacuum.probs, yields)
+    """Kernel of :func:`expected_statistics`: the fields of
+    :class:`IntensityStatistics`, in order, for the signal, decoy and
+    vacuum ``probs`` of a session, folded through one set of channel
+    terms of :func:`channel._channel_terms`, checked in the order of the
+    settings. Each sum runs as far as the shorter of the probabilities
+    and the terms: a session passes its distributions whole, with terms
+    up to ``n_max``; a loss sweep passes them cut at the highest photon
+    number they carry (:func:`sources._support`), with the terms of its
+    point, which may run further. Both give the bits of the full sums."""
+    probs_signal, probs_decoy, probs_vacuum = probs
+    q_signal = _gain(probs_signal, yields)
+    e_signal = _qber(q_signal, probs_signal, numerators)
+    q_decoy = _gain(probs_decoy, yields)
+    e_decoy = _qber(q_decoy, probs_decoy, numerators)
+    q_vacuum = _gain(probs_vacuum, yields)
     try:
-        e_vacuum = _qber(q_vacuum, dist_vacuum.probs, numerators)
+        e_vacuum = _qber(q_vacuum, probs_vacuum, numerators)
     except UndefinedStatisticError:
         q_vacuum, e_vacuum = 0.0, E0
     return q_signal, e_signal, q_decoy, e_decoy, q_vacuum, e_vacuum
@@ -272,14 +282,11 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     intensity uses a generator derived from (seed, intensity index), so
     results are reproducible and independent of evaluation order.
     """
-    # imported here, so that commands which never sample do not load it
-    from ._binomial import binomial_pairs
-
     stats = cfg._model[1]
     split = cfg.pulse_split()
     # (Q, E) at the signal, decoy and vacuum settings
     per_intensity = (stats[0:2], stats[2:4], stats[4:6])
-    pairs = binomial_pairs(
+    pairs = _binomial_pairs(
         operator.index(cfg.rng_seed),
         [(gates, q, e) for gates, (q, e) in zip(split, per_intensity)],
     )
@@ -288,6 +295,19 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
         for gates, (detections, errors) in zip(split, pairs)
     ]
     return SimulatedCounts(signal=drawn[0], decoy=drawn[1], vacuum=drawn[2])
+
+
+def _binomial_pairs(
+    seed: int, draws: list[tuple[int, float, float]]
+) -> list[tuple[int, int]]:
+    """:func:`_binomial.binomial_pairs`, imported on the first draw, so
+    that commands which never sample do not load it; the import binds
+    it in place of this function, so later draws call it directly."""
+    global _binomial_pairs
+    from ._binomial import binomial_pairs
+
+    _binomial_pairs = binomial_pairs
+    return binomial_pairs(seed, draws)
 
 
 def run_pipeline(
@@ -361,6 +381,11 @@ class Scheme(_Record):
 
     def __post_init__(self) -> None:
         kind, arg = self.kind, self.arg
+        if not isinstance(kind, SchemeKind):
+            raise InvalidParameterError(
+                f"scheme kind {kind!r} is not a SchemeKind; Scheme.parse reads "
+                "a token such as 'hsps-decoy:0.40'"
+            )
         if kind is SchemeKind.HSPS_DECOY:
             if arg is None:
                 raise InvalidParameterError(
@@ -437,24 +462,72 @@ def _check_heralded_template(cfg: ExperimentConfig) -> None:
         )
 
 
-def _scheme_rates(
-    scheme: Scheme, cfg: ExperimentConfig, etas: Iterable[float]
-) -> list[float]:
-    """Key rate of ``scheme`` at each transmittance ``etas`` of the
-    channel of ``cfg``, by one of three estimators: the infinite-decoy
+def _loss_points(
+    cfg: ExperimentConfig, grid: list, support: int
+) -> Iterator[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+    """The transmittance of each loss of ``grid``, in grid order, with
+    the channel terms of ``cfg`` there (:func:`channel._channel_terms`)
+    up to ``support`` at least, or none for a negative ``support``.
+
+    The points are kept in ``cfg``'s instance ``__dict__``, beside
+    ``_model`` and, like it, outside ``==``, ``hash``, ``repr`` and
+    :func:`dataclasses.replace`: the config holds those of one grid, the
+    last one scanned, so each scheme scanned on it reads the
+    transmittance and the terms an earlier scan computed. A point is
+    computed when a scan reaches it, so a loss that raises raises at its
+    own point, as in a fresh scan; terms shorter than ``support`` are
+    computed again at ``support``. The terms of a smaller support are a
+    prefix of those of a larger one, and a kernel's sum stops at the end
+    of the probabilities it is given, so every scheme gets the bits of
+    its own terms. Each point depends on the loss and the config alone,
+    so threads scanning one config need no lock: a write lost to another
+    thread costs only its recomputation.
+    """
+    memo = vars(cfg).get("_loss_points")
+    # an equal loss of another type may be checked or converted otherwise
+    if (
+        memo is None
+        or memo[0] != grid
+        or not all(map(operator.is_, map(type, memo[0]), map(type, grid)))
+    ):
+        memo = (grid, [None] * len(grid))
+        vars(cfg)["_loss_points"] = memo
+    points = memo[1]
+    ch = cfg.channel
+    y0, e_det = ch.y0, ch.e_det
+    for i, point in enumerate(points):
+        if point is None or len(point[1]) <= support:
+            eta = loss_db_to_eta(grid[i]) if point is None else point[0]
+            if support < 0:
+                point = points[i] = (eta, (), ())
+            else:
+                yields, numerators = _channel_terms(eta, y0, e_det, support)
+                point = points[i] = (eta, yields, numerators)
+        yield point
+
+
+def _scheme_rates(scheme: Scheme, cfg: ExperimentConfig, grid: list) -> list[float]:
+    """Key rate of ``scheme`` at each loss of ``grid`` on the channel of
+    ``cfg``, by one of three estimators: the infinite-decoy
     coherent-state rate at its best intensity, the three-intensity
     bounds, or the no-decoy bound on one distribution (exact for the
     ideal source: G0 = 0 and G1 = Q).
 
     The distributions, their weights and their support (the highest
-    photon number with a nonzero P(n)) are set up once per scan. Each
-    point runs the float kernels of the chain, whose checks fire in the
-    order of the public functions, on channel terms up to that support.
+    photon number with a nonzero P(n)) are set up once per scan, and the
+    probabilities cut at that support. Each point reads its
+    transmittance and channel terms from :func:`_loss_points`, shared
+    with every scheme scanned on ``cfg``, and runs the float kernels of
+    the chain, whose checks fire in the order of the public functions.
+    ``wcs-decoy-opt`` reads the transmittance alone.
     """
     protocol, ch = cfg.protocol, cfg.channel
-    y0, e_det = ch.y0, ch.e_det
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        return [_optimize_mu(eta, y0, e_det, protocol)[1] for eta in etas]
+        y0, e_det = ch.y0, ch.e_det
+        return [
+            _optimize_mu(eta, y0, e_det, protocol)[1]
+            for eta, _, _ in _loss_points(cfg, grid, -1)
+        ]
 
     rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
@@ -472,9 +545,10 @@ def _scheme_rates(
         dists = (dist_signal, dist_decoy, wcs_distribution(cfg.vacuum_mu, cfg.n_max))
         pair = _pair(dist_signal, dist_decoy)
         support = _support(*dists)
-        for eta in etas:
+        probs = [dist.probs[: support + 1] for dist in dists]
+        for _, yields, numerators in _loss_points(cfg, grid, support):
             q_signal, e_signal, q_decoy, _, y0_obs, _ = _expected_statistics(
-                cfg, dists, eta, support
+                probs, yields, numerators
             )
             widened = (q_decoy, q_signal, q_signal * e_signal, y0_obs, y0_obs)
             _, e1, g0, g1, _ = _estimate_bounds(widened, y0_obs, pair)
@@ -491,10 +565,11 @@ def _scheme_rates(
         dist = cfg.source_signal.distribution(cfg.n_max)
     weights = (dist.p(0), dist.p(1), dist.p_at_least(2))
     support = _support(dist)
-    for eta in etas:
-        yields, numerators = _channel_terms(eta, y0, e_det, support)
-        q = _gain(dist.probs, yields)
-        e = _qber(q, dist.probs, numerators)
+    probs = dist.probs[: support + 1]
+    y0 = ch.y0
+    for _, yields, numerators in _loss_points(cfg, grid, support):
+        q = _gain(probs, yields)
+        e = _qber(q, probs, numerators)
         _, e1, g0, g1, _ = _no_decoy_bounds(q, e, y0, weights)
         rates.append(_key_rate(q, e, e1, g0, g1, protocol)[0])
     return rates
@@ -525,15 +600,23 @@ def scan_loss(
     ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
     point, with no channel record, and computes the constants of its rate
     once per point. Each loss is converted to its transmittance when its
-    point runs, so every rate, and every error, is that of a
+    point is first reached, so every rate, and every error, is that of a
     point-by-point evaluation in grid order.
+
+    The template keeps each loss's transmittance and channel terms for
+    the last grid scanned on it, outside its fields (about 1.2 kB per
+    loss at support 15): the schemes of a comparison scanned one after
+    another on one template and one grid convert each loss once, and
+    compute its terms again only for a scheme whose support is larger
+    than the kept one. A scan on another grid, or on a replaced
+    template, starts afresh.
     """
     grid = list(loss_grid_db)
     if not grid:
         raise InvalidParameterError("loss grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("loss grid must be strictly ascending")
-    rates = tuple(_scheme_rates(scheme, cfg_template, map(loss_db_to_eta, grid)))
+    rates = tuple(_scheme_rates(scheme, cfg_template, grid))
     return LossCurve(
         scheme_label=scheme.label, loss_db=tuple(map(float, grid)), rate=rates
     )

@@ -255,8 +255,10 @@ class TestSessionModel:
             wcs_distribution(fresh.vacuum_mu, fresh.n_max),
         )
         # terms up to n_max, past the distributions' support: the same bits
+        ch = fresh.channel
         stats = session_mod._expected_statistics(
-            fresh, dists, fresh.channel.eta, fresh.n_max
+            [d.probs for d in dists],
+            *channel_mod._channel_terms(ch.eta, ch.y0, ch.e_det, fresh.n_max),
         )
         assert model_bits(*model) == model_bits(dists, stats)
         assert repr(result) == repr(run_pipeline(fresh, counts))
@@ -522,6 +524,52 @@ LOSSES_DB = st.sampled_from(
 ).flatmap(lambda losses: losses)
 
 
+# heralded templates unlike the canonical one, with and without
+# background; the fields of template_config
+TEMPLATES = dict(
+    y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+    # half the draws at e_det <= 0.1, where key is common
+    e_det=st.one_of(
+        st.floats(min_value=0.0, max_value=0.1),
+        st.floats(min_value=0.0, max_value=0.5),
+    ),
+    vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+    n_max=st.integers(min_value=2, max_value=40),
+    q_sift=st.floats(min_value=0.01, max_value=1.0),
+    f_ec=st.floats(min_value=1.0, max_value=3.0),
+    # (p_cor, signal mu_acc, decoy mu_acc, d_i), with the decoy a
+    # fraction of the signal as in tests/test_decoy.py::source_pairs;
+    # the examples of TestScanLossAgainstReference cover the degenerate pairs
+    template=st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-4.0, max_value=0.3).map(lambda x: 10.0**x),
+        st.floats(min_value=0.02, max_value=0.5),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
+    ).map(lambda t: (t[0], t[1], t[1] * t[2], t[3])),
+    # the benchmark's, or a short session, often too small for the
+    # gate split, which a sweep does not take
+    total_pulses=st.one_of(
+        st.just(BENCH_TOTAL_PULSES), st.integers(min_value=1, max_value=39)
+    ),
+)
+
+
+def template_config(
+    y0, e_det, vacuum_mu, n_max, q_sift, f_ec, template, total_pulses
+):
+    p_cor, mu_signal, mu_decoy, d_i = template
+    base = bench_config(vacuum_mu=vacuum_mu)
+    return replace(
+        base,
+        source_signal=HspsSource(HspsParams(p_cor, mu_signal, d_i)),
+        source_decoy=HspsSource(HspsParams(p_cor, mu_decoy, d_i)),
+        channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det),
+        protocol=ProtocolParams(q_sift=q_sift, f_ec=f_ec),
+        total_pulses=total_pulses,
+        n_max=n_max,
+    )
+
+
 class TestScanLossAgainstReference:
     """``scan_loss`` evaluates each scheme over the whole loss axis; its
     rates must be those of a point-by-point evaluation on the reference
@@ -531,30 +579,7 @@ class TestScanLossAgainstReference:
     same error."""
 
     @given(
-        y0=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
-        # half the draws at e_det <= 0.1, where key is common
-        e_det=st.one_of(
-            st.floats(min_value=0.0, max_value=0.1),
-            st.floats(min_value=0.0, max_value=0.5),
-        ),
-        vacuum_mu=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
-        n_max=st.integers(min_value=2, max_value=40),
-        q_sift=st.floats(min_value=0.01, max_value=1.0),
-        f_ec=st.floats(min_value=1.0, max_value=3.0),
-        # (p_cor, signal mu_acc, decoy mu_acc, d_i), with the decoy a
-        # fraction of the signal as in tests/test_decoy.py::source_pairs;
-        # the examples below cover the degenerate pairs
-        template=st.tuples(
-            st.floats(min_value=0.0, max_value=1.0),
-            st.floats(min_value=-4.0, max_value=0.3).map(lambda x: 10.0**x),
-            st.floats(min_value=0.02, max_value=0.5),
-            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
-        ).map(lambda t: (t[0], t[1], t[1] * t[2], t[3])),
-        # the benchmark's, or a short session, often too small for the
-        # gate split, which a sweep does not take
-        total_pulses=st.one_of(
-            st.just(BENCH_TOTAL_PULSES), st.integers(min_value=1, max_value=39)
-        ),
+        **TEMPLATES,
         losses=st.lists(LOSSES_DB, min_size=1, max_size=5, unique=True),
         token=st.one_of(
             st.sampled_from(SCHEME_TOKENS),
@@ -629,16 +654,8 @@ class TestScanLossAgainstReference:
         losses,
         token,
     ):
-        p_cor, mu_signal, mu_decoy, d_i = template
-        base = bench_config(vacuum_mu=vacuum_mu)
-        cfg = replace(
-            base,
-            source_signal=HspsSource(HspsParams(p_cor, mu_signal, d_i)),
-            source_decoy=HspsSource(HspsParams(p_cor, mu_decoy, d_i)),
-            channel=ChannelParams(eta=BENCH_ETA, y0=y0, e_det=e_det),
-            protocol=ProtocolParams(q_sift=q_sift, f_ec=f_ec),
-            total_pulses=total_pulses,
-            n_max=n_max,
+        cfg = template_config(
+            y0, e_det, vacuum_mu, n_max, q_sift, f_ec, template, total_pulses
         )
         scheme = Scheme.parse(token)
         grid = sorted(losses)
@@ -855,6 +872,170 @@ class TestScanLossWork:
             tracemalloc.stop()
         # one (2000 x 512) float64 temporary alone would take 8 MB
         assert peak < 4 * 2**20
+
+
+# the six schemes of acceptance criterion 3 and the bench sweep, in order
+GOLDEN_SCHEMES = (
+    "wcs-no-decoy",
+    "hsps-no-decoy",
+    "wcs-decoy-opt",
+    "hsps-decoy:0.40",
+    "hsps-decoy:0.70",
+    "ideal-sps",
+)
+GOLDEN_GRID = [round(0.5 * k, 6) for k in range(121)]  # 0..60 dB
+
+
+def curve_or_error(cfg, token, grid):
+    """The label, losses and rate bits of a scan, or the type and message
+    of the package error it raised."""
+    try:
+        curve = scan_loss(cfg, Scheme.parse(token), grid)
+    except PACKAGE_ERRORS as exc:
+        return type(exc), str(exc)
+    return (
+        curve.scheme_label,
+        [float.hex(loss) for loss in curve.loss_db],
+        [float.hex(r) for r in curve.rate],
+    )
+
+
+class TestLossPointMemo:
+    """A config keeps the transmittance and channel terms of each loss of
+    the last grid scanned on it, for every scheme scanned after: each
+    scan must give what it gives on a fresh config, bit for bit, error
+    for error."""
+
+    @given(
+        **TEMPLATES,
+        grids=st.lists(
+            st.lists(LOSSES_DB, min_size=1, max_size=5, unique=True).map(sorted),
+            min_size=2,
+            max_size=2,
+        ),
+        # (token, grid index), in any order, with repeats
+        scans=st.lists(
+            st.tuples(st.sampled_from(SCHEME_TOKENS), st.integers(0, 1)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    # without background, every scheme raises at 180 dB before the loss
+    # whose transmittance underflows, on a grid whose points are kept
+    @example(
+        **EDGE_EXAMPLE,
+        template=(0.4, 1e-3, 1e-4, 1e-3),
+        grids=[[180.0, 4000.0], [10.0, 4000.0]],
+        scans=[(token, k) for k in (0, 1, 0) for token in SCHEME_TOKENS],
+    )
+    # terms asked for at a support larger than the kept ones, then smaller
+    @example(
+        **{**EDGE_EXAMPLE, "y0": 1e-6},
+        template=(0.4, 1e-3, 1e-4, 1e-3),
+        grids=[[0.0, 12.5, 27.0], [12.5, 27.0, 41.0]],
+        scans=[(token, 0) for token in reversed(SCHEME_TOKENS)]
+        + [(token, 1) for token in SCHEME_TOKENS],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scans_on_one_config_equal_fresh_scans(
+        self,
+        y0,
+        e_det,
+        vacuum_mu,
+        n_max,
+        q_sift,
+        f_ec,
+        template,
+        total_pulses,
+        grids,
+        scans,
+    ):
+        cfg = template_config(
+            y0, e_det, vacuum_mu, n_max, q_sift, f_ec, template, total_pulses
+        )
+        for token, k in scans:
+            fresh = curve_or_error(replace(cfg), token, grids[k])
+            assert curve_or_error(cfg, token, grids[k]) == fresh, (token, k)
+
+    def test_golden_sweep_converts_each_loss_once(self, monkeypatch):
+        conversions = count_calls(
+            monkeypatch, (channel_mod, session_mod), ("loss_db_to_eta",)
+        )
+        terms = count_calls(
+            monkeypatch, (channel_mod, session_mod), ("_channel_terms",)
+        )
+        cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
+        for token in GOLDEN_SCHEMES:
+            scan_loss(cfg, Scheme.parse(token), GOLDEN_GRID)
+        # 726 and 726 with a conversion and a set of terms per scheme; the
+        # terms are those at n 15 of wcs-no-decoy, read by the four
+        # schemes after it, and the n 1 terms of each wcs-decoy-opt rate
+        assert conversions[0] == len(GOLDEN_GRID)
+        assert terms[0] == 2 * len(GOLDEN_GRID)
+
+    def test_memo_holds_one_grid(self):
+        cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
+        # wcs-no-decoy asks for the largest support of the golden sweep
+        scheme = Scheme(SchemeKind.WCS_NO_DECOY)
+        grids = [[0.5 * k + shift for k in range(121)] for shift in (0.0, 0.25)]
+        tracemalloc.start()
+        try:
+            scan_loss(cfg, scheme, grids[0])
+            one, _ = tracemalloc.get_traced_memory()
+            for k in range(1, 10):
+                scan_loss(cfg, scheme, grids[k % 2])
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 121 points at support 15 take about 1.2 kB each, 146 kB in all,
+        # less the floats CPython took from its free list, which are not
+        # traced
+        assert one < 192 * 2**10
+        # each new grid replaces the old one
+        assert vars(cfg)["_loss_points"][0] == grids[1]
+        assert after - one < 16 * 2**10
+
+    def test_an_equal_grid_of_other_types_is_another_grid(self):
+        cfg = bench_config()
+        ideal_sps = Scheme(SchemeKind.IDEAL_SPS)
+        scan_loss(cfg, ideal_sps, [10.0])
+        # 10 + 0j == 10.0, but a complex loss is refused at its point
+        with pytest.raises(TypeError, match=r"^'<=' not supported between"):
+            scan_loss(cfg, ideal_sps, [10 + 0j])
+
+    def test_threads_on_one_config(self):
+        # more threads than cores, switching often, each scanning the six
+        # schemes in its own order on one of two grids, so that threads
+        # read, extend and replace the kept points of one config at once
+        cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
+        grids = (GOLDEN_GRID, [loss + 0.25 for loss in GOLDEN_GRID])
+        workers = 8
+        start = threading.Barrier(workers, timeout=60)
+        results = [None] * workers
+
+        def sweep(slot):
+            start.wait()
+            tokens = GOLDEN_SCHEMES[slot:] + GOLDEN_SCHEMES[:slot]
+            grid = grids[slot % 2]
+            results[slot] = {t: curve_or_error(cfg, t, grid) for t in tokens}
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [
+            {t: curve_or_error(replace(cfg), t, grid) for t in GOLDEN_SCHEMES}
+            for grid in grids
+        ]
+        for slot, result in enumerate(results):
+            assert result == expected[slot % 2], slot
 
 
 def count_calls(monkeypatch, modules, names) -> list[int]:
@@ -1343,6 +1524,16 @@ class TestScheme:
         for name in ("p_cor", "wcs_mu"):
             with pytest.raises(TypeError):
                 Scheme(SchemeKind.HSPS_DECOY, **{name: 0.4})
+
+    @pytest.mark.parametrize(
+        "kind, arg", [("hsps-decoy", None), ("ideal-sps", 0.3), (None, None)]
+    )
+    def test_kind_must_be_a_scheme_kind(self, kind, arg):
+        # a token is not a kind: it is refused before a scan could start
+        with pytest.raises(
+            InvalidParameterError, match=rf"^scheme kind {kind!r} is not a SchemeKind"
+        ):
+            Scheme(kind, arg=arg)
 
     @settings(max_examples=500, deadline=None)
     @given(case=scheme_argument_pairs())
