@@ -103,9 +103,9 @@ def _channel_terms(
     above its support, the highest photon number with a nonzero P(n),
     add nothing: the loss sweep finds that support once per scan
     (:func:`sources._support`), cuts the distributions there, and reads
-    terms computed once per loss up to the largest support of the
-    schemes scanned on its config (:func:`session._loss_points`); every
-    other caller passes ``n_max``."""
+    terms at a support no smaller, kept for the schemes scanned on its
+    config by the rule of :func:`session._loss_points`; every other
+    caller passes ``n_max``."""
     base = 1.0 - eta
     e0_y0 = E0 * y0
     yields = []

@@ -10,7 +10,7 @@ Ties the source, channel, estimator and key-rate pieces together:
 * loss sweeps comparing source/estimator schemes on a common channel,
   each scheme evaluated over the whole loss axis with its channel-
   independent setup done once per scan, and each loss's transmittance
-  and channel terms computed once per config and grid for every scheme;
+  and channel terms shared by the schemes scanned on one config;
 * optimization of the coherent-state signal intensity in the
   infinite-decoy limit: a Fibonacci search over a coarse grid, grid and
   first bracket built at import, then golden-section refinement. The
@@ -29,13 +29,10 @@ A loss sweep checks its grid once, finds each scheme's support (the
 highest photon number its distributions carry) once, and runs the
 kernels at each point, on floats and without records, with the
 distributions cut at that support: the bins above it are zero and add
-nothing to a sum. The kernels keep the checks that can fire there. Each
-point's transmittance and channel terms are kept, like ``_model``, in
-the config's instance ``__dict__``, for the last grid scanned on it
-(:func:`_loss_points`): the schemes of a comparison scanned one after
-another on one config convert each loss once, and compute its terms
-again only for a larger support than the kept one, whose prefix serves
-every smaller one.
+nothing to a sum. The kernels keep the checks that can fire there. The
+config keeps, like ``_model``, the points of the last scan that reached
+the end of its grid, for the schemes scanned after it (the rule is
+:func:`_loss_points`').
 
 The count sampling draws with the package's own seeded sampler,
 :mod:`decoyqkd._binomial`, which gives the counts that
@@ -469,41 +466,44 @@ def _loss_points(
     the channel terms of ``cfg`` there (:func:`channel._channel_terms`)
     up to ``support`` at least, or none for a negative ``support``.
 
-    The points are kept in ``cfg``'s instance ``__dict__``, beside
-    ``_model`` and, like it, outside ``==``, ``hash``, ``repr`` and
-    :func:`dataclasses.replace`: the config holds those of one grid, the
-    last one scanned, so each scheme scanned on it reads the
-    transmittance and the terms an earlier scan computed. A point is
-    computed when a scan reaches it, so a loss that raises raises at its
-    own point, as in a fresh scan; terms shorter than ``support`` are
-    computed again at ``support``. The terms of a smaller support are a
-    prefix of those of a larger one, and a kernel's sum stops at the end
-    of the probabilities it is given, so every scheme gets the bits of
-    its own terms. Each point depends on the loss and the config alone,
-    so threads scanning one config need no lock: a write lost to another
-    thread costs only its recomputation.
+    The kept-points rule, which the rest of the package cites: ``cfg``
+    keeps one snapshot ``(grid, support, points)`` in its instance
+    ``__dict__``, beside ``_model`` and, like it, outside ``==``,
+    ``hash``, ``repr`` and :func:`dataclasses.replace`. A scan reads the
+    snapshot when its grid has the same values of the same types and
+    its support is no larger than the kept one: the terms of a smaller
+    support are a prefix of those of a larger one, and a kernel's sum
+    stops at the end of the probabilities it is given, so every scheme
+    gets the bits of its own terms. Any other scan drops the snapshot
+    and computes each point when it reaches it, so a loss that raises
+    raises at its own point, as in a fresh scan; only a scan that
+    reaches the end of its grid stores its points, as a new snapshot.
+    The snapshot is stored and dropped whole, by one ``__dict__``
+    operation each, so threads scanning one config need no lock: a
+    snapshot lost to another thread costs only its recomputation.
     """
-    memo = vars(cfg).get("_loss_points")
+    kept = vars(cfg).get("_loss_points")
     # an equal loss of another type may be checked or converted otherwise
     if (
-        memo is None
-        or memo[0] != grid
-        or not all(map(operator.is_, map(type, memo[0]), map(type, grid)))
+        kept is not None
+        and support <= kept[1]
+        and kept[0] == grid
+        and all(map(operator.is_, map(type, kept[0]), map(type, grid)))
     ):
-        memo = (grid, [None] * len(grid))
-        vars(cfg)["_loss_points"] = memo
-    points = memo[1]
+        yield from kept[2]
+        return
+    # no reference to the old points may outlive the drop
+    del kept
+    vars(cfg).pop("_loss_points", None)
     ch = cfg.channel
     y0, e_det = ch.y0, ch.e_det
-    for i, point in enumerate(points):
-        if point is None or len(point[1]) <= support:
-            eta = loss_db_to_eta(grid[i]) if point is None else point[0]
-            if support < 0:
-                point = points[i] = (eta, (), ())
-            else:
-                yields, numerators = _channel_terms(eta, y0, e_det, support)
-                point = points[i] = (eta, yields, numerators)
+    points = []
+    for loss in grid:
+        eta = loss_db_to_eta(loss)
+        point = (eta, *_channel_terms(eta, y0, e_det, support))
+        points.append(point)
         yield point
+    vars(cfg)["_loss_points"] = (grid, support, tuple(points))
 
 
 def _scheme_rates(scheme: Scheme, cfg: ExperimentConfig, grid: list) -> list[float]:
@@ -516,10 +516,10 @@ def _scheme_rates(scheme: Scheme, cfg: ExperimentConfig, grid: list) -> list[flo
     The distributions, their weights and their support (the highest
     photon number with a nonzero P(n)) are set up once per scan, and the
     probabilities cut at that support. Each point reads its
-    transmittance and channel terms from :func:`_loss_points`, shared
-    with every scheme scanned on ``cfg``, and runs the float kernels of
-    the chain, whose checks fire in the order of the public functions.
-    ``wcs-decoy-opt`` reads the transmittance alone.
+    transmittance and channel terms from :func:`_loss_points`, which
+    keeps them for the schemes scanned after on ``cfg``, and runs the
+    float kernels of the chain, whose checks fire in the order of the
+    public functions. ``wcs-decoy-opt`` reads the transmittance alone.
     """
     protocol, ch = cfg.protocol, cfg.channel
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
@@ -599,17 +599,13 @@ def scan_loss(
     and compute the channel terms once for all distributions.
     ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
     point, with no channel record, and computes the constants of its rate
-    once per point. Each loss is converted to its transmittance when its
-    point is first reached, so every rate, and every error, is that of a
+    once per point. Every rate, and every error, is that of a
     point-by-point evaluation in grid order.
 
-    The template keeps each loss's transmittance and channel terms for
-    the last grid scanned on it, outside its fields (about 1.2 kB per
-    loss at support 15): the schemes of a comparison scanned one after
-    another on one template and one grid convert each loss once, and
-    compute its terms again only for a scheme whose support is larger
-    than the kept one. A scan on another grid, or on a replaced
-    template, starts afresh.
+    The template keeps, outside its fields, the transmittances and
+    channel terms of its last finished scan (about 1.2 kB per loss at
+    support 15) for the scans after it, by the rule of
+    :func:`_loss_points`; a replaced template starts afresh.
     """
     grid = list(loss_grid_db)
     if not grid:

@@ -1003,6 +1003,40 @@ class TestLossPointMemo:
         with pytest.raises(TypeError, match=r"^'<=' not supported between"):
             scan_loss(cfg, ideal_sps, [10 + 0j])
 
+    def test_a_scan_that_raises_keeps_nothing(self):
+        cfg = ideal_config(y0=0.0)
+        ideal_sps = Scheme(SchemeKind.IDEAL_SPS)
+        scan_loss(cfg, ideal_sps, [10.0])
+        assert "_loss_points" in vars(cfg)
+        # without background the gain is zero at 180 dB, after a point
+        # that a finished scan would keep
+        with pytest.raises(UndefinedStatisticError, match="zero gain"):
+            scan_loss(cfg, ideal_sps, [10.0, 180.0])
+        assert "_loss_points" not in vars(cfg)
+
+    def test_a_larger_support_replaces_the_snapshot(self, monkeypatch):
+        cfg = bench_config(q_sift=0.5, vacuum_mu=0.0)
+        grid = GOLDEN_GRID[:9]
+        scan_loss(cfg, Scheme(SchemeKind.IDEAL_SPS), grid)
+        small = vars(cfg)["_loss_points"]
+        wcs_no_decoy = Scheme(SchemeKind.WCS_NO_DECOY)
+        assert scan_loss(cfg, wcs_no_decoy, grid) == scan_loss(
+            replace(cfg), wcs_no_decoy, grid
+        )
+        large = vars(cfg)["_loss_points"]
+        assert large is not small
+        assert large[1] > small[1]
+        conversions = count_calls(
+            monkeypatch, (channel_mod, session_mod), ("loss_db_to_eta",)
+        )
+        for token in ("ideal-sps", "hsps-no-decoy", "wcs-decoy-opt"):
+            assert curve_or_error(cfg, token, grid) == curve_or_error(
+                replace(cfg), token, grid
+            )
+        # the fresh scans convert their losses; the three on cfg read them
+        assert conversions[0] == 3 * len(grid)
+        assert vars(cfg)["_loss_points"] is large
+
     def test_threads_on_one_config(self):
         # more threads than cores, switching often, each scanning the six
         # schemes in its own order on one of two grids, so that threads

@@ -490,6 +490,23 @@ class TestRateInference:
         with pytest.raises(InconsistentDataError):
             infer_correlation(bad, infer_accidental_rate(bad))
 
+    def test_correlation_past_the_float_range_of_the_exponential(self):
+        def rates(rc_hz):
+            return MeasuredRates(
+                r0_hz=1e6,
+                rs_hz=1e5,
+                rc_hz=rc_hz,
+                ds_hz=100.0,
+                eta_s=1.0,
+                gate_time_s=1.0,
+            )
+
+        # exp(1e300) overflows: with no gate missed the correlation is 1
+        assert infer_correlation(rates(1e6), 1e300) == 1.0
+        # and with any gate missed, no correlation explains the rates
+        with pytest.raises(InconsistentDataError, match=r"^inferred correlation -inf"):
+            infer_correlation(rates(5e5), 1e300)
+
     def test_invariant_violations_rejected(self):
         with pytest.raises(InvalidParameterError):
             MeasuredRates(1e6, 2e6, 1e5, 1e3, 0.1, 2.5e-9)  # rs >= r0
