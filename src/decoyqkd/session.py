@@ -13,7 +13,7 @@ Ties the source, channel, estimator and key-rate pieces together:
   and channel terms shared by the schemes scanned on one config;
 * optimization of the coherent-state signal intensity in the
   infinite-decoy limit: a Fibonacci search over a coarse grid, grid and
-  first bracket built at import, then golden-section refinement. The
+  first bracket built at import, then Brent's parabolic refinement. The
   rate is one closure of mu that writes out the GLLP bracket itself.
 
 Each step of the chain is a private float kernel behind a public
@@ -682,10 +682,9 @@ def _wcs_rate(
     return rate
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # optimize_mu's search: a coarse grid of MU_COARSE_POINTS intensities
-# spanning MU_SEARCH_RANGE, then golden-section refinement to MU_TOL
+# spanning MU_SEARCH_RANGE, then Brent's parabolic refinement to within
+# MU_TOL / 3 plus sqrt(eps) of the intensity
 MU_SEARCH_RANGE = (1e-4, 1.0)
 MU_COARSE_POINTS = 512
 MU_TOL = 1e-7
@@ -702,6 +701,11 @@ _COARSE_MU = tuple(
 _FIB_START = (1, 2)
 while sum(_FIB_START) <= MU_COARSE_POINTS:
     _FIB_START = _FIB_START[1], sum(_FIB_START)
+
+# the refinement's golden-section fraction of a step, 2 - phi, and the
+# relative part of its tolerance, sqrt(eps) = 2**-26
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(math.ulp(1.0))
 
 
 def _coarse_argmax(rate: Callable[[float], float]) -> tuple[int, float]:
@@ -759,10 +763,12 @@ def optimize_mu(
     intensity.
 
     A search over a coarse grid of ``MU_COARSE_POINTS`` intensities
-    finds its best point (see :func:`_coarse_argmax`); golden-section
-    refinement between that point's neighbours then narrows it to
-    ``MU_TOL``, and the better of the grid point and the refined one is
-    returned. Every value is the scalar rate of
+    finds its best point (see :func:`_coarse_argmax`). Brent's minimizer
+    (parabolic steps through the best three points seen, golden-section
+    steps where a parabola is unsafe) then searches between that point's
+    neighbours, starting at the point, to within sqrt(eps) mu +
+    ``MU_TOL`` / 3, and the best intensity it sees is returned, never
+    worse than the grid point. Every value is the scalar rate of
     :func:`wcs_infinite_decoy_rate`, one closure of ``mu`` with its
     constants at the channel (Y1, 1 - H2(e1), E0 y0) computed once per
     call, which raises where the rate is undefined at the low end of
@@ -786,22 +792,58 @@ def _optimize_mu(
     best, r_best = _coarse_argmax(rate)
     a = _COARSE_MU[max(best - 1, 0)]
     b = _COARSE_MU[min(best + 1, MU_COARSE_POINTS - 1)]
-    # golden-section interior points, keeping the better half each step
-    inv_phi = _INV_PHI
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = rate(c), rate(d)
-    while b - a > MU_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = rate(c)
+    # Brent's localmin (Algorithms for Minimization without Derivatives,
+    # 1973, ch. 5) on f = -rate over [a, b], started at the grid point,
+    # whose f is known: x is the best point seen, w the second best and v
+    # the one before; each step fits a parabola through them or, where
+    # that is unsafe, takes a golden-section step into the larger part
+    golden, sqrt_eps, t = _GOLDEN, _SQRT_EPS, MU_TOL / 3.0
+    x = w = v = _COARSE_MU[best]
+    fx = fw = fv = -r_best
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = sqrt_eps * abs(x) + t
+        t2 = 2.0 * tol
+        if abs(x - m) <= t2 - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r = e
+            e = d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            # the parabola's vertex, but no nearer to a or b than 2 tol
+            d = p / q
+            u = x + d
+            if u - a < t2 or b - u < t2:
+                d = tol if x < m else -tol
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = rate(d)
-    mu_opt = (a + b) / 2.0
-    r_opt = rate(mu_opt)
-    if r_opt < r_best:
-        mu_opt, r_opt = _COARSE_MU[best], r_best
-    return mu_opt, (0.0 if r_opt <= 0.0 else r_opt)
+            e = (b if x < m else a) - x
+            d = golden * e
+        # and no nearer to x than tol
+        u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
+        fu = -rate(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, (0.0 if fx >= 0.0 else -fx)

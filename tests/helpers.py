@@ -25,7 +25,11 @@ estimator that does not come from it.
 
 The coarse intensity search is kept as it was first written, over grid
 indices and calling no package code: an oracle for the probe sequence
-and the result of ``session._coarse_argmax``.
+and the result of ``session._coarse_argmax``. Brent's ``localmin``, the
+refinement that follows it, is written out from the book, and the
+infinite-decoy coherent-state rate is also computed at 60 significant
+digits with :mod:`decimal`, calling no package code: the measure of
+which of two intensity searches finds the higher true rate.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 from decoyqkd import (
@@ -323,6 +328,117 @@ def ref_coarse_argmax(rate_at, points: int) -> tuple[int, float]:
     if at(0) >= grid[best]:
         best = 0
     return best, grid[best]
+
+
+def ref_localmin(a, b, x, fx, f, eps, t) -> tuple[float, float]:
+    """Brent's ``localmin`` (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5), step for step as the book writes
+    it, calling no package code: a point of [a, b] where ``f`` is
+    minimal to within ``eps |x| + t``, and ``f`` there. The book starts at
+    x = a + c (b - a); here the caller gives the start ``x``, in [a, b],
+    and its value ``fx``, which costs no evaluation."""
+    c = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = eps * abs(x) + t
+        t2 = 2.0 * tol
+        # check stopping criterion
+        if abs(x - m) <= t2 - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:
+            # fit parabola
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r = e
+            e = d
+        if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
+            # parabolic interpolation step
+            d = p / q
+            u = x + d
+            # f must not be evaluated too close to a or b
+            if u - a < t2 or b - u < t2:
+                d = tol if x < m else -tol
+        else:
+            # golden section step
+            e = (b if x < m else a) - x
+            d = c * e
+        # f must not be evaluated too close to x
+        if abs(d) >= tol:
+            u = x + d
+        elif d > 0.0:
+            u = x + tol
+        else:
+            u = x - tol
+        fu = f(u)
+        # update a, b, v, w and x
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v = w
+            fv = fw
+            w = x
+            fw = fx
+            x = u
+            fx = fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v = w
+                fv = fw
+                w = u
+                fw = fu
+            elif fu <= fv or v == x or v == w:
+                v = u
+                fv = fu
+
+
+def ref_wcs_rate_60(mu, ch, protocol) -> Decimal:
+    """The rate of :func:`ref_wcs_infinite_decoy_rate` at 60 significant
+    digits, with :mod:`decimal` and calling no package code. The float
+    inputs (``mu``, the channel's ``eta``, ``y0``, ``e_det`` and ``e0``,
+    the protocol's ``q_sift`` and ``f_ec``) are taken as exact, so the
+    distance of a float rate to it is that rate's own rounding. The
+    single-photon terms are those of the channel model, Y1 = min(y0 +
+    eta, 1) and e1 = (e0 y0 + e_det eta) / Y1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        one = Decimal(1)
+        ln2 = Decimal(2).ln()
+
+        def h2(x):
+            if x == 0 or x == one:
+                return Decimal(0)
+            return -(x * x.ln() + (one - x) * (one - x).ln()) / ln2
+
+        mu, eta, y0, e_det, e0, q_sift, f_ec = map(
+            Decimal,
+            (mu, ch.eta, ch.y0, ch.e_det, ch.e0, protocol.q_sift, protocol.f_ec),
+        )
+        signal = one - (-eta * mu).exp()
+        q = min(y0 + signal, one)
+        e = min((e0 * y0 + e_det * signal) / q, one)
+        y1 = min(y0 + eta, one)
+        # the privacy term is capped at e1 = 1/2
+        e1 = min((e0 * y0 + e_det * eta) / y1, Decimal("0.5"))
+        p0 = (-mu).exp()
+        return q_sift * (
+            -q * f_ec * h2(e) + y0 * p0 + y1 * mu * p0 * (one - h2(e1))
+        )
 
 
 def run_fresh(script, *args):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -52,6 +53,7 @@ from decoyqkd import (
 )
 from decoyqkd.config import dump_json, experiment_to_dict
 from dataclasses import asdict, fields, replace
+from decimal import Decimal, localcontext
 
 from helpers import (
     BENCH_E_DET,
@@ -66,9 +68,11 @@ from helpers import (
     bench_signal_source,
     ref_coarse_argmax,
     ref_infinite_decoy_bounds,
+    ref_localmin,
     ref_qber,
     ref_three_intensity_rate,
     ref_wcs_infinite_decoy_rate,
+    ref_wcs_rate_60,
 )
 
 
@@ -704,27 +708,28 @@ class TestScanLossAgainstReference:
         rates = scan_loss(cfg, Scheme.parse(token), grid).rate
         assert [float.hex(r) for r in rates] == self.PINNED_RATES[token]
 
-    # bits of the coherent-state intensity search before it ran as a float
-    # kernel: without background, and with a background that clamps Y1 at
-    # 0 dB and no feasible intensity from 27 dB on
+    # bits of the coherent-state intensity search with Brent's refinement:
+    # without background, and with a background that clamps Y1 at 0 dB and
+    # no feasible intensity from 27 dB on; the 60-digit rate at each mu is
+    # that at the golden section's former pin, or above it, to 1.5e-15
     PINNED_WCS_GRID = [0.0, 12.5, 27.0, 41.0, 60.0]
     PINNED_WCS_PROTOCOL = ProtocolParams(q_sift=0.45, f_ec=1.16)
     PINNED_WCS = {
         "y0-0": (
             ChannelParams(eta=0.5, y0=0.0, e_det=0.03, e0=0.5),
             [
-                ("0x1.70b029a164ca5p-1", "0x1.3313d270d2534p-4"),
-                ("0x1.125c7f356f80ap-1", "0x1.bb109155f9a17p-9"),
-                ("0x1.0d9be42ddfbb6p-1", "0x1.f0a015c9630ffp-14"),
-                ("0x1.0d715827f1d5dp-1", "0x1.3c31507b74ce8p-18"),
-                ("0x1.0d6f9633ded4ap-1", "0x1.fd82d771df6fdp-25"),
+                ("0x1.70b029b89d361p-1", "0x1.3313d270d2534p-4"),
+                ("0x1.125c7f3096d9cp-1", "0x1.bb109155f9a1bp-9"),
+                ("0x1.0d9be2f3701bcp-1", "0x1.f0a015c9633afp-14"),
+                ("0x1.0d715ddb5fd6cp-1", "0x1.3c31507b77ab3p-18"),
+                ("0x1.0d6fa1e0ad2a8p-1", "0x1.fd82d771dbdc1p-25"),
             ],
         ),
         "y0-1e-3": (
             ChannelParams(eta=0.5, y0=1e-3, e_det=0.02, e0=0.5),
             [
-                ("0x1.9d3844de4d47ep-1", "0x1.8b46fa6bc335dp-4"),
-                ("0x1.39ded8d7cb2fbp-1", "0x1.b409c42c37dc9p-9"),
+                ("0x1.9d38436abb575p-1", "0x1.8b46fa6bc3362p-4"),
+                ("0x1.39ded7edd5e6dp-1", "0x1.b409c42c37dc9p-9"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
                 ("0x1.a36e2eb1c432dp-14", "0x0.0p+0"),
@@ -1089,6 +1094,27 @@ def count_calls(monkeypatch, modules, names) -> list[int]:
     return count
 
 
+def count_rate_evaluations(monkeypatch, rate=None) -> list[int]:
+    """Count the evaluations of the coherent-state rate, the closure of
+    mu that ``session._wcs_rate`` builds once per search; with ``rate``
+    given, each search maximizes that function of mu instead. The
+    returned one-element list holds the running count."""
+    count = [0]
+    make_rate = session_mod._wcs_rate
+
+    def counting_rate(*args):
+        rate_of_mu = make_rate(*args) if rate is None else rate
+
+        def counted(mu):
+            count[0] += 1
+            return rate_of_mu(mu)
+
+        return counted
+
+    monkeypatch.setattr(session_mod, "_wcs_rate", counting_rate)
+    return count
+
+
 def no_decoy_rate(dist, ch, protocol):
     point = ref_qber(dist, ch)
     bounds = no_decoy_bounds(point.q_gain, point.qber, ch.y0, dist)
@@ -1116,27 +1142,52 @@ def per_point_rate(scheme, cfg, ch):
     return ref_three_intensity_rate(cfg, ch, scheme.arg)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def scalar_optimize_mu(channel, protocol=ProtocolParams()):
-    """Reference: the zero-gain check of :func:`optimize_mu`, the coarse
-    grid evaluated one scalar rate at a time, then the same
-    golden-section refinement."""
-    lo = session_mod.MU_SEARCH_RANGE[0]
-    if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
-        raise UndefinedStatisticError("QBER undefined at zero gain")
-
+def full_grid_argmax(channel, protocol):
+    """The reference rate of ``channel`` as a function of mu, the coarse
+    grid as floats, the rate at each grid point and the first index of
+    the largest."""
     def rate(mu):
         return ref_wcs_infinite_decoy_rate(mu, channel, protocol)
 
-    coarse_points = session_mod.MU_COARSE_POINTS
-    grid = np.linspace(*session_mod.MU_SEARCH_RANGE, coarse_points)
+    points = session_mod.MU_COARSE_POINTS
+    grid = np.linspace(*session_mod.MU_SEARCH_RANGE, points).tolist()
     values = [rate(mu) for mu in grid]
-    best = int(np.argmax(values))
+    return rate, grid, values, int(np.argmax(values))
 
+
+def scalar_optimize_mu(channel, protocol=ProtocolParams()):
+    """Reference: the zero-gain check of :func:`optimize_mu`, the first
+    argmax of the whole coarse grid, evaluated one scalar rate at a time,
+    then Brent's ``localmin`` on -rate between that point's neighbours,
+    started at it, with the tolerance sqrt(eps) |x| + MU_TOL / 3."""
+    lo = session_mod.MU_SEARCH_RANGE[0]
+    if channel.y0 == 0.0 and math.exp(-channel.eta * lo) == 1.0:
+        raise UndefinedStatisticError("QBER undefined at zero gain")
+    rate, grid, values, best = full_grid_argmax(channel, protocol)
+    mu_opt, f_opt = ref_localmin(
+        grid[max(best - 1, 0)],
+        grid[min(best + 1, len(grid) - 1)],
+        grid[best],
+        -values[best],
+        lambda mu: -rate(mu),
+        eps=math.sqrt(sys.float_info.epsilon),
+        t=session_mod.MU_TOL / 3.0,
+    )
+    return MuOptimum(mu=mu_opt, rate=0.0 if f_opt >= 0.0 else -f_opt)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_optimize_mu(channel, protocol=ProtocolParams()):
+    """The intensity search that :func:`optimize_mu` made before Brent's
+    refinement, kept only to compare the two searches on the 60-digit
+    rate: the first argmax of the whole coarse grid, golden-section
+    refinement between its neighbours until they are ``MU_TOL`` apart,
+    and the grid point where the midpoint of the last bracket is worse."""
+    rate, grid, values, best = full_grid_argmax(channel, protocol)
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse_points - 1)]
+    b = grid[min(best + 1, len(grid) - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = rate(c), rate(d)
@@ -1152,10 +1203,8 @@ def scalar_optimize_mu(channel, protocol=ProtocolParams()):
     mu_opt = (a + b) / 2.0
     r_opt = rate(mu_opt)
     if r_opt < values[best]:
-        mu_opt, r_opt = float(grid[best]), values[best]
-    if r_opt <= 0.0:
-        return MuOptimum(mu=mu_opt, rate=0.0)
-    return MuOptimum(mu=mu_opt, rate=r_opt)
+        mu_opt, r_opt = grid[best], values[best]
+    return MuOptimum(mu=mu_opt, rate=0.0 if r_opt <= 0.0 else r_opt)
 
 
 class TestOptimizeMu:
@@ -1288,23 +1337,61 @@ class TestOptimizeMu:
             assert len(evaluated) == len(set(evaluated))
 
     def test_scalar_rate_evaluations_bounded(self, monkeypatch):
-        # the rate is a closure of mu built once per call; count its
-        # evaluations
-        evals = [0]
-        make_rate = session_mod._wcs_rate
-
-        def counting_rate(*args):
-            rate = make_rate(*args)
-
-            def counted(mu):
-                evals[0] += 1
-                return rate(mu)
-
-            return counted
-
-        monkeypatch.setattr(session_mod, "_wcs_rate", counting_rate)
+        evals = count_rate_evaluations(monkeypatch)
         optimize_mu(bench_channel())
         assert 0 < evals[0] <= 40
+
+    # rates whose best grid point is an end of the grid: ones that only
+    # fall (negative everywhere, and a line) and ones that rise to mu = 1
+    # (mu e^-mu, without background or detector errors, and a line)
+    @pytest.mark.parametrize(
+        "channel, line, index",
+        [
+            (ChannelParams(eta=1e-7, y0=1e-3, e_det=0.1), None, 0),
+            (bench_channel(), lambda mu: 1.0 - mu, 0),
+            (ChannelParams(eta=1.0, y0=0.0, e_det=0.0), None, 511),
+            (bench_channel(), lambda mu: mu, 511),
+        ],
+        ids=["falling", "falling-line", "rising", "rising-line"],
+    )
+    def test_best_grid_point_at_an_end(self, monkeypatch, channel, line, index):
+        protocol = ProtocolParams()
+        low, high = session_mod.MU_SEARCH_RANGE
+        rate = line or session_mod._wcs_rate(
+            channel.eta, channel.y0, channel.e_det, protocol, low
+        )
+        best, r_best = session_mod._coarse_argmax(rate)
+        assert best == index
+        evals = count_rate_evaluations(monkeypatch, line)
+        mu, r = session_mod._optimize_mu(
+            channel.eta, channel.y0, channel.e_det, protocol
+        )
+        assert low <= mu <= high
+        assert r >= r_best
+        assert 0 < evals[0] <= 40
+
+    # the refinement starts at the best grid point, keeps the best point
+    # it sees and stays between that point's neighbours
+    @given(
+        exponent=st.floats(-16.0, 0.0),
+        y0=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3)),
+        e_det=st.floats(0.0, 0.5),
+        q_sift=st.floats(0.01, 1.0),
+        f_ec=st.floats(1.0, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refinement_never_below_the_grid(self, exponent, y0, e_det, q_sift, f_ec):
+        eta, protocol = 10.0**exponent, ProtocolParams(q_sift, f_ec)
+        low, high = session_mod.MU_SEARCH_RANGE
+        try:
+            rate = session_mod._wcs_rate(eta, y0, e_det, protocol, low)
+        except UndefinedStatisticError:
+            return  # zero gain without background: nothing to search
+        _, r_best = session_mod._coarse_argmax(rate)
+        mu, r = session_mod._optimize_mu(eta, y0, e_det, protocol)
+        assert low <= mu <= high
+        assert r >= r_best
+        assert r == max(rate(mu), 0.0)
 
     @given(
         mu=st.floats(min_value=1e-6, max_value=2.0),
@@ -1475,27 +1562,74 @@ class TestCoarseSearchAgainstReference:
         assert package == reference
 
     def test_rate_evaluations_on_the_golden_losses(self, monkeypatch):
-        # the bench sweep's template at the 121 losses of the golden grid;
-        # counted as in TestOptimizeMu.test_scalar_rate_evaluations_bounded
-        evals = [0]
-        make_rate = session_mod._wcs_rate
-
-        def counting_rate(*args):
-            rate = make_rate(*args)
-
-            def counted(mu):
-                evals[0] += 1
-                return rate(mu)
-
-            return counted
-
-        monkeypatch.setattr(session_mod, "_wcs_rate", counting_rate)
+        # the bench sweep's template at the 121 losses of the golden grid:
+        # 1,775 evaluations in the coarse search and 977 in Brent's
+        # refinement (2,983 in the golden section it replaced)
+        evals = count_rate_evaluations(monkeypatch)
         scan_loss(
             bench_config(q_sift=0.5, vacuum_mu=0.0),
             Scheme.parse("wcs-decoy-opt"),
             [0.5 * k for k in range(121)],
         )
-        assert evals[0] == 4758
+        assert evals[0] == 2752
+
+
+def golden_grid_channels():
+    """The bench sweep's template at the 121 losses of the golden grid, at
+    q_sift 0.25 and 0.5."""
+    for q_sift in (0.25, 0.5):
+        protocol = ProtocolParams(q_sift=q_sift, f_ec=BENCH_F_EC)
+        for k in range(121):
+            eta = loss_db_to_eta(0.5 * k)
+            yield ChannelParams(eta=eta, y0=BENCH_Y0, e_det=BENCH_E_DET), protocol
+
+
+def random_channels(seed, count, background):
+    """``count`` seeded channels and protocols: eta log-uniform over
+    1e-10..1 and y0 over 1e-9..1e-3 with ``background``, else y0 = 0 and
+    eta over 1e-7..1, where the float rate is more than rounding noise;
+    e_det in 0..0.1, q_sift in 0.2..1 and f_ec in 1..1.5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if background:
+            eta, y0 = 10.0 ** rng.uniform(-10.0, 0.0), 10.0 ** rng.uniform(-9.0, -3.0)
+        else:
+            eta, y0 = 10.0 ** rng.uniform(-7.0, 0.0), 0.0
+        channel = ChannelParams(eta=eta, y0=y0, e_det=rng.uniform(0.0, 0.1))
+        yield channel, ProtocolParams(rng.uniform(0.2, 1.0), rng.uniform(1.0, 1.5))
+
+
+class TestSearchOnTheTrueRate:
+    """Brent's refinement finds no lower true rate than the golden section
+    it replaced: at the intensity :func:`optimize_mu` returns, the 60-digit
+    rate is at least that at the intensity of
+    :func:`golden_section_optimize_mu`, less the larger of 1e-10 of it and
+    twice the float rate's error at the two intensities."""
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            golden_grid_channels,
+            lambda: random_channels(19, 400, background=True),
+            lambda: random_channels(23, 300, background=False),
+        ],
+        ids=["golden-grid", "random-y0", "random-no-background"],
+    )
+    def test_no_lower_than_the_golden_section(self, channels):
+        for channel, protocol in channels():
+            mus = (
+                optimize_mu(channel, protocol).mu,
+                golden_section_optimize_mu(channel, protocol).mu,
+            )
+            with localcontext() as ctx:
+                ctx.prec = 60
+                new, old = (ref_wcs_rate_60(mu, channel, protocol) for mu in mus)
+                error = max(
+                    abs(Decimal(wcs_infinite_decoy_rate(mu, channel, protocol)) - r)
+                    for mu, r in zip(mus, (new, old))
+                )
+                slack = max(abs(old) * Decimal("1e-10"), 2 * error)
+                assert new >= old - slack, (channel, protocol)
 
 
 # each kind that takes a ':' argument, and the range it takes it in
