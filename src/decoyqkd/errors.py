@@ -239,12 +239,16 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _asdict(self) -> dict:
-        """The fields by name, in field order, as :func:`dataclasses.asdict`
-        gives them: a record within becomes a dict, and a tuple, list or
-        dict is rebuilt from its items (a namedtuple's by position), each
-        converted the same way. Any other value is taken as it is, where
-        ``asdict`` deep-copies it."""
-        return {name: _plain(getattr(self, name)) for name in self._names}
+        """The fields by name, in field order: a record within becomes a
+        dict, converted the same way, and any other value is taken as it
+        is. No field holds a record inside a container, so for every record
+        this equals :func:`dataclasses.asdict`, which also rebuilds
+        containers and deep-copies values."""
+        fields = {}
+        for name in self._names:
+            value = getattr(self, name)
+            fields[name] = value._asdict() if isinstance(value, _Record) else value
+        return fields
 
     def _replace(self, /, **changes):
         """A copy with ``changes``, made as :func:`dataclasses.replace` makes
@@ -261,20 +265,6 @@ class _Record:
 
 # sets an instance's __dict__ past the frozen __setattr__
 _set_dict = _Record.__dict__["__dict__"].__set__
-
-
-def _plain(value):
-    """A field value as :meth:`_Record._asdict` gives it."""
-    if isinstance(value, _Record):
-        return value._asdict()
-    if isinstance(value, (list, tuple)):
-        items = [_plain(item) for item in value]
-        if isinstance(value, tuple) and hasattr(value, "_fields"):
-            return type(value)(*items)
-        return type(value)(items)
-    if isinstance(value, dict):
-        return type(value)({_plain(k): _plain(v) for k, v in value.items()})
-    return value
 
 
 def _register(cls: type) -> None:

@@ -37,7 +37,7 @@ the end of its grid, for the schemes scanned after it (the rule is
 The count sampling draws with the package's own seeded sampler,
 :mod:`decoyqkd._binomial`, which gives the counts that
 ``numpy.random.default_rng([seed, index])`` draws, without numpy; it is
-imported on the first draw, which binds it for every later one.
+imported on the first draw.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class ExperimentConfig(_Record):
     protocol: ProtocolParams
     total_pulses: int
     intensity_ratio: tuple[float, float, float] = (10.0, 4.0, 1.0)
-    fluctuation: FluctuationPolicy = FluctuationPolicy(n_sigma=0.0)
+    fluctuation: FluctuationPolicy = FluctuationPolicy()
     rng_seed: int = 0
     n_max: int = N_MAX_DEFAULT
 
@@ -283,7 +283,10 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
     split = cfg.pulse_split()
     # (Q, E) at the signal, decoy and vacuum settings
     per_intensity = (stats[0:2], stats[2:4], stats[4:6])
-    pairs = _binomial_pairs(
+    # imported here, so that commands which never sample do not load it
+    from ._binomial import binomial_pairs
+
+    pairs = binomial_pairs(
         operator.index(cfg.rng_seed),
         [(gates, q, e) for gates, (q, e) in zip(split, per_intensity)],
     )
@@ -292,19 +295,6 @@ def sample_counts(cfg: ExperimentConfig) -> SimulatedCounts:
         for gates, (detections, errors) in zip(split, pairs)
     ]
     return SimulatedCounts(signal=drawn[0], decoy=drawn[1], vacuum=drawn[2])
-
-
-def _binomial_pairs(
-    seed: int, draws: list[tuple[int, float, float]]
-) -> list[tuple[int, int]]:
-    """:func:`_binomial.binomial_pairs`, imported on the first draw, so
-    that commands which never sample do not load it; the import binds
-    it in place of this function, so later draws call it directly."""
-    global _binomial_pairs
-    from ._binomial import binomial_pairs
-
-    _binomial_pairs = binomial_pairs
-    return binomial_pairs(seed, draws)
 
 
 def run_pipeline(
@@ -416,7 +406,7 @@ class Scheme(_Record):
         """Parse a scheme token such as 'ideal-sps' or 'hsps-decoy:0.40'.
 
         The token only names the kind and argument; :class:`Scheme` checks them."""
-        name, _, text = token.strip().partition(":")
+        name, sep, text = token.strip().partition(":")
         try:
             kind = SchemeKind(name)
         except ValueError:
@@ -424,7 +414,7 @@ class Scheme(_Record):
             raise InvalidParameterError(
                 f"unknown scheme {name!r} (valid: {valid})"
             ) from None
-        if not text:
+        if not sep:
             return Scheme(kind=kind)
         try:
             arg = float(text)

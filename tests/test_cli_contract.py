@@ -106,6 +106,7 @@ class TestOutsideInput:
                 "scheme 'ideal-sps' takes no argument, got 0.3",
             ),
             ("ideal-sps:abc", ("0", "1", "1"), "scheme argument 'abc' is not a number"),
+            ("ideal-sps:", ("0", "1", "1"), "scheme argument '' is not a number"),
             (
                 "ideal-sps",
                 ("0", "1e-12", "1e-13"),
@@ -130,6 +131,7 @@ class TestOutsideInput:
             "argument-not-a-number",
             "argument-to-a-kind-without-one",
             "argument-not-a-number-to-a-kind-without-one",
+            "empty-argument",
             "step-repeats-points",
             "zero-step",
             "negative-step",

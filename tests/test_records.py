@@ -24,7 +24,6 @@ a record, as under both, equals itself.
 
 from __future__ import annotations
 
-import collections
 import copy
 import dataclasses
 import inspect
@@ -374,21 +373,6 @@ def test_record_agrees_with_its_frozen_dataclass_twin(cls, data):
     for call_args, call_kwargs in wrong_calls:
         assert call_error(cls, *call_args, **call_kwargs) is TypeError
         assert call_error(twin, *call_args, **call_kwargs) is TypeError
-
-
-def test_asdict_rebuilds_containers_as_dataclasses_does():
-    # a namedtuple from its items by position, a list and a dict from
-    # theirs, and a record within any of them as a dict
-    R = collections.namedtuple("R", "a b c")
-    inner = ChannelParams(eta=0.5, y0=1e-5, e_det=0.01)
-    values = {
-        "scheme_label": {"k": R(inner, [1.0], {"x": (2,)}), (3, 4): "v"},
-        "loss_db": R(1.0, 2.0, 3.0),
-        "rate": [0.1, R([inner], (), {})],
-    }
-    rec, ref = LossCurve(**values), TWINS[LossCurve](**values)
-    assert repr(rec._asdict()) == repr(dataclasses.asdict(ref))
-    assert repr(dataclasses.asdict(rec)) == repr(dataclasses.asdict(ref))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

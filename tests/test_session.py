@@ -1599,12 +1599,17 @@ def random_channels(seed, count, background):
         yield channel, ProtocolParams(rng.uniform(0.2, 1.0), rng.uniform(1.0, 1.5))
 
 
+def feasible_channels(channels):
+    """The channels and protocols of ``channels`` whose best rate is
+    positive."""
+    return [case for case in channels if optimize_mu(*case).feasible]
+
+
 class TestSearchOnTheTrueRate:
-    """Brent's refinement finds no lower true rate than the golden section
-    it replaced: at the intensity :func:`optimize_mu` returns, the 60-digit
-    rate is at least that at the intensity of
-    :func:`golden_section_optimize_mu`, less the larger of 1e-10 of it and
-    twice the float rate's error at the two intensities."""
+    """The intensity search on the 60-digit rate of :func:`ref_wcs_rate_60`.
+    Each rate it finds is at least the one it is compared with, less the
+    larger of 1e-10 of that rate and twice the float rate's error at the
+    two intensities."""
 
     @pytest.mark.parametrize(
         "channels",
@@ -1630,6 +1635,35 @@ class TestSearchOnTheTrueRate:
                 )
                 slack = max(abs(old) * Decimal("1e-10"), 2 * error)
                 assert new >= old - slack, (channel, protocol)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            lambda: feasible_channels(golden_grid_channels())[::25],
+            lambda: feasible_channels(random_channels(31, 20, background=True)),
+        ],
+        ids=["golden-grid", "random-y0"],
+    )
+    def test_coarse_argmax_is_the_true_grid_maximum(self, channels):
+        # the coarse search's index against every point of the grid, on
+        # channels with background: without it, at eta below 1e-7 the float
+        # rate is flat to rounding (ROADMAP item 3)
+        mus = session_mod._COARSE_MU
+        low = session_mod.MU_SEARCH_RANGE[0]
+        cases = channels()
+        assert len(cases) >= 5
+        for channel, protocol in cases:
+            rate = session_mod._wcs_rate(
+                channel.eta, channel.y0, channel.e_det, protocol, low
+            )
+            found, _ = session_mod._coarse_argmax(rate)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                true = [ref_wcs_rate_60(mu, channel, protocol) for mu in mus]
+                top = max(range(len(mus)), key=true.__getitem__)
+                error = max(abs(Decimal(rate(mus[k])) - true[k]) for k in (found, top))
+                slack = max(abs(true[top]) * Decimal("1e-10"), 2 * error)
+                assert true[found] >= true[top] - slack, (channel, protocol, found, top)
 
 
 # each kind that takes a ':' argument, and the range it takes it in
@@ -1679,6 +1713,12 @@ class TestScheme:
             Scheme.parse("hsps-decoy")
         with pytest.raises(InvalidParameterError):
             Scheme.parse("ideal-sps:0.3")
+        # a separator with nothing after it is an empty argument, not none
+        for token in ("ideal-sps:", "wcs-decoy-opt:", "wcs-no-decoy:"):
+            with pytest.raises(
+                InvalidParameterError, match=r"^scheme argument '' is not a number$"
+            ):
+                Scheme.parse(token)
 
     def test_scheme_validation(self):
         with pytest.raises(InvalidParameterError):
