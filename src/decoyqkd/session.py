@@ -14,7 +14,10 @@ Ties the source, channel, estimator and key-rate pieces together:
 * optimization of the coherent-state signal intensity in the
   infinite-decoy limit: a Fibonacci search over a coarse grid, grid and
   first bracket built at import, then Brent's parabolic refinement. The
-  rate is one closure of mu that writes out the GLLP bracket itself.
+  rate is one closure of mu that writes out the GLLP bracket itself. A
+  sweep point after a zero rate first tries a closed-form bound
+  (:func:`_past_cutoff`), and skips the search where it shows the rate
+  is at most 0 over the whole range.
 
 Each step of the chain is a private float kernel behind a public
 wrapper, which validates the inputs and puts the kernel's numbers and
@@ -509,15 +512,21 @@ def _scheme_rates(scheme: Scheme, cfg: ExperimentConfig, grid: list) -> list[flo
     transmittance and channel terms from :func:`_loss_points`, which
     keeps them for the schemes scanned after on ``cfg``, and runs the
     float kernels of the chain, whose checks fire in the order of the
-    public functions. ``wcs-decoy-opt`` reads the transmittance alone.
+    public functions. ``wcs-decoy-opt`` reads the transmittance alone;
+    at a point after a zero rate its rate is 0.0 with no search where
+    :func:`_past_cutoff` certifies it, which it does only where the
+    search would return 0.0 too.
     """
     protocol, ch = cfg.protocol, cfg.channel
     if scheme.kind is SchemeKind.WCS_DECOY_INF_OPT:
-        y0, e_det = ch.y0, ch.e_det
-        return [
-            _optimize_mu(eta, y0, e_det, protocol)[1]
-            for eta, _, _ in _loss_points(cfg, grid, -1)
-        ]
+        y0, e_det, low = ch.y0, ch.e_det, MU_SEARCH_RANGE[0]
+        rates, r = [], None
+        for eta, _, _ in _loss_points(cfg, grid, -1):
+            # _optimize_mu, less the search where the bound certifies
+            rate = _wcs_rate(eta, y0, e_det, protocol, low, r == 0.0)
+            r = 0.0 if rate is None else _search_mu(rate)[1]
+            rates.append(r)
+        return rates
 
     rates = []
     if scheme.kind is SchemeKind.HSPS_DECOY:
@@ -589,8 +598,9 @@ def scan_loss(
     and compute the channel terms once for all distributions.
     ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
     point, with no channel record, and computes the constants of its rate
-    once per point. Every rate, and every error, is that of a
-    point-by-point evaluation in grid order.
+    once per point; past a zero rate, a point that a closed-form bound
+    shows to be past the cutoff gets 0.0 with no search. Every rate, and
+    every error, is that of a point-by-point evaluation in grid order.
 
     The template keeps, outside its fields, the transmittances and
     channel terms of its last finished scan (about 1.2 kB per loss at
@@ -634,8 +644,13 @@ def wcs_infinite_decoy_rate(
 
 
 def _wcs_rate(
-    eta: float, y0: float, e_det: float, protocol: ProtocolParams, mu_low: float
-) -> Callable[[float], float]:
+    eta: float,
+    y0: float,
+    e_det: float,
+    protocol: ProtocolParams,
+    mu_low: float,
+    try_bound: bool = False,
+) -> Callable[[float], float] | None:
     """The rate of :func:`wcs_infinite_decoy_rate` as a function of the
     intensity ``mu``, for intensities of at least ``mu_low``. Raises
     where that rate is undefined, which happens only without background:
@@ -644,7 +659,9 @@ def _wcs_rate(
     terms of n = 1, the privacy factor of e1, E0 y0 and the protocol's
     f_ec and q_sift) are computed once, here. The closure writes out the
     GLLP bracket of :func:`keyrate._key_rate` itself, with the unchecked
-    H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by construction."""
+    H2 of :func:`keyrate._h2`: its QBER lies in [0, 1] by construction.
+    With ``try_bound``, it is None instead where :func:`_past_cutoff`
+    shows that it is at most 0 all over ``MU_SEARCH_RANGE``."""
     if y0 == 0.0 and math.exp(-eta * mu_low) == 1.0:
         raise UndefinedStatisticError(
             f"QBER undefined: zero gain at mu={mu_low!r} (eta={eta!r}, y0=0)"
@@ -655,8 +672,10 @@ def _wcs_rate(
             f"e1 undefined: zero single-photon yield (eta={eta!r}, y0=0)"
         )
     privacy = _privacy(numerator_1 / y1)
-    e0_y0 = E0 * y0
     f_ec, q_sift = protocol.f_ec, protocol.q_sift
+    if try_bound and _past_cutoff(eta, y0, e_det, f_ec, y1 * privacy):
+        return None
+    e0_y0 = E0 * y0
     exp = math.exp
 
     def rate(mu: float) -> float:
@@ -670,6 +689,27 @@ def _wcs_rate(
         return q_sift * (-ec_cost + y0 * p0 + y1 * mu * p0 * privacy)
 
     return rate
+
+
+def _past_cutoff(eta: float, y0: float, e_det: float, f_ec: float, c: float) -> bool:
+    """Whether the float rate of :func:`_wcs_rate`, where c = Y1 (1 -
+    H2(min(e1, 1/2))), is at most 0 all over ``MU_SEARCH_RANGE``: whether
+    the largest gain part e^-mu (y0 + c mu), at mu = 1 - y0 / c clamped
+    into the range, is below the smallest cost f_ec Q H2(E), less a
+    margin. With Q = y0 + s and Q E = E0 y0 + e_det s affine in s = 1 -
+    exp(-eta mu), which rises with mu, Q H2(E) is a perspective of H2,
+    concave in s: least at an end. No bound where Q passes 1 (the rate
+    caps it). The margin, 2^-30 of f_ec Q at the top, dwarfs the float
+    error of every term of the rate, each at most f_ec Q there."""
+    lo, hi = MU_SEARCH_RANGE
+    mu = min(max(1.0 - y0 / c, lo), hi) if c > 0.0 else lo
+    gain = math.exp(-mu) * (y0 + c * mu)
+    s_lo, s_hi = 1.0 - math.exp(-eta * lo), 1.0 - math.exp(-eta * hi)
+    q_hi = y0 + s_hi
+    if q_hi > 1.0:
+        return False
+    cost = min((y0 + s) * _h2((E0 * y0 + e_det * s) / (y0 + s)) for s in (s_lo, s_hi))
+    return gain < f_ec * (cost - 2.0**-30 * q_hi)
 
 
 # optimize_mu's search: a coarse grid of MU_COARSE_POINTS intensities
@@ -778,7 +818,12 @@ def _optimize_mu(
 ) -> tuple[float, float]:
     """Kernel of :func:`optimize_mu`: the best intensity and its rate."""
     # the gain is smallest at the low end of the range
-    rate = _wcs_rate(eta, y0, e_det, protocol, MU_SEARCH_RANGE[0])
+    return _search_mu(_wcs_rate(eta, y0, e_det, protocol, MU_SEARCH_RANGE[0]))
+
+
+def _search_mu(rate: Callable[[float], float]) -> tuple[float, float]:
+    """The search of :func:`optimize_mu` on a rate of :func:`_wcs_rate`:
+    the best intensity and its rate."""
     best, r_best = _coarse_argmax(rate)
     a = _COARSE_MU[max(best - 1, 0)]
     b = _COARSE_MU[min(best + 1, MU_COARSE_POINTS - 1)]

@@ -201,14 +201,6 @@ def _check_n_max(n_max: int) -> None:
     _check_integer("n_max", n_max, 2, N_MAX_LIMIT)
 
 
-def _poisson_pmf(mu: float, n_max: int) -> list[float]:
-    # e^-mu * mu^n / n!, built iteratively to avoid factorial overflow
-    pmf = [math.exp(-mu)]
-    for n in range(1, n_max + 1):
-        pmf.append(pmf[-1] * mu / n)
-    return pmf
-
-
 def wcs_distribution(
     mu: float, n_max: int = N_MAX_DEFAULT
 ) -> PhotonNumberDistribution:
@@ -221,7 +213,11 @@ def wcs_distribution(
     """
     _check_range("mu", mu, 0)
     _check_n_max(n_max)
-    pmf = _poisson_pmf(mu, n_max - 1)
+    # e^-mu mu^n / n! below n_max, built iteratively to avoid factorial
+    # overflow
+    pmf = [math.exp(-mu)]
+    for n in range(1, n_max):
+        pmf.append(pmf[-1] * mu / n)
     tail = max(1.0 - math.fsum(pmf), 0.0)
     return PhotonNumberDistribution(probs=tuple(pmf) + (tail,))
 

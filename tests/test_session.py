@@ -1104,6 +1104,8 @@ def count_rate_evaluations(monkeypatch, rate=None) -> list[int]:
 
     def counting_rate(*args):
         rate_of_mu = make_rate(*args) if rate is None else rate
+        if rate_of_mu is None:
+            return None  # a point past the cutoff by the bound: no search
 
         def counted(mu):
             count[0] += 1
@@ -1563,15 +1565,17 @@ class TestCoarseSearchAgainstReference:
 
     def test_rate_evaluations_on_the_golden_losses(self, monkeypatch):
         # the bench sweep's template at the 121 losses of the golden grid:
-        # 1,775 evaluations in the coarse search and 977 in Brent's
-        # refinement (2,983 in the golden section it replaced)
+        # 1,355 evaluations in the coarse search and 647 in Brent's
+        # refinement, at the 91 points not certified past the cutoff by
+        # session._past_cutoff (30 of the 42 zero-rate points it is tried
+        # at)
         evals = count_rate_evaluations(monkeypatch)
         scan_loss(
             bench_config(q_sift=0.5, vacuum_mu=0.0),
             Scheme.parse("wcs-decoy-opt"),
             [0.5 * k for k in range(121)],
         )
-        assert evals[0] == 2752
+        assert evals[0] == 2002
 
 
 def golden_grid_channels():
@@ -1664,6 +1668,90 @@ class TestSearchOnTheTrueRate:
                 error = max(abs(Decimal(rate(mus[k])) - true[k]) for k in (found, top))
                 slack = max(abs(true[top]) * Decimal("1e-10"), 2 * error)
                 assert true[found] >= true[top] - slack, (channel, protocol, found, top)
+
+
+def past_cutoff(channel, protocol):
+    """Whether a sweep that tries the bound of ``session._past_cutoff`` at
+    ``channel`` skips its intensity search there."""
+    low = session_mod.MU_SEARCH_RANGE[0]
+    rate = session_mod._wcs_rate(
+        channel.eta, channel.y0, channel.e_det, protocol, low, True
+    )
+    return rate is None
+
+
+class TestPastCutoffBound:
+    """The bound by which a loss sweep skips the intensity search at a
+    point after a zero rate: wherever it certifies a channel, the rate is
+    at most 0 all over the search range, in floats and in 60 digits, so
+    the skip changes no bit of a curve."""
+
+    @given(
+        exponent=st.floats(-8.0, 0.0),
+        y0=st.just(0.0) | st.floats(-9.0, -2.0).map(lambda x: 10.0**x),
+        e_det=st.floats(0.0, 0.5),
+        q_sift=st.floats(0.01, 1.0),
+        f_ec=st.floats(1.0, 3.0) | st.floats(3.0, 1e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_certified_float_rates_are_not_positive(
+        self, exponent, y0, e_det, q_sift, f_ec
+    ):
+        channel = ChannelParams(eta=10.0**exponent, y0=y0, e_det=e_det)
+        protocol = ProtocolParams(q_sift, f_ec)
+        assume(past_cutoff(channel, protocol))
+        eta, low = channel.eta, session_mod.MU_SEARCH_RANGE[0]
+        rate = session_mod._wcs_rate(eta, y0, e_det, protocol, low)
+        assert max(map(rate, session_mod._COARSE_MU)) <= 0.0
+        r = session_mod._optimize_mu(eta, y0, e_det, protocol)[1]
+        assert r.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize(
+        "channels, step",
+        [
+            (golden_grid_channels, 10),
+            (lambda: random_channels(37, 40, background=True), 4),
+        ],
+        ids=["golden-grid", "random-y0"],
+    )
+    def test_certified_true_rates_are_not_positive(self, channels, step):
+        # at every grid intensity and at 64 drawn ones, on every step-th
+        # certified channel
+        rng = random.Random(41)
+        low, high = session_mod.MU_SEARCH_RANGE
+        mus = session_mod._COARSE_MU + tuple(rng.uniform(low, high) for _ in range(64))
+        cases = [case for case in channels() if past_cutoff(*case)][::step]
+        assert len(cases) >= 4
+        for channel, protocol in cases:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                top = max(ref_wcs_rate_60(mu, channel, protocol) for mu in mus)
+                assert top <= 0, (channel, protocol)
+
+    @given(
+        y0=st.floats(-9.0, -2.0).map(lambda x: 10.0**x),
+        e_det=st.floats(0.0, 0.5),
+        q_sift=st.floats(0.01, 1.0),
+        f_ec=st.floats(1.0, 3.0),
+        losses=st.lists(st.floats(0.0, 200.0), max_size=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_equals_the_sweep_without_the_bound(
+        self, y0, e_det, q_sift, f_ec, losses
+    ):
+        # grids from 0 to 200 dB, past the cutoff of every drawn channel
+        grid = sorted({0.0, 200.0, *losses})
+        cfg = replace(
+            bench_config(),
+            channel=ChannelParams(eta=1.0, y0=y0, e_det=e_det),
+            protocol=ProtocolParams(q_sift, f_ec),
+        )
+        scheme = Scheme.parse("wcs-decoy-opt")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(session_mod, "_past_cutoff", lambda *args: False)
+            searched = scan_loss(cfg, scheme, grid).rate
+        skipped = scan_loss(cfg, scheme, grid).rate
+        assert [r.hex() for r in skipped] == [r.hex() for r in searched]
 
 
 # each kind that takes a ':' argument, and the range it takes it in
