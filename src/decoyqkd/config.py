@@ -89,9 +89,11 @@ def config_sha256(doc: dict) -> str:
 
 
 def _canonical(obj: Any) -> Any:
+    """A :func:`load_config` document with each float as
+    :func:`format_float` writes it."""
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_canonical(v) for v in obj]
     if isinstance(obj, float):
         return format_float(obj)
@@ -200,38 +202,38 @@ def source_to_dict(model: SourceModel) -> dict:
     return {"kind": "ideal"}
 
 
-def channel_from_dict(d: dict, path: str = "channel") -> ChannelParams:
+def channel_from_dict(d: dict) -> ChannelParams:
     # imported here, so that a source or rates document never loads the chain
     from .channel import E0, ChannelParams, loss_db_to_eta
 
     d = dict(d)
     has_loss = "loss_db" in d
     if has_loss == ("eta" in d):
-        raise ConfigError(f"section {path!r} needs exactly one of 'loss_db' or 'eta'")
-    eta = _field(d, "loss_db" if has_loss else "eta", path)
+        raise ConfigError("section 'channel' needs exactly one of 'loss_db' or 'eta'")
+    eta = _field(d, "loss_db" if has_loss else "eta", "channel")
     channel = ChannelParams(
         eta=loss_db_to_eta(eta) if has_loss else eta,
-        y0=_field(d, "y0_per_gate", path),
-        e_det=_field(d, "e_detector", path),
-        e0=_field(d, "e0_background", path, E0),
+        y0=_field(d, "y0_per_gate", "channel"),
+        e_det=_field(d, "e_detector", "channel"),
+        e0=_field(d, "e0_background", "channel", E0),
     )
-    _reject_rest(d, path)
+    _reject_rest(d, "channel")
     return channel
 
 
-def rates_from_dict(d: dict, path: str = "rates") -> tuple[MeasuredRates, float]:
+def rates_from_dict(d: dict) -> tuple[MeasuredRates, float]:
     """Measured rates, and the idler dark fraction ``d_i`` of the source."""
     d = dict(d)
     rates = MeasuredRates(
-        r0_hz=_field(d, "r0_hz", path),
-        rs_hz=_field(d, "rs_hz", path),
-        rc_hz=_field(d, "rc_hz", path),
-        ds_hz=_field(d, "ds_hz", path),
-        eta_s=_field(d, "eta_s", path),
-        gate_time_s=_field(d, "gate_time_ns", path) * 1e-9,
+        r0_hz=_field(d, "r0_hz", "rates"),
+        rs_hz=_field(d, "rs_hz", "rates"),
+        rc_hz=_field(d, "rc_hz", "rates"),
+        ds_hz=_field(d, "ds_hz", "rates"),
+        eta_s=_field(d, "eta_s", "rates"),
+        gate_time_s=_field(d, "gate_time_ns", "rates") * 1e-9,
     )
-    d_i = _field(d, "d_i", path, DI_DEFAULT)
-    _reject_rest(d, path)
+    d_i = _field(d, "d_i", "rates", DI_DEFAULT)
+    _reject_rest(d, "rates")
     return rates, d_i
 
 

@@ -522,7 +522,7 @@ def _scheme_rates(scheme: Scheme, cfg: ExperimentConfig, grid: list) -> list[flo
         y0, e_det, low = ch.y0, ch.e_det, MU_SEARCH_RANGE[0]
         rates, r = [], None
         for eta, _, _ in _loss_points(cfg, grid, -1):
-            # _optimize_mu, less the search where the bound certifies
+            # _search_mu, as in optimize_mu, but none where the bound certifies
             rate = _wcs_rate(eta, y0, e_det, protocol, low, r == 0.0)
             r = 0.0 if rate is None else _search_mu(rate)[1]
             rates.append(r)
@@ -596,10 +596,11 @@ def scan_loss(
     kernels behind :func:`qber`, :func:`estimate_bounds`,
     :func:`no_decoy_bounds` and :func:`key_rate`, which build no records
     and compute the channel terms once for all distributions.
-    ``wcs-decoy-opt`` runs the kernel of :func:`optimize_mu` at each
-    point, with no channel record, and computes the constants of its rate
-    once per point; past a zero rate, a point that a closed-form bound
-    shows to be past the cutoff gets 0.0 with no search. Every rate, and
+    ``wcs-decoy-opt`` runs the search of :func:`optimize_mu`,
+    :func:`_search_mu`, at each point on the :func:`_wcs_rate` closure,
+    with no channel record, and computes the constants of its rate once
+    per point; past a zero rate, a point that a closed-form bound shows
+    to be past the cutoff gets 0.0 with no search. Every rate, and
     every error, is that of a point-by-point evaluation in grid order.
 
     The template keeps, outside its fields, the transmittances and
@@ -805,20 +806,13 @@ def optimize_mu(
     ``MU_SEARCH_RANGE``. When the rate is non-positive everywhere the
     result is flagged infeasible (rate 0 at the least-bad intensity).
 
-    The search is the float kernel :func:`_optimize_mu` on the fields of
-    ``channel``; a loss sweep runs it at each point, with no channel
-    record, so the constants are computed once per point.
+    The search is :func:`_search_mu` on the :func:`_wcs_rate` closure
+    of ``channel``'s fields, as a loss sweep's is at each point.
     """
-    mu, rate = _optimize_mu(channel.eta, channel.y0, channel.e_det, protocol)
-    return MuOptimum(mu=mu, rate=rate)
-
-
-def _optimize_mu(
-    eta: float, y0: float, e_det: float, protocol: ProtocolParams
-) -> tuple[float, float]:
-    """Kernel of :func:`optimize_mu`: the best intensity and its rate."""
     # the gain is smallest at the low end of the range
-    return _search_mu(_wcs_rate(eta, y0, e_det, protocol, MU_SEARCH_RANGE[0]))
+    ch, low = channel, MU_SEARCH_RANGE[0]
+    mu, rate = _search_mu(_wcs_rate(ch.eta, ch.y0, ch.e_det, protocol, low))
+    return MuOptimum(mu=mu, rate=rate)
 
 
 def _search_mu(rate: Callable[[float], float]) -> tuple[float, float]:

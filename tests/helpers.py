@@ -29,7 +29,9 @@ and the result of ``session._coarse_argmax``. Brent's ``localmin``, the
 refinement that follows it, is written out from the book, and the
 infinite-decoy coherent-state rate is also computed at 60 significant
 digits with :mod:`decimal`, calling no package code: the measure of
-which of two intensity searches finds the higher true rate.
+which of two intensity searches finds the higher true rate. So is the
+rate of a loss-sweep point of every other scheme: the measure of
+whether a printed digit is right.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from pathlib import Path
 
 from decoyqkd import (
@@ -407,6 +409,29 @@ def ref_localmin(a, b, x, fx, f, eps, t) -> tuple[float, float]:
                 fv = fu
 
 
+_LN2_60 = Decimal(2).ln(Context(prec=60))
+
+
+def _h2_60(x: Decimal) -> Decimal:
+    """H2 of an ``x`` in [0, 1], in the current :mod:`decimal` context."""
+    if x == 0 or x == 1:
+        return Decimal(0)
+    one = Decimal(1)
+    return -(x * x.ln() + (one - x) * (one - x).ln()) / _LN2_60
+
+
+def _gllp_60(q, e, e1, g0, g1, protocol) -> Decimal:
+    """The signed GLLP bracket q_sift (-Q f_ec H2(E) + G0 + G1 (1 -
+    H2(min(e1, 1/2)))), in the current :mod:`decimal` context."""
+    one = Decimal(1)
+    return Decimal(protocol.q_sift) * (
+        -q * Decimal(protocol.f_ec) * _h2_60(e)
+        + g0
+        # the privacy term is capped at e1 = 1/2
+        + g1 * (one - _h2_60(min(e1, Decimal("0.5"))))
+    )
+
+
 def ref_wcs_rate_60(mu, ch, protocol) -> Decimal:
     """The rate of :func:`ref_wcs_infinite_decoy_rate` at 60 significant
     digits, with :mod:`decimal` and calling no package code. The float
@@ -418,27 +443,78 @@ def ref_wcs_rate_60(mu, ch, protocol) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 60
         one = Decimal(1)
-        ln2 = Decimal(2).ln()
-
-        def h2(x):
-            if x == 0 or x == one:
-                return Decimal(0)
-            return -(x * x.ln() + (one - x) * (one - x).ln()) / ln2
-
-        mu, eta, y0, e_det, e0, q_sift, f_ec = map(
-            Decimal,
-            (mu, ch.eta, ch.y0, ch.e_det, ch.e0, protocol.q_sift, protocol.f_ec),
-        )
+        mu, eta, y0, e_det, e0 = map(Decimal, (mu, ch.eta, ch.y0, ch.e_det, ch.e0))
         signal = one - (-eta * mu).exp()
         q = min(y0 + signal, one)
         e = min((e0 * y0 + e_det * signal) / q, one)
         y1 = min(y0 + eta, one)
-        # the privacy term is capped at e1 = 1/2
-        e1 = min((e0 * y0 + e_det * eta) / y1, Decimal("0.5"))
+        e1 = (e0 * y0 + e_det * eta) / y1
         p0 = (-mu).exp()
-        return q_sift * (
-            -q * f_ec * h2(e) + y0 * p0 + y1 * mu * p0 * (one - h2(e1))
-        )
+        return _gllp_60(q, e, e1, y0 * p0, y1 * mu * p0, protocol)
+
+
+def ref_sweep_rate_60(eta, ch, protocol, signal, decoy=None, vacuum=None) -> Decimal:
+    """The rate of a loss-sweep point at 60 significant digits, floored
+    at zero, with :mod:`decimal` and calling no package code: the
+    no-decoy bound on the signal bins ``signal`` or, given the bins
+    ``decoy`` and ``vacuum``, the three-intensity bounds at n_sigma 0,
+    with the vacuum setting's gain as Y0. The float inputs (``eta``, the
+    channel's ``y0``, ``e_det`` and ``e0``, the bins and the protocol's
+    fields) are taken as exact, so the distance of a float rate to it is
+    that rate's own rounding.
+
+    Each bin n sees Y_n = min(y0 + s_n, 1) and the error numerator e0 y0
+    + e_det s_n, s_n = 1 - (1 - eta)^n. The no-decoy bound is Y1 = (Q -
+    Y0 P(0) - P(m >= 2)) / P(1), with P(m >= 2) = 1 - P(0) - P(1); the
+    three-intensity one is that of the :mod:`decoyqkd.decoy` docstring;
+    both clamp Y1 into [0, 1], then e1 = (E Q - e0 Y0 P(0)) / (Y1 P(1))
+    into [0, 1], or 1 where Y1 = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        zero, one = Decimal(0), Decimal(1)
+        eta, y0, e0, e_det = map(Decimal, (eta, ch.y0, ch.e0, ch.e_det))
+
+        def observed(bins):
+            # the gain and the error gain E Q, with E capped at 1
+            q = eq = zero
+            for n, p in enumerate(map(Decimal, bins)):
+                s = one - (one - eta) ** n if n else zero  # decimal has no 0^0
+                q += p * min(y0 + s, one)
+                eq += p * (e0 * y0 + e_det * s)
+            return q, min(eq, q)
+
+        def clamp(x):
+            return min(max(x, zero), one)
+
+        p = [Decimal(x) for x in signal[:3]]
+        q, eq = observed(signal)
+        if decoy is None:
+            y0_obs = y0
+            y1 = (q - y0 * p[0] - (one - p[0] - p[1])) / p[1]
+        else:
+            d = [Decimal(x) for x in decoy[:3]]
+            q_decoy, _ = observed(decoy)
+            y0_obs, _ = observed(vacuum)
+            c0 = p[2] * d[0] - d[2] * p[0]
+            y1 = (p[2] * q_decoy - d[2] * q - y0_obs * c0) / (p[2] * d[1] - d[2] * p[1])
+        y1 = clamp(y1)
+        e1 = clamp((eq - e0 * y0_obs * p[0]) / (y1 * p[1])) if y1 > 0 else one
+        return max(_gllp_60(q, eq / q, e1, y0_obs * p[0], y1 * p[1], protocol), zero)
+
+
+def margin_to_9_digit_rounding(x: Decimal) -> Decimal:
+    """The distance of an ``x`` > 0 to the nearest number that rounds to
+    other nine significant digits than ``x`` does, as
+    ``config.format_float`` prints them."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        unit = Decimal(1).scaleb(x.adjusted() - 8)
+        m = (x / unit).to_integral_value(ROUND_HALF_EVEN)
+        # a rounding to 1.00000000 has its lower boundary a decade down,
+        # one to 10.0000000 its upper boundary a decade up
+        below = Decimal("0.05") if m == 10**8 else Decimal("0.5")
+        above = Decimal(5) if m == 10**9 else Decimal("0.5")
+        return min(x - (m - below) * unit, (m + above) * unit - x)
 
 
 def run_fresh(script, *args):

@@ -14,6 +14,7 @@ from decoyqkd import (
 )
 from decoyqkd.config import (
     channel_from_dict,
+    config_sha256,
     experiment_from_dict,
     experiment_to_dict,
     load_config,
@@ -157,6 +158,31 @@ class TestLoadConfig:
         path.write_text('{"run": {"n_sigma": %s}}' % token)
         with pytest.raises(ConfigError, match="non-finite"):
             load_config(str(path))
+
+
+class TestConfigHash:
+    # a manifest written by an earlier version names its config by this
+    # hash, so the hash of an unchanged config document never moves
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            (
+                "rates.json",
+                "d513b8d2c83bb3a69c1d40fafae13e646debd65d0aa74d80f510a066357696ce",
+            ),
+            (
+                "session-36db.json",
+                "44c2fb0867c65c65f1a1fb20d6ef357973720bfd2d0a75728c16bfa0e7cdf75f",
+            ),
+            (
+                "source-hsps.json",
+                "0d2f2331da052f43150bf607ff672798c303fbb8b5dff358ac81ec2db81cc4af",
+            ),
+        ],
+    )
+    def test_shipped_config_hash_is_pinned(self, name, digest):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert config_sha256(load_config(str(configs / name))) == digest
 
 
 class TestVersion:
